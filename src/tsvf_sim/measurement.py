@@ -73,6 +73,24 @@ class WeakEstimate:
         object.__setattr__(self, "samples", samples)
 
 
+def _born_branches(psi: StateVector, op: HermitianOperator):
+    """Branch projections of psi, their Born weights and the weights' total."""
+    if psi.dim != op.dim:
+        raise DimensionError(f"state dim {psi.dim} != operator dim {op.dim}")
+    projections = [b.project(psi.amps) for b in op.branches]
+    weights = np.array([float(np.real(np.vdot(p, p))) for p in projections])
+    total = weights.sum()
+    if not abs(total - 1.0) <= 1e-10:
+        raise InvariantError("branch probabilities do not sum to 1; is psi normalized?")
+    return projections, weights, total
+
+
+def _pick_branches(weights: np.ndarray, total: float, u):
+    """Branch index for each uniform draw u in [0, 1), by inverse CDF."""
+    k = np.searchsorted(np.cumsum(weights), u * total)
+    return np.minimum(k, len(weights) - 1)
+
+
 def strong_measure(
     psi: StateVector, op: HermitianOperator, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -81,22 +99,27 @@ def strong_measure(
     Degenerate eigenvalues form a single outcome whose projector covers the
     whole eigenspace, so measuring the identity returns psi unchanged.
     """
-    if psi.dim != op.dim:
-        raise DimensionError(f"state dim {psi.dim} != operator dim {op.dim}")
-    branches = op.branches
-    projections = [b.project(psi.amps) for b in branches]
-    weights = np.array([float(np.real(np.vdot(p, p))) for p in projections])
-    total = weights.sum()
-    if not abs(total - 1.0) <= 1e-10:
-        raise InvariantError("branch probabilities do not sum to 1; is psi normalized?")
-    cum = np.cumsum(weights)
-    k = int(np.searchsorted(cum, rng.random() * total))
-    k = min(k, len(branches) - 1)
+    projections, weights, total = _born_branches(psi, op)
+    k = int(_pick_branches(weights, total, rng.random()))
     p = weights[k]
     collapsed = StateVector(projections[k]).normalize()
     return MeasurementRecord(
-        outcome=branches[k].eigenvalue, collapsed=collapsed, probability=float(p)
+        outcome=op.branches[k].eigenvalue, collapsed=collapsed, probability=float(p)
     )
+
+
+def measure_outcomes(
+    psi: StateVector, op: HermitianOperator, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Outcomes of `size` independent projective measurements of op on psi.
+
+    Draws one rng.random(size) batch, which the Generator fills with the same
+    doubles as `size` successive rng.random() calls, so the result equals
+    [strong_measure(psi, op, rng).outcome for _ in range(size)] exactly.
+    """
+    _, weights, total = _born_branches(psi, op)
+    eigenvalues = np.array([b.eigenvalue for b in op.branches])
+    return eigenvalues[_pick_branches(weights, total, rng.random(size))]
 
 
 def post_select(psi: StateVector, phi: StateVector, rng: np.random.Generator) -> bool:

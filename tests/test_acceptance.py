@@ -35,10 +35,10 @@ from tsvf_sim import (
     robustness_ratio,
     sample_final_boundary,
     select_by_final,
-    strong_measure,
     weak_estimate,
 )
 from tsvf_sim.cli import main as cli_main
+from tsvf_sim.measurement import measure_outcomes
 
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 ANOMALOUS_BACKWARD = StateVector(
@@ -63,7 +63,7 @@ def test_criterion_01_born_statistics():
     psi = StateVector(np.array([0.6, 0.8], dtype=complex))
     rng = np.random.default_rng(12345)
     trials = 100_000
-    plus = sum(strong_measure(psi, SIGMA_Z, rng).outcome == 1.0 for _ in range(trials))
+    plus = int(np.count_nonzero(measure_outcomes(psi, SIGMA_Z, rng, trials) == 1.0))
     freq = plus / trials
     band = 3.0 * math.sqrt(0.36 * 0.64 / trials)  # ~0.0046
     _finish(1, "Born statistics", 5.0, start, [

@@ -102,6 +102,23 @@ def test_out_of_range_param_exits_2(capsys):
     assert "alpha2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment,param", [
+    ("weakvalue", "sigma=inf"),
+    ("decay", "t_max=inf"),
+    ("threshold", "targets=inf"),
+    ("convergence", "Ns=1e400"),
+    ("born", "trials=1e400"),
+    ("decay", "n0=nan"),
+])
+def test_non_finite_param_exits_2(tmp_path, capsys, experiment, param):
+    out = tmp_path / "out.csv"
+    assert run_cli("run", "--experiment", experiment, "--param", param,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tsvf-sim: error:") and "not a finite number" in err
+    assert not out.exists()
+
+
 def test_missing_experiment_exits_2(capsys):
     assert run_cli("run") == 2
     assert "experiment" in capsys.readouterr().err

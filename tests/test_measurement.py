@@ -8,6 +8,7 @@ import pytest
 from tsvf_sim import (
     SIGMA_X,
     SIGMA_Z,
+    DimensionError,
     HermitianOperator,
     InvariantError,
     NearOrthogonalPrePost,
@@ -26,6 +27,7 @@ from tsvf_sim import (
     weak_trial,
     weak_value,
 )
+from tsvf_sim.measurement import measure_outcomes
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -82,6 +84,39 @@ def test_strong_measure_collapsed_is_eigenstate():
     record = strong_measure(psi, op, rng)
     applied = op.apply(record.collapsed)
     assert np.allclose(applied, record.outcome * record.collapsed.amps, atol=1e-9)
+
+
+_CASE_RNG = np.random.default_rng(39)
+BORN_CASES = {
+    "sigma_z": (StateVector(np.array([0.6, 0.8], dtype=complex)), SIGMA_Z),
+    "alpha2_1": (KET0, SIGMA_Z),
+    "alpha2_0": (KET1, SIGMA_Z),
+    "random_4": (random_state(4, _CASE_RNG), random_hermitian(4, _CASE_RNG)),
+    "identity_3": (random_state(3, _CASE_RNG), identity(3)),
+    "doubly_degenerate": (random_state(3, _CASE_RNG),
+                          HermitianOperator(np.diag([2.0, -1.0, 2.0]).astype(complex))),
+}
+
+
+@pytest.mark.parametrize("case", BORN_CASES)
+def test_measure_outcomes_equals_strong_measure_loop(case):
+    psi, op = BORN_CASES[case]
+    batched = measure_outcomes(psi, op, np.random.default_rng(40), 2000)
+    loop_rng = np.random.default_rng(40)
+    looped = [strong_measure(psi, op, loop_rng).outcome for _ in range(2000)]
+    assert batched.tolist() == looped
+
+
+def test_measure_outcomes_rejects_what_strong_measure_rejects():
+    rng = np.random.default_rng(41)
+    unnormalized = StateVector(np.array([1.0, 1.0], dtype=complex))
+    for psi, op, error in ((basis_state(3, 0), SIGMA_Z, DimensionError),
+                           (unnormalized, SIGMA_Z, InvariantError)):
+        with pytest.raises(error) as single:
+            strong_measure(psi, op, rng)
+        with pytest.raises(error) as batched:
+            measure_outcomes(psi, op, rng, 10)
+        assert str(batched.value) == str(single.value)
 
 
 def test_post_select_same_state_always_succeeds():
