@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import EXPERIMENTS, Experiment, ExperimentResult, resolve_params, thread_cap
+from .experiments import EXPERIMENTS, Experiment, ExperimentResult, resolve_params
 
 MAX_SEED = 2 ** 64
 
@@ -133,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
             key, value = item.split("=", 1)
             overrides[key.strip()] = value.strip()
         params = resolve_params(exp, overrides)
-        thread_cap()  # validate TSVF_SIM_THREADS before any work starts
 
         rng = np.random.default_rng(seed)
         result = exp.runner(params, rng)

@@ -20,15 +20,16 @@ import numpy as np
 from .errors import DimensionError, InvariantError, TooLargeForOracle
 from .hilbert import (
     ATOL_EXACT,
+    ORACLE_MAX_QUBITS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     HermitianOperator,
     StateVector,
+    fits_oracle,
     projector,
 )
 
-ORACLE_MAX_DIM = 2 ** 14
 DETERMINISTIC_TOL = 1e-10
 # Uncertainty below this counts as zero and no perpendicular component is reported.
 DELTA_FLOOR = 1e-12
@@ -175,8 +176,8 @@ def brute_force_average(
     if op.dim != spec.dim:
         raise DimensionError(f"operator dim {op.dim} != ensemble copy dim {spec.dim}")
     d, n = spec.dim, spec.size
-    if d ** n > ORACLE_MAX_DIM:
-        raise TooLargeForOracle(f"product dimension {d}^{n} exceeds {ORACLE_MAX_DIM}")
+    if not fits_oracle(d, n):
+        raise TooLargeForOracle(f"product dimension {d}^{n} exceeds 2^{ORACLE_MAX_QUBITS}")
     full = np.ones(1, dtype=complex)
     for state, count in spec.groups:
         for _ in range(count):

@@ -10,15 +10,13 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError, OrthogonalCollapseForbidden
-from .hilbert import SIGMA_Z, StateVector
+from .hilbert import SIGMA_Z, StateVector, fits_oracle
 # strong_measure is unused here but kept: perfbench/trace_child.py wraps this name.
 from .measurement import TwoState, measure_outcomes, strong_measure, weak_estimate, weak_value
 from .ensemble import (
@@ -36,29 +34,17 @@ from .twotime import (
     robustness_ratio,
 )
 
-THREADS_ENV_VAR = "TSVF_SIM_THREADS"
-
-
-def thread_cap() -> int | None:
-    """Worker-count cap from the environment; None means no cap (auto)."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{THREADS_ENV_VAR} must be a non-negative integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be non-negative, got {value}")
-    return None if value == 0 else value
-
-
-def _workers(tasks: int) -> int:
-    cap = thread_cap()
-    auto = os.cpu_count() or 1
-    return max(1, min(tasks, cap if cap is not None else auto))
+# Rows are built in memory before the CSV is written; 10^7 of them peak at
+# about 2 GiB (born) to 3.3 GiB (decay).
+MAX_ROWS = 10 ** 7
+# Up to this coupling the pointer sampling grid keeps its points within 0.13 sigma.
+MAX_G_OVER_SIGMA = 1e3
+# Pointer spreads whose squares and ratios stay far inside the float range.
+MIN_SIGMA, MAX_SIGMA = 1e-100, 1e100
+# Record sizes whose squares stay inside the float range of the slope fit.
+MAX_ENV_SIZE = 10 ** 100
+# The record model holds one gamma1 and one gamma2 entry per collapsed qubit.
+MAX_COLLAPSED = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -85,10 +71,12 @@ class ExperimentResult:
 
 
 def _parse_scalar(kind: str, name: str, raw: str):
-    """Parse one int or float; non-finite values (inf, nan, 1e400) are rejected."""
+    """Parse one int or float; non-finite values (inf, nan, 1e400) are rejected.
+
+    An integer written out in digits is parsed exactly, but it too must fit
+    in a float.
+    """
     try:
-        if kind == "int" and raw.strip().lstrip("+-").isdigit():
-            return int(raw)
         value = float(raw)
         if kind == "int" and math.isfinite(value) and value != int(value):
             raise ValueError(raw)
@@ -96,7 +84,9 @@ def _parse_scalar(kind: str, name: str, raw: str):
         raise ConfigError(f"parameter {name!r}: cannot parse {raw!r} as {kind}") from None
     if not math.isfinite(value):
         raise ConfigError(f"parameter {name!r}: {raw!r} is not a finite number")
-    return int(value) if kind == "int" else value
+    if kind == "int":
+        return int(raw) if raw.strip().lstrip("+-").isdigit() else int(value)
+    return value
 
 
 def parse_param_value(spec: ParamSpec, raw: str):
@@ -139,7 +129,7 @@ def _require(condition: bool, message: str):
 def _run_born(params: dict, rng: np.random.Generator) -> ExperimentResult:
     a2, trials = params["alpha2"], params["trials"]
     _require(0.0 <= a2 <= 1.0, "parameter 'alpha2' must lie in [0, 1]")
-    _require(trials >= 1, "parameter 'trials' must be at least 1")
+    _require(1 <= trials <= MAX_ROWS, f"parameter 'trials' must lie in [1, {MAX_ROWS}]")
     psi = StateVector(np.array([math.sqrt(a2), math.sqrt(1.0 - a2)], dtype=complex))
     outcomes = np.rint(measure_outcomes(psi, SIGMA_Z, rng, trials)).astype(int)
     rows = list(enumerate(outcomes.tolist()))
@@ -158,9 +148,11 @@ def _run_born(params: dict, rng: np.random.Generator) -> ExperimentResult:
 def _run_weakvalue(params: dict, rng: np.random.Generator) -> ExperimentResult:
     ratio, sigma, trials = params["g_over_sigma"], params["sigma"], params["trials"]
     angle = params["post_angle"]
-    _require(ratio > 0.0, "parameter 'g_over_sigma' must be positive")
-    _require(sigma > 0.0, "parameter 'sigma' must be positive")
-    _require(trials >= 1, "parameter 'trials' must be at least 1")
+    _require(0.0 < ratio <= MAX_G_OVER_SIGMA,
+             f"parameter 'g_over_sigma' must lie in (0, {MAX_G_OVER_SIGMA:g}]")
+    _require(MIN_SIGMA <= sigma <= MAX_SIGMA,
+             f"parameter 'sigma' must lie in [{MIN_SIGMA:g}, {MAX_SIGMA:g}]")
+    _require(1 <= trials <= MAX_ROWS, f"parameter 'trials' must lie in [1, {MAX_ROWS}]")
     forward = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     backward = StateVector(np.array([math.cos(angle), -math.sin(angle)], dtype=complex))
     ts = TwoState(forward, backward)
@@ -185,14 +177,14 @@ def _run_weakvalue(params: dict, rng: np.random.Generator) -> ExperimentResult:
 def _run_convergence(params: dict, rng: np.random.Generator) -> ExperimentResult:
     sizes = params["Ns"]
     _require(all(n >= 1 for n in sizes), "parameter 'Ns' entries must be at least 1")
-    _require(len(sizes) >= 2, "parameter 'Ns' needs at least two sizes to fit a slope")
+    _require(len(set(sizes)) >= 2, "parameter 'Ns' needs two distinct sizes to fit a slope")
     psi = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     rows = []
     abar_last = 0.0
     for n in sizes:
         abar_last, residual = average_operator_residual(SIGMA_Z, EnsembleSpec(((psi, n),)))
         rows.append((n, residual))
-    logs_n = np.log10([r[0] for r in rows])
+    logs_n = np.log10([float(r[0]) for r in rows])
     logs_r = np.log10([r[1] for r in rows])
     slope = float(np.polyfit(logs_n, logs_r, 1)[0])
     return ExperimentResult(
@@ -206,14 +198,10 @@ def _run_commutator(params: dict, rng: np.random.Generator) -> ExperimentResult:
     brute_max, closed_ns = params["brute_max"], params["closed_Ns"]
     _require(1 <= brute_max <= 12, "parameter 'brute_max' must lie in [1, 12]")
     _require(all(n >= 1 for n in closed_ns), "parameter 'closed_Ns' entries must be >= 1")
-    spins = list(range(1, brute_max + 1))
-    # Dense-matrix checks release the GIL inside numpy, so a thread pool pays
-    # off; TSVF_SIM_THREADS caps it and the merge stays ordered by N.
-    with ThreadPoolExecutor(max_workers=_workers(len(spins))) as pool:
-        brute = list(pool.map(brute_force_spin_commutator, spins))
     rows = []
     worst = 0.0
-    for n, (scale, err) in zip(spins, brute):
+    for n in range(1, brute_max + 1):
+        scale, err = brute_force_spin_commutator(n)
         worst = max(worst, err)
         rows.append((n, "brute", scale, err))
     for n in closed_ns:
@@ -243,8 +231,10 @@ def _model_from(params: dict, env_size: int) -> RobustnessModel:
 
 def _run_robustness(params: dict, rng: np.random.Generator) -> ExperimentResult:
     sizes = params["env_sizes"]
-    _require(len(sizes) >= 2, "parameter 'env_sizes' needs at least two entries")
+    _require(params["n"] <= MAX_COLLAPSED, f"parameter 'n' must be at most {MAX_COLLAPSED}")
+    _require(len(set(sizes)) >= 2, "parameter 'env_sizes' needs two distinct entries")
     _require(all(n > params["n"] for n in sizes), "every env_size must exceed 'n'")
+    _require(all(n <= MAX_ENV_SIZE for n in sizes), "every env_size must be at most 1e100")
     rows = []
     logs = []
     for size in sizes:
@@ -252,11 +242,13 @@ def _run_robustness(params: dict, rng: np.random.Generator) -> ExperimentResult:
         log_ratio = log_robustness_ratio(model)
         ratio = robustness_ratio(model)
         oracle = ""
-        if 2 ** (size + 2) <= 2 ** 14 and model.n_collapsed >= 1:
+        if model.n_collapsed >= 1 and fits_oracle(2, size + 2):
             oracle = brute_force_ratio(model)
         rows.append((size, params["n"], log_ratio, ratio, oracle))
         logs.append(log_ratio)
-    fitted = float(np.polyfit(sizes, logs, 1)[0]) if np.all(np.isfinite(logs)) else ""
+    fitted = ""
+    if np.all(np.isfinite(logs)):
+        fitted = float(np.polyfit(np.array(sizes, dtype=float), logs, 1)[0])
     return ExperimentResult(
         header=("env_size", "n_collapsed", "log_ratio", "ratio", "brute_ratio"),
         rows=rows,
@@ -269,6 +261,7 @@ def _run_robustness(params: dict, rng: np.random.Generator) -> ExperimentResult:
 
 def _run_threshold(params: dict, rng: np.random.Generator) -> ExperimentResult:
     targets = params["targets"]
+    _require(params["n"] <= MAX_COLLAPSED, f"parameter 'n' must be at most {MAX_COLLAPSED}")
     _require(all(t > 0 for t in targets), "parameter 'targets' entries must be positive")
     rows = []
     needed = []
@@ -301,7 +294,7 @@ def _run_decay(params: dict, rng: np.random.Generator) -> ExperimentResult:
     _require(n0 >= 0.0, "parameter 'n0' must be non-negative")
     _require(tau > 0.0, "parameter 'time_constant' must be positive")
     _require(t_max >= 0.0, "parameter 't_max' must be non-negative")
-    _require(steps >= 2, "parameter 'steps' must be at least 2")
+    _require(2 <= steps <= MAX_ROWS, f"parameter 'steps' must lie in [2, {MAX_ROWS}]")
     times = np.linspace(0.0, t_max, steps)
     rows = [(float(t), core_decay(n0, tau, float(t))) for t in times]
     return ExperimentResult(

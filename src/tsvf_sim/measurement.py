@@ -19,7 +19,7 @@ from .errors import (
     NoAcceptedTrials,
 )
 from .hilbert import ATOL_EXACT, HermitianOperator, StateVector, inner
-from .pointer import couple, readout_density, sample_reading
+from .pointer import couple, readout_density
 
 # Overlaps at or below this are treated as orthogonal for weak values; callers
 # chasing extreme anomalous values must lower it explicitly.
@@ -139,24 +139,6 @@ def weak_value(
     return numerator / ts.overlap
 
 
-def weak_trial(
-    ts: TwoState,
-    op: HermitianOperator,
-    g: float,
-    sigma: float,
-    rng: np.random.Generator,
-) -> float | None:
-    """One weakly coupled trial: couple, post-select on the coupled state, read out.
-
-    The post-selection probability comes from the readout density of the
-    coupled state, so it includes the coupling disturbance exactly rather than
-    to first order. Returns the pointer reading, or None when post-selection
-    fails (an expected outcome, not an error).
-    """
-    joint = couple(ts.forward, op, g, sigma)
-    return sample_reading(joint, ts.backward, rng)
-
-
 def weak_estimate(
     ts: TwoState,
     op: HermitianOperator,
@@ -167,11 +149,13 @@ def weak_estimate(
 ) -> WeakEstimate:
     """Run many weak trials and aggregate the accepted readings.
 
-    The coupled state and readout density are identical across trials, so the
-    per-trial draws are vectorized: one Bernoulli array for post-selection, one
-    inverse-CDF batch for the accepted readings. The sampled distribution is
-    exactly the one weak_trial draws from, and results are deterministic for a
-    fixed rng seed.
+    Each trial couples, post-selects on the coupled state and reads out the
+    pointer. The post-selection probability comes from the readout density of
+    the coupled state, so it includes the coupling disturbance exactly rather
+    than to first order. The coupled state and readout density are identical
+    across trials, so the draws are vectorized: one Bernoulli array for
+    post-selection, one inverse-CDF batch for the accepted readings. Results
+    are deterministic for a fixed rng seed.
     """
     if trials < 1:
         raise InvariantError("trials must be at least 1")

@@ -233,22 +233,6 @@ def readout_density(joint: JointPointerState, post: StateVector | None = None) -
     return ReadoutDensity(means=means, sigma=joint.sigma, success_prob=success, coeffs=coeffs)
 
 
-def sample_reading(
-    joint: JointPointerState,
-    post: StateVector | None,
-    rng: np.random.Generator,
-) -> float | None:
-    """One Monte Carlo trial: Bernoulli post-selection, then a pointer reading.
-
-    Returns None when post-selection fails; that is an expected outcome of a
-    trial, not an error.
-    """
-    density = readout_density(joint, post)
-    if post is not None and rng.random() >= density.success_prob:
-        return None
-    return density.sample(rng)
-
-
 def classify_strong(q: float, joint: JointPointerState) -> int:
     """Map a reading to the branch with the nearest pointer mean.
 

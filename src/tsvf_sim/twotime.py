@@ -20,7 +20,7 @@ so N up to 1e9 is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,9 +31,8 @@ from .errors import (
     OrthogonalCollapseForbidden,
     TooLargeForOracle,
 )
-from .hilbert import ATOL_EXACT, StateVector, basis_state
+from .hilbert import ATOL_EXACT, ORACLE_MAX_QUBITS, StateVector, basis_state, fits_oracle
 
-ORACLE_MAX_DIM = 2 ** 14
 CLASSICAL_RATIO_THRESHOLD = 1e6
 
 READING_I = "I"
@@ -193,9 +192,9 @@ def forward_chain(model: RobustnessModel) -> tuple[BranchState, ...]:
 
 def full_state(model: RobustnessModel) -> StateVector:
     """Dense particle (x) pointer (x) record state for small N (dim 2^(N+2))."""
-    if 2 ** (model.env_size + 2) > ORACLE_MAX_DIM:
+    if not fits_oracle(2, model.env_size + 2):
         raise TooLargeForOracle(
-            f"full state dim 2^{model.env_size + 2} exceeds {ORACLE_MAX_DIM}"
+            f"full state dim 2^{model.env_size + 2} exceeds 2^{ORACLE_MAX_QUBITS}"
         )
     dim = 2 ** (model.env_size + 2)
     amps = np.zeros(dim, dtype=complex)
@@ -300,31 +299,25 @@ def collapse_environment(
     )
 
 
-def log_robustness_ratio(model: RobustnessModel, squared_gammas: bool = True) -> float:
-    """Natural log of the robustness ratio, safe for env_size up to 1e9.
-
-    Default mode uses squared overlap magnitudes throughout (probability
-    ratio); squared_gammas=False reproduces the variant with unsquared gamma
-    factors while keeping the remaining-record overlap squared.
-    """
-    power = 2.0 if squared_gammas else 1.0
+def log_robustness_ratio(model: RobustnessModel) -> float:
+    """Natural log of the robustness ratio, safe for env_size up to 1e9."""
     if model.overlap == 0.0 or any(g == 0.0 for g in model.gamma2):
         return float("inf")
     log_g1 = sum(math.log(g) for g in model.gamma1)
     log_g2 = sum(math.log(g) for g in model.gamma2)
-    return power * (log_g1 - log_g2) - 2.0 * model.remaining * math.log(model.overlap)
+    return 2.0 * (log_g1 - log_g2) - 2.0 * model.remaining * math.log(model.overlap)
 
 
-def robustness_ratio(model: RobustnessModel, squared_gammas: bool = True) -> float:
+def robustness_ratio(model: RobustnessModel) -> float:
     """Pr(right reading) / Pr(wrong reading) for the collapsed record.
 
-    Closed form prod(gamma1^2) / (|c^(N-n)|^2 prod(gamma2^2)) in the default
-    mode; +inf when the wrong branch is perfectly distinguishable (c = 0 or
-    some gamma2 = 0) or on overflow. This models the reading as encoded in the
-    N-qubit record; the ideal uncollapsed case with the bare orthogonal pointer
-    reconstructs perfectly instead (see select_by_final and the n = 0 oracle).
+    Closed form prod(gamma1^2) / (|c^(N-n)|^2 prod(gamma2^2)); +inf when the
+    wrong branch is perfectly distinguishable (c = 0 or some gamma2 = 0) or on
+    overflow. This models the reading as encoded in the N-qubit record; the
+    ideal uncollapsed case with the bare orthogonal pointer reconstructs
+    perfectly instead (see select_by_final and the n = 0 oracle).
     """
-    log_ratio = log_robustness_ratio(model, squared_gammas=squared_gammas)
+    log_ratio = log_robustness_ratio(model)
     if math.isinf(log_ratio):
         return float("inf")
     try:
@@ -356,8 +349,10 @@ def brute_force_ratio(
     (per-branch renormalization).
     """
     n_env, n_col = model.env_size, model.n_collapsed
-    if 2 ** (n_env + 2) > ORACLE_MAX_DIM:
-        raise TooLargeForOracle(f"full state dim 2^{n_env + 2} exceeds {ORACLE_MAX_DIM}")
+    if not fits_oracle(2, n_env + 2):
+        raise TooLargeForOracle(
+            f"full state dim 2^{n_env + 2} exceeds 2^{ORACLE_MAX_QUBITS}"
+        )
     if collapsed is None:
         c1, c2 = _collapse_states(model)
     else:
@@ -423,41 +418,34 @@ def classical_threshold(
 ) -> int:
     """Smallest record size N for which the robustness ratio reaches the target.
 
-    Closed form N = n + ceil((ln target + sum ln(gamma2^2/gamma1^2)) /
-    (-2 ln c)), floored at n + 1 and then verified by direct evaluation at N
-    and N - 1 so the returned value brackets the target exactly.
+    The closed form N = n + ceil((ln target - ln ratio(n + 1)) / (-2 ln c)) + 1,
+    floored at n + 1, is verified by direct evaluation at N and N - 1 so the
+    returned value brackets the target exactly. Arguments are validated as a
+    RobustnessModel with a single definite branch.
     """
-    if n_collapsed < 0:
-        raise InvariantError("n_collapsed must be non-negative")
-    if not 0.0 <= overlap < 1.0:
-        raise InvariantError("overlap c must lie in [0, 1)")
     if ratio_target <= 0.0:
         raise InvariantError("ratio_target must be positive")
-    g1 = _as_gamma_tuple(gamma1, n_collapsed, "gamma1")
-    g2 = _as_gamma_tuple(gamma2, n_collapsed, "gamma2")
-    for g in g1:
-        if g == 0.0:
-            raise OrthogonalCollapseForbidden("gamma1 = 0 erases the branch record")
-        if not 0.0 < g <= 1.0:
-            raise InvariantError("gamma1 entries must lie in (0, 1]")
-    for g in g2:
-        if not 0.0 <= g < 1.0:
-            raise InvariantError("gamma2 entries must lie in [0, 1)")
+    model = RobustnessModel(
+        alpha=1.0,
+        beta=0.0,
+        env_size=n_collapsed + 1,
+        overlap=overlap,
+        n_collapsed=n_collapsed,
+        gamma1=gamma1,
+        gamma2=gamma2,
+    )
+
+    def log_ratio_at(env_size: int) -> float:
+        return log_robustness_ratio(replace(model, env_size=env_size))
 
     log_target = math.log(ratio_target)
-    if overlap == 0.0 or any(g == 0.0 for g in g2):
+    first = log_robustness_ratio(model)
+    if math.isinf(first):
         return n_collapsed + 1  # ratio is +inf for any remaining record
-
-    def log_ratio(env_size: int) -> float:
-        return 2.0 * (
-            sum(math.log(g) for g in g1) - sum(math.log(g) for g in g2)
-        ) - 2.0 * (env_size - n_collapsed) * math.log(overlap)
-
-    gamma_term = sum(2.0 * math.log(b / a) for a, b in zip(g1, g2))
-    raw = (log_target + gamma_term) / (-2.0 * math.log(overlap))
+    raw = (log_target - first) / (-2.0 * math.log(overlap)) + 1.0
     candidate = n_collapsed + max(1, math.ceil(raw))
-    while candidate - 1 > n_collapsed and log_ratio(candidate - 1) >= log_target:
+    while candidate - 1 > n_collapsed and log_ratio_at(candidate - 1) >= log_target:
         candidate -= 1
-    while log_ratio(candidate) < log_target:
+    while log_ratio_at(candidate) < log_target:
         candidate += 1
     return candidate

@@ -1,6 +1,7 @@
 """Tests for the command-line experiment runner and its CSV contract."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,39 @@ def test_non_finite_param_exits_2(tmp_path, capsys, experiment, param):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment,param,key", [
+    ("born", "trials=100000000", "trials"),
+    ("born", "trials=1e300", "trials"),
+    ("weakvalue", "trials=100000000", "trials"),
+    ("weakvalue", "trials=1e300", "trials"),
+    ("decay", "steps=100000000", "steps"),
+    ("decay", "steps=1e300", "steps"),
+    ("weakvalue", "sigma=1e-300", "sigma"),
+    ("weakvalue", "sigma=1e300", "sigma"),
+    ("weakvalue", "g_over_sigma=1e200", "g_over_sigma"),
+    ("convergence", "Ns=5,5", "Ns"),
+    ("convergence", "Ns=1,1" + "0" * 400, "Ns"),
+    ("robustness", "env_sizes=8,8", "env_sizes"),
+    ("robustness", "env_sizes=8,1e300", "env_size"),
+    ("threshold", "n=100000000", "'n'"),
+])
+def test_value_outside_limits_exits_2_before_any_work(tmp_path, capsys, experiment, param, key):
+    out = tmp_path / "out.csv"
+    assert run_cli("run", "--experiment", experiment, "--param", param,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tsvf-sim: error:") and key in err
+    assert not out.exists()
+
+
+def test_convergence_accepts_sizes_beyond_int64(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run_cli("run", "--experiment", "convergence",
+                   "--param", "Ns=1,100000000000000000000", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    assert [int(r[0]) for r in rows] == [1, 10 ** 20]
+
+
 def test_missing_experiment_exits_2(capsys):
     assert run_cli("run") == 2
     assert "experiment" in capsys.readouterr().err
@@ -189,24 +223,7 @@ def test_runtime_failure_exits_3(capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("TSVF_SIM_THREADS", "banana")
-    assert run_cli("run", "--experiment", "decay", "--out",
-                   str(tmp_path / "d.csv")) == 2
-    assert "TSVF_SIM_THREADS" in capsys.readouterr().err
-
-
-def test_threads_env_cap_accepted(tmp_path, monkeypatch):
-    monkeypatch.setenv("TSVF_SIM_THREADS", "1")
-    out = tmp_path / "k.csv"
-    assert run_cli("run", "--experiment", "commutator",
-                   "--param", "brute_max=4", "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert lines[2] == "spins,method,scale,identity_error"
-
-
-def test_commutator_rows_ordered_by_spin_count(tmp_path, monkeypatch):
-    monkeypatch.setenv("TSVF_SIM_THREADS", "0")  # 0 = auto
+def test_commutator_rows_ordered_by_spin_count(tmp_path):
     out = tmp_path / "k.csv"
     run_cli("run", "--experiment", "commutator", "--param", "brute_max=5",
             "--param", "closed_Ns=1000000", "--out", str(out))
@@ -225,6 +242,16 @@ def test_robustness_csv_brute_column(tmp_path):
     assert lines[2] == "env_size,n_collapsed,log_ratio,ratio,brute_ratio"
     first = lines[3].split(",")
     assert np.isclose(float(first[3]), float(first[4]), rtol=1e-9)
+
+
+def test_robustness_huge_record_skips_oracle_quickly(tmp_path):
+    out = tmp_path / "r.csv"
+    start = time.perf_counter()
+    assert run_cli("run", "--experiment", "robustness",
+                   "--param", "env_sizes=8,1000000000", "--out", str(out)) == 0
+    assert time.perf_counter() - start < 1.0
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[0] == "1000000000" and last[3] == "inf" and last[4] == ""
 
 
 def test_robustness_env_sizes_must_exceed_n(capsys):

@@ -1,6 +1,7 @@
 """Tests for deterministic operators and ensemble-averaged observables."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +199,13 @@ def test_brute_force_two_group_mean():
 def test_brute_force_oracle_bound():
     with pytest.raises(TooLargeForOracle):
         brute_force_average(SIGMA_Z, EnsembleSpec(((PLUS, 15),)))
+
+
+def test_brute_force_oracle_rejects_huge_ensemble_at_once():
+    start = time.perf_counter()
+    with pytest.raises(TooLargeForOracle):
+        brute_force_average(SIGMA_Z, EnsembleSpec(((PLUS, 10 ** 9),)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_spin_commutator_closed_form_values():

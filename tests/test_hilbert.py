@@ -24,6 +24,7 @@ from tsvf_sim import (
     random_state,
     tensor,
 )
+from tsvf_sim.hilbert import fits_oracle
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -233,3 +234,14 @@ def test_identity_expectation_is_one():
 def test_pauli_algebra():
     assert np.allclose(SIGMA_X.entries @ SIGMA_Y.entries - SIGMA_Y.entries @ SIGMA_X.entries,
                        2j * SIGMA_Z.entries, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,copies,fits", [
+    (2, 14, True), (2, 15, False), (4, 7, True), (4, 8, False), (8, 4, True),
+    (8, 5, False), (3, 8, True), (3, 9, False), (16384, 1, True), (16385, 1, False),
+    (1, 10 ** 9, True), (2, 10 ** 9, False), (2, 10 ** 400, False),
+])
+def test_fits_oracle_compares_exponents_exactly(dim, copies, fits):
+    assert fits_oracle(dim, copies) is fits
+    if copies <= 64:
+        assert fits_oracle(dim, copies) == (dim ** copies <= 2 ** 14)

@@ -24,7 +24,6 @@ from tsvf_sim import (
     random_state,
     strong_measure,
     weak_estimate,
-    weak_trial,
     weak_value,
 )
 from tsvf_sim.measurement import measure_outcomes
@@ -199,20 +198,17 @@ def test_weak_value_rejects_tiny_overlap():
         weak_value(ts, SIGMA_Z)
 
 
-def test_weak_trial_strong_coupling_clusters_on_selected_branch():
+def test_weak_estimate_strong_coupling_clusters_on_selected_branch():
     # backward |0> picks out the +1 branch; at g/sigma = 10 the accepted
     # readings sit on that branch's pointer alone.
     ts = TwoState(forward=PLUS, backward=KET0)
     rng = np.random.default_rng(43)
-    accepted = []
-    while len(accepted) < 50:
-        q = weak_trial(ts, SIGMA_Z, g=10.0, sigma=1.0, rng=rng)
-        if q is not None:
-            accepted.append(q)
-    assert np.all(np.abs(np.array(accepted) - 10.0) < 5.0)
+    est = weak_estimate(ts, SIGMA_Z, g=10.0, sigma=1.0, trials=100, rng=rng)
+    assert est.accepted >= 20
+    assert np.all(np.abs(est.samples - 10.0) < 5.0)
 
 
-def test_weak_trial_no_post_selection_effect_on_matched_pair():
+def test_weak_estimate_no_post_selection_effect_on_matched_pair():
     psi = StateVector(np.array([0.6, 0.8], dtype=complex))
     ts = TwoState(forward=psi, backward=psi)
     rng = np.random.default_rng(44)

@@ -1,0 +1,75 @@
+"""Property test over `--param` values: a run either succeeds cleanly or fails
+with one of the package's own error types.
+
+Values come from a fixed vocabulary: cheap valid values per parameter,
+malformed strings, and values every runner must reject before it allocates
+anything. Every warning is raised as an error, so a leaked numpy
+RuntimeWarning fails the property. Parameters that set the amount of work
+(trials, steps, brute_max) are always drawn, so no example runs a costly
+default.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tsvf_sim.cli import render_csv
+from tsvf_sim.experiments import EXPERIMENTS, resolve_params
+
+CHEAP = {
+    "alpha2": ["0", "0.36", "1", "1e-17"],
+    "trials": ["1", "7", "1000"],
+    "g_over_sigma": ["0.01", "1", "10", "1000", "1e-100"],
+    "sigma": ["1", "0.5", "1e-100", "1e100"],
+    "post_angle": ["0", "0.39269908169872414", "0.7853981633974483", "3"],
+    "Ns": ["1,10", "100,1000,10000", "1,1000000000", "1,100000000000000000000", "5,5"],
+    "brute_max": ["1", "3", "6"],
+    "closed_Ns": ["1", "1000000", "1,2,3"],
+    "c": ["0.5", "0.9", "0.999999", "0.999999999999999"],
+    "n": ["0", "1", "5"],
+    "gamma1": ["0.9", "1", "0.5"],
+    "gamma2": ["0.5", "0.9"],
+    "env_sizes": ["8,10,12", "8,1000000000", "6,7", "20,1e9", "8,8"],
+    "targets": ["1e3,1e6", "1e300", "1", "10,1e-300"],
+    "n0": ["1e6", "1e300"],
+    "time_constant": ["1", "1e-300", "1e300"],
+    "t_max": ["10", "1e300"],
+    "steps": ["2", "101", "1000"],
+}
+MALFORMED = ["", "abc", "1,,2", "0x10", "1.5.2", "--1", "1e", ",", "1" + "0" * 400]
+REJECTED = ["inf", "-inf", "nan", "1e400", "-1", "0", "1e300", "-1e300", "1e-300", "100000000"]
+ALWAYS_DRAWN = {"trials", "steps", "brute_max"}
+
+
+def _value(name):
+    return st.one_of(
+        st.sampled_from(CHEAP[name]), st.sampled_from(MALFORMED), st.sampled_from(REJECTED)
+    )
+
+
+@st.composite
+def _runs(draw):
+    exp = EXPERIMENTS[draw(st.sampled_from(sorted(EXPERIMENTS)))]
+    overrides = {}
+    for spec in exp.params:
+        if spec.name in ALWAYS_DRAWN or draw(st.booleans()):
+            overrides[spec.name] = draw(_value(spec.name))
+    return exp, overrides
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_runs())
+def test_params_fail_only_with_package_errors(run):
+    exp, overrides = run
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = resolve_params(exp, overrides)
+            result = exp.runner(params, np.random.default_rng(0))
+            text = render_csv(exp, 0, params, result)
+    except Exception as exc:
+        assert type(exc).__module__ == "tsvf_sim.errors", repr(exc)
+        return
+    assert "nan" not in text

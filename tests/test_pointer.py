@@ -20,7 +20,6 @@ from tsvf_sim import (
     random_hermitian,
     random_state,
     readout_density,
-    sample_reading,
 )
 
 KET0 = basis_state(2, 0)
@@ -171,24 +170,6 @@ def test_sample_mean_clt_no_post():
     samples = readout_density(joint).sample(rng, size=1_000_000)
     stderr = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - 0.0) < 4 * stderr
-
-
-def test_sample_reading_deterministic_for_fixed_seed():
-    joint = couple(PLUS, SIGMA_Z, g=0.5, sigma=1.0)
-    runs = []
-    for _ in range(2):
-        rng = np.random.default_rng(42)
-        runs.append([sample_reading(joint, ANOMALOUS_POST, rng) for _ in range(50)])
-    assert runs[0] == runs[1]
-
-
-def test_sample_reading_signals_failed_post_selection():
-    joint = couple(PLUS, SIGMA_Z, g=1e-4, sigma=1.0)
-    rng = np.random.default_rng(26)
-    results = [sample_reading(joint, KET0, rng) for _ in range(200)]
-    failures = [r for r in results if r is None]
-    successes = [r for r in results if r is not None]
-    assert failures and successes  # ~50% acceptance
 
 
 def test_sample_covers_far_branches_at_strong_coupling():
