@@ -14,12 +14,14 @@ from tsvf_sim import (
     NotInStrongRegime,
     PostSelectionImpossible,
     StateVector,
+    TwoState,
     basis_state,
     classify_strong,
     couple,
     random_hermitian,
     random_state,
     readout_density,
+    weak_estimate,
 )
 
 KET0 = basis_state(2, 0)
@@ -170,6 +172,28 @@ def test_sample_mean_clt_no_post():
     samples = readout_density(joint).sample(rng, size=1_000_000)
     stderr = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - 0.0) < 4 * stderr
+
+
+def test_sample_reading_deterministic_for_fixed_seed():
+    joint = couple(PLUS, SIGMA_Z, g=0.5, sigma=1.0)
+    density = readout_density(joint, ANOMALOUS_POST)
+    runs = []
+    for _ in range(2):
+        rng = np.random.default_rng(42)
+        runs.append([density.sample(rng) for _ in range(50)])
+    assert runs[0] == runs[1]
+    # one batched draw reads the same stream as 50 single draws
+    batch = density.sample(np.random.default_rng(42), size=50)
+    assert batch.tolist() == runs[0]
+
+
+def test_sample_reading_signals_failed_post_selection():
+    ts = TwoState(forward=PLUS, backward=KET0)
+    rng = np.random.default_rng(26)
+    trials = 200
+    est = weak_estimate(ts, SIGMA_Z, g=1e-4, sigma=1.0, trials=trials, rng=rng)
+    assert 0 < est.accepted < trials  # ~50% acceptance
+    assert est.samples.shape == (est.accepted,)
 
 
 def test_sample_covers_far_branches_at_strong_coupling():
