@@ -37,7 +37,8 @@ from .twotime import (
 # Rows are built in memory before the CSV is written; 10^7 of them peak at
 # about 2 GiB (born) to 3.3 GiB (decay).
 MAX_ROWS = 10 ** 7
-# Up to this coupling the pointer sampling grid keeps its points within 0.13 sigma.
+# Deep in the strong regime: branches 2000 sigma apart, and a reading g*a + sigma*z
+# still resolves sigma-scale detail to about 1e-13 sigma in a double.
 MAX_G_OVER_SIGMA = 1e3
 # Pointer spreads whose squares and ratios stay far inside the float range.
 MIN_SIGMA, MAX_SIGMA = 1e-100, 1e100

@@ -154,8 +154,8 @@ def weak_estimate(
     the coupled state, so it includes the coupling disturbance exactly rather
     than to first order. The coupled state and readout density are identical
     across trials, so the draws are vectorized: one Bernoulli array for
-    post-selection, one inverse-CDF batch for the accepted readings. Results
-    are deterministic for a fixed rng seed.
+    post-selection, then one exact batch of readings for the accepted trials.
+    Results are deterministic for a fixed rng seed.
     """
     if trials < 1:
         raise InvariantError("trials must be at least 1")

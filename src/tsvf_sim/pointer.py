@@ -4,14 +4,14 @@ A pointer starts in the Gaussian wavefunction
 phi(q) = (2 pi sigma^2)^(-1/4) exp(-(q - mean)^2 / (4 sigma^2)),
 so |phi|^2 is a normal density with standard deviation sigma. An impulsive
 coupling of strength g to an observable A shifts the pointer of the eigenvalue-a
-branch by g*a. Readout statistics are handled analytically as Gaussian
-mixtures; a grid is used only when drawing Monte Carlo samples.
+branch by g*a. A readout density is a signed Gaussian mixture: its density,
+moments and post-selection probability are closed forms, and Monte Carlo
+readings are drawn from it exactly by rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .errors import (
 )
 from .hilbert import ATOL_EXACT, HermitianOperator, StateVector
 
-GRID_POINTS = 2 ** 14
-GRID_TAIL_SIGMAS = 10.0
+# One block of sampling proposals holds at most this many kernel values
+# (proposals x mixture components), about 2 MiB per float array.
+SAMPLE_BLOCK_CELLS = 2 ** 18
 # Below this, a post-selection state is treated as orthogonal to all branches.
 MIN_SUCCESS_PROB = 1e-300
 # Branch amplitudes with |alpha|^2 at or below this are dropped from the joint state.
@@ -46,11 +47,6 @@ class GaussianPointer:
         """Wavefunction value phi(q); |phi|^2 integrates to 1."""
         s2 = self.sigma ** 2
         return (2.0 * np.pi * s2) ** -0.25 * np.exp(-((q - self.mean) ** 2) / (4.0 * s2))
-
-    def density(self, q):
-        """Probability density |phi(q)|^2."""
-        s2 = self.sigma ** 2
-        return np.exp(-((q - self.mean) ** 2) / (2.0 * s2)) / np.sqrt(2.0 * np.pi * s2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,86 +124,77 @@ def couple(psi: StateVector, op: HermitianOperator, g: float, sigma: float) -> J
 
 @dataclass(frozen=True, eq=False)
 class ReadoutDensity:
-    """Probability density of a pointer reading, in closed form.
+    """Probability density of a pointer reading, as a signed Gaussian mixture.
 
-    Without post-selection the density is the incoherent mixture
-    f(q) = sum_i |alpha_i|^2 G_sigma(q - g a_i), whose branches never interfere
-    because the system states attached to them are orthogonal. With
-    post-selection the system is projected out first, leaving the coherent sum
-    f(q) proportional to |sum_i alpha_i <post|b_i> G_sigma^(1/2)(q - g a_i)|^2,
-    and `success_prob` is the integral of the unnormalized density, i.e. the
-    exact post-selection probability on the coupled state.
+    f(q) = sum_k w_k N(q; mu_k, sigma^2) / sum_k w_k. Without post-selection
+    the components are the branches with w_i = |alpha_i|^2, which never
+    interfere because the system states attached to them are orthogonal. With
+    post-selection the coherent square |sum_i c_i phi(q - g a_i)|^2, with
+    c_i = alpha_i <post|b_i>, expands into one component per branch pair
+    i <= j, centred at (m_i + m_j)/2 with the weight
+    (2 - delta_ij) Re(c_i c_j*) exp(-(m_i - m_j)^2 / (8 sigma^2)), which can
+    be negative. The weights sum to `success_prob`, the exact post-selection
+    probability on the coupled state (1 without post-selection).
     """
 
     means: np.ndarray
+    weights: np.ndarray
     sigma: float
-    success_prob: float
-    weights: np.ndarray | None = None  # incoherent case: |alpha_i|^2
-    coeffs: np.ndarray | None = None  # coherent case: alpha_i <post|b_i>
-    center: float = 0.0  # pre-coupling pointer mean, anchors the sampling grid
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float).copy()
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        for name in ("weights", "coeffs"):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.asarray(val).copy()
-                val.setflags(write=False)
-                object.__setattr__(self, name, val)
+        for name in ("means", "weights"):
+            val = np.asarray(getattr(self, name), dtype=float).copy()
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
 
-    def _overlaps(self) -> np.ndarray:
-        # integral of G^(1/2)(q - mu_i) G^(1/2)(q - mu_j) dq for equal sigmas
-        d = np.subtract.outer(self.means, self.means)
-        return np.exp(-(d ** 2) / (8.0 * self.sigma ** 2))
+    @property
+    def success_prob(self) -> float:
+        """Sum of the weights: the post-selection probability."""
+        return float(self.weights.sum())
 
-    def _gram(self) -> np.ndarray:
-        return np.real(np.outer(self.coeffs, self.coeffs.conj()) * self._overlaps())
+    def _kernels(self, q: np.ndarray) -> np.ndarray:
+        # exp(-(q - mu_k)^2 / (2 sigma^2)) for every q and component k
+        return np.exp(-((q[..., None] - self.means) ** 2) / (2.0 * self.sigma ** 2))
 
     def pdf(self, q):
         """Normalized density value(s) at q."""
         q = np.asarray(q, dtype=float)
-        s2 = self.sigma ** 2
-        if self.coeffs is None:
-            comps = np.exp(-((q[..., None] - self.means) ** 2) / (2.0 * s2))
-            out = (self.weights * comps).sum(axis=-1) / np.sqrt(2.0 * np.pi * s2)
-        else:
-            amps = (2.0 * np.pi * s2) ** -0.25 * np.exp(
-                -((q[..., None] - self.means) ** 2) / (4.0 * s2)
-            )
-            out = np.abs((self.coeffs * amps).sum(axis=-1)) ** 2 / self.success_prob
+        norm = np.sqrt(2.0 * np.pi) * self.sigma * self.success_prob
+        out = self._kernels(q) @ self.weights / norm
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
         """Exact first moment of the density (no quadrature, no sampling noise)."""
-        if self.coeffs is None:
-            return float(np.sum(self.weights * self.means))
-        g = self._gram()
-        pair_mid = np.add.outer(self.means, self.means) / 2.0
-        return float((g * pair_mid).sum() / g.sum())
-
-    @cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
-        # Covers every branch mean to >= GRID_TAIL_SIGMAS standard deviations;
-        # total mass outside is below 1e-20.
-        spread = float(np.max(np.abs(self.means - self.center))) if self.means.size else 0.0
-        half = GRID_TAIL_SIGMAS * self.sigma + spread
-        x = np.linspace(self.center - half, self.center + half, GRID_POINTS)
-        cw = np.cumsum(self.pdf(x))
-        return x, cw
+        return float(self.weights @ self.means / self.success_prob)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw reading(s) by inverse CDF on the fixed grid (deterministic per seed)."""
-        x, cw = self._grid
+        """Draw reading(s) exactly, by rejection from the positive part of the mixture.
+
+        A proposal picks component k with probability max(w_k, 0) / sum max(w, 0),
+        draws q = mu_k + sigma z, and is kept with probability f(q) / f+(q), where
+        f+ is the mixture of the positive weights alone. Proposals come in blocks
+        sized from the expected acceptance and capped at SAMPLE_BLOCK_CELLS
+        kernel values, so memory does not grow with `size` or 1/acceptance.
+        Deterministic for a fixed rng seed.
+        """
         n = 1 if size is None else int(size)
-        u = rng.random(n) * cw[-1]
-        idx = np.clip(np.searchsorted(cw, u), 0, len(x) - 1)
-        below = np.where(idx > 0, cw[idx - 1], 0.0)
-        frac = (u - below) / np.maximum(cw[idx] - below, MIN_SUCCESS_PROB)
-        h = x[1] - x[0]
-        q = x[idx] - h / 2.0 + frac * h
-        return float(q[0]) if size is None else q
+        positive = np.maximum(self.weights, 0.0)
+        cum = np.cumsum(positive)
+        acceptance = self.success_prob / cum[-1]
+        cap = max(SAMPLE_BLOCK_CELLS // self.means.size, 1)
+        out = np.empty(n)
+        filled = 0
+        while filled < n:
+            # 10% over the expected need, so one block usually suffices
+            block = int(min(cap, 1.1 * (n - filled) / acceptance + 8))
+            k = np.searchsorted(cum, rng.random(block) * cum[-1], side="right")
+            q = self.means[np.minimum(k, cum.size - 1)] + self.sigma * rng.standard_normal(block)
+            kernels = self._kernels(q)
+            q = q[rng.random(block) * (kernels @ positive) < kernels @ self.weights]
+            take = min(q.size, n - filled)
+            out[filled:filled + take] = q[:take]
+            filled += take
+        return float(out[0]) if size is None else out
 
 
 def readout_density(joint: JointPointerState, post: StateVector | None = None) -> ReadoutDensity:
@@ -218,19 +205,22 @@ def readout_density(joint: JointPointerState, post: StateVector | None = None) -
     means = joint.branch_means()
     if post is None:
         weights = np.array([abs(t.amplitude) ** 2 for t in joint.terms])
-        return ReadoutDensity(means=means, sigma=joint.sigma, success_prob=1.0, weights=weights)
+        return ReadoutDensity(means=means, weights=weights, sigma=joint.sigma)
     if post.dim != joint.system_dim:
         raise DimensionError(
             f"post-selection dim {post.dim} != system dim {joint.system_dim}"
         )
-    coeffs = np.array(
-        [t.amplitude * np.vdot(post.amps, t.state.amps) for t in joint.terms]
+    c = np.array([t.amplitude * np.vdot(post.amps, t.state.amps) for t in joint.terms])
+    i, j = np.triu_indices(c.size)
+    overlap = np.exp(-((means[i] - means[j]) ** 2) / (8.0 * joint.sigma ** 2))
+    density = ReadoutDensity(
+        means=(means[i] + means[j]) / 2.0,
+        weights=(2 - (i == j)) * np.real(c[i] * c[j].conj()) * overlap,
+        sigma=joint.sigma,
     )
-    probe = ReadoutDensity(means=means, sigma=joint.sigma, success_prob=1.0, coeffs=coeffs)
-    success = max(float(probe._gram().sum()), 0.0)
-    if success < MIN_SUCCESS_PROB:
+    if not density.success_prob >= MIN_SUCCESS_PROB:
         raise PostSelectionImpossible("post-selection state is orthogonal to all branches")
-    return ReadoutDensity(means=means, sigma=joint.sigma, success_prob=success, coeffs=coeffs)
+    return density
 
 
 def classify_strong(q: float, joint: JointPointerState) -> int:

@@ -153,11 +153,6 @@ def record_factor_ii(model: RobustnessModel) -> StateVector:
     return StateVector(np.array([c, math.sqrt(1.0 - c * c)], dtype=complex))
 
 
-def env_overlap(model: RobustnessModel) -> float:
-    """<e1(N)|e2(N)> = c^N (underflows to 0.0 for huge N; see log-domain ratios)."""
-    return float(model.overlap) ** model.env_size
-
-
 def forward_chain(model: RobustnessModel) -> tuple[BranchState, ...]:
     """Branches after amplification and environment entanglement.
 
@@ -324,15 +319,6 @@ def robustness_ratio(model: RobustnessModel) -> float:
         return math.exp(log_ratio)
     except OverflowError:
         return float("inf")
-
-
-def is_classically_robust(
-    model: RobustnessModel, threshold: float = CLASSICAL_RATIO_THRESHOLD
-) -> bool:
-    """True when the robustness ratio clears the classicality threshold."""
-    if threshold <= 0.0:
-        raise InvariantError("threshold must be positive")
-    return log_robustness_ratio(model) >= math.log(threshold)
 
 
 def brute_force_ratio(

@@ -18,11 +18,9 @@ from tsvf_sim import (
     classical_threshold,
     collapse_environment,
     core_decay,
-    env_overlap,
     forward_chain,
     full_state,
     inner,
-    is_classically_robust,
     log_robustness_ratio,
     partial_trace,
     record_factor_i,
@@ -31,6 +29,7 @@ from tsvf_sim import (
     sample_final_boundary,
     select_by_final,
 )
+from tsvf_sim.twotime import CLASSICAL_RATIO_THRESHOLD
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -86,12 +85,6 @@ def test_forward_chain_definite_outcome_single_branch():
 def test_record_factor_overlap():
     m = model(overlap=0.9)
     assert np.isclose(inner(record_factor_i(), record_factor_ii(m)), 0.9, atol=1e-12)
-
-
-def test_env_overlap_power_law():
-    m = model(overlap=0.9, env_size=20)
-    assert np.isclose(env_overlap(m), 0.9 ** 20, atol=1e-15)
-    assert np.isclose(env_overlap(m), 0.12157665459056931, atol=1e-12)
 
 
 def test_full_state_is_normalized():
@@ -220,7 +213,7 @@ def test_robustness_ratio_log_domain_large_records():
     huge = model(alpha=HALF, beta=HALF, env_size=10 ** 9, overlap=0.9,
                  n_collapsed=0)
     assert robustness_ratio(huge) == float("inf")  # overflow maps to +inf
-    assert is_classically_robust(huge)
+    assert log_robustness_ratio(huge) >= math.log(CLASSICAL_RATIO_THRESHOLD)
 
 
 def test_robustness_ratio_monotonicity_grid():
