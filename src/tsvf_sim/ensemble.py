@@ -33,6 +33,9 @@ from .hilbert import (
 DETERMINISTIC_TOL = 1e-10
 # Uncertainty below this counts as zero and no perpendicular component is reported.
 DELTA_FLOOR = 1e-12
+# Largest spin count for the dense oracle, which holds several 2^N x 2^N complex
+# matrices (256 MiB each at N = 12).
+SPIN_ORACLE_MAX = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +75,6 @@ class EnsembleSpec:
     @property
     def dim(self) -> int:
         return self.groups[0][0].dim
-
-
-@dataclass(frozen=True, eq=False)
-class FluctuationResult:
-    """Monte Carlo averages for an ensemble of independently perturbed copies."""
-
-    abar_mean: float
-    residual_mean: float
 
 
 def decompose(op: HermitianOperator, psi: StateVector) -> Decomposition:
@@ -212,8 +207,8 @@ def brute_force_spin_commutator(n: int) -> tuple[float, float]:
     """
     if n < 1:
         raise InvariantError("need at least one spin")
-    if n > 12:
-        raise TooLargeForOracle("dense spin oracle is limited to 12 spins")
+    if n > SPIN_ORACLE_MAX:
+        raise TooLargeForOracle(f"dense spin oracle is limited to {SPIN_ORACLE_MAX} spins")
     dim = 2 ** n
     components = []
     for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
@@ -229,43 +224,3 @@ def brute_force_spin_commutator(n: int) -> tuple[float, float]:
     identity_error = float(np.max(np.abs(comm - 1j * sz / n)))
     value = float(np.max(np.abs(np.linalg.eigvalsh(sz)))) / n
     return value, identity_error
-
-
-def fluctuation_robustness(
-    op: HermitianOperator,
-    psi: StateVector,
-    noise_scale: float,
-    copies: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> FluctuationResult:
-    """Ensemble averages when every copy is independently perturbed.
-
-    Each copy becomes normalize(psi + dpsi) with dpsi drawn per component as a
-    uniform magnitude up to noise_scale times a random phase. Returns the mean
-    over trials of the perturbed ensemble expectation and of the closed-form
-    residual sqrt(sum_i delta_i^2)/N.
-    """
-    if noise_scale < 0.0:
-        raise InvariantError("noise_scale must be non-negative")
-    if copies < 1 or trials < 1:
-        raise InvariantError("copies and trials must be at least 1")
-    if op.dim != psi.dim:
-        raise DimensionError(f"operator dim {op.dim} != state dim {psi.dim}")
-    d = psi.dim
-    abar_means = np.empty(trials)
-    residuals = np.empty(trials)
-    for t in range(trials):
-        mags = rng.uniform(0.0, noise_scale, size=(copies, d))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(copies, d))
-        perturbed = psi.amps[None, :] + mags * np.exp(1j * phases)
-        perturbed /= np.linalg.norm(perturbed, axis=1, keepdims=True)
-        applied = perturbed @ op.entries.T  # row i holds (A psi_i)^T
-        abar_i = np.real(np.sum(perturbed.conj() * applied, axis=1))
-        second = np.real(np.sum(applied.conj() * applied, axis=1))
-        var_i = np.maximum(second - abar_i ** 2, 0.0)
-        abar_means[t] = abar_i.mean()
-        residuals[t] = np.sqrt(var_i.sum()) / copies
-    return FluctuationResult(
-        abar_mean=float(abar_means.mean()), residual_mean=float(residuals.mean())
-    )

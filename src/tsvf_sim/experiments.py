@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,6 +21,7 @@ from .hilbert import SIGMA_Z, StateVector, fits_oracle
 # strong_measure is unused here but kept: perfbench/trace_child.py wraps this name.
 from .measurement import TwoState, measure_outcomes, strong_measure, weak_estimate, weak_value
 from .ensemble import (
+    SPIN_ORACLE_MAX,
     EnsembleSpec,
     average_operator_residual,
     average_spin_commutator,
@@ -44,7 +46,8 @@ MAX_G_OVER_SIGMA = 1e3
 MIN_SIGMA, MAX_SIGMA = 1e-100, 1e100
 # Record sizes whose squares stay inside the float range of the slope fit.
 MAX_ENV_SIZE = 10 ** 100
-# The record model holds one gamma1 and one gamma2 entry per collapsed qubit.
+# classical_threshold's unit-step search walks the float staircase of the log
+# ratio, about n/15 steps at c = 1 - 1e-15 (65k at n = 10^6); larger n can hang it.
 MAX_COLLAPSED = 10 ** 6
 
 
@@ -154,11 +157,13 @@ def _run_weakvalue(params: dict, rng: np.random.Generator) -> ExperimentResult:
     _require(MIN_SIGMA <= sigma <= MAX_SIGMA,
              f"parameter 'sigma' must lie in [{MIN_SIGMA:g}, {MAX_SIGMA:g}]")
     _require(1 <= trials <= MAX_ROWS, f"parameter 'trials' must lie in [1, {MAX_ROWS}]")
+    g = ratio * sigma
+    _require(g >= sys.float_info.min,
+             f"parameters 'g_over_sigma' * 'sigma' must be at least {sys.float_info.min:g}")
     forward = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     backward = StateVector(np.array([math.cos(angle), -math.sin(angle)], dtype=complex))
     ts = TwoState(forward, backward)
     value = weak_value(ts, SIGMA_Z)
-    g = ratio * sigma
     est = weak_estimate(ts, SIGMA_Z, g, sigma, trials, rng)
     rows = [(i, float(q)) for i, q in enumerate(est.samples)]
     return ExperimentResult(
@@ -197,7 +202,8 @@ def _run_convergence(params: dict, rng: np.random.Generator) -> ExperimentResult
 
 def _run_commutator(params: dict, rng: np.random.Generator) -> ExperimentResult:
     brute_max, closed_ns = params["brute_max"], params["closed_Ns"]
-    _require(1 <= brute_max <= 12, "parameter 'brute_max' must lie in [1, 12]")
+    _require(1 <= brute_max <= SPIN_ORACLE_MAX,
+             f"parameter 'brute_max' must lie in [1, {SPIN_ORACLE_MAX}]")
     _require(all(n >= 1 for n in closed_ns), "parameter 'closed_Ns' entries must be >= 1")
     rows = []
     worst = 0.0

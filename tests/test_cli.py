@@ -135,11 +135,12 @@ def test_non_finite_param_exits_2(tmp_path, capsys, experiment, param):
     ("robustness", "env_sizes=8,8", "env_sizes"),
     ("robustness", "env_sizes=8,1e300", "env_size"),
     ("threshold", "n=100000000", "'n'"),
+    ("weakvalue", "g_over_sigma=1e-300 sigma=1e-100", "g_over_sigma"),
 ])
 def test_value_outside_limits_exits_2_before_any_work(tmp_path, capsys, experiment, param, key):
     out = tmp_path / "out.csv"
-    assert run_cli("run", "--experiment", experiment, "--param", param,
-                   "--out", str(out)) == 2
+    flags = [arg for p in param.split() for arg in ("--param", p)]
+    assert run_cli("run", "--experiment", experiment, *flags, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("tsvf-sim: error:") and key in err
     assert not out.exists()
@@ -268,6 +269,18 @@ def test_threshold_experiment_brackets(tmp_path):
         assert float(at) >= float(target)
         if below:
             assert float(below) < float(target)
+
+
+@pytest.mark.parametrize("params", [
+    ("n=1000000",),
+    ("n=1000000", "c=0.999999999999999", "gamma1=0.5", "gamma2=0.95"),
+])
+def test_threshold_huge_collapse_finishes_quickly(tmp_path, params):
+    out = tmp_path / "t.csv"
+    flags = [arg for p in params for arg in ("--param", p)]
+    start = time.perf_counter()
+    assert run_cli("run", "--experiment", "threshold", *flags, "--out", str(out)) == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_decay_rows_match_closed_form(tmp_path):

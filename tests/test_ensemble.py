@@ -23,7 +23,6 @@ from tsvf_sim import (
     commute_on_state,
     decompose,
     deterministic_basis,
-    fluctuation_robustness,
     inner,
     is_deterministic,
     projector,
@@ -219,27 +218,6 @@ def test_spin_commutator_brute_force_matches_identity():
         scale, identity_error = brute_force_spin_commutator(n)
         assert identity_error <= 1e-12
         assert np.isclose(scale, 1.0 / (2.0 * n), atol=1e-10)
-
-
-def test_fluctuation_zero_noise_matches_closed_form():
-    rng = np.random.default_rng(70)
-    result = fluctuation_robustness(SIGMA_Z, PLUS, 0.0, 1000, 5, rng)
-    abar, residual = average_operator_residual(SIGMA_Z, EnsembleSpec(((PLUS, 1000),)))
-    assert np.isclose(result.abar_mean, abar, atol=1e-12)
-    assert np.isclose(result.residual_mean, residual, atol=1e-12)
-
-
-def test_fluctuation_small_noise_mean_stays_close():
-    rng = np.random.default_rng(71)
-    result = fluctuation_robustness(SIGMA_Z, PLUS, 0.05, 10_000, 20, rng)
-    assert abs(result.abar_mean - 0.0) < 0.01
-
-
-def test_fluctuation_residual_shrinks_with_ensemble_size():
-    rng = np.random.default_rng(72)
-    small = fluctuation_robustness(SIGMA_Z, PLUS, 0.05, 100, 20, rng)
-    large = fluctuation_robustness(SIGMA_Z, PLUS, 0.05, 10_000, 20, rng)
-    assert large.residual_mean < small.residual_mean
 
 
 def test_ensemble_spec_validates_counts():

@@ -16,7 +16,6 @@ from tsvf_sim import (
     basis_state,
     brute_force_ratio,
     classical_threshold,
-    collapse_environment,
     core_decay,
     forward_chain,
     full_state,
@@ -60,14 +59,6 @@ def test_model_rejects_overlap_of_one():
         model(overlap=1.0)
 
 
-def test_model_broadcasts_gamma_lists():
-    m = model(n_collapsed=3, gamma1=[0.9, 0.8, 0.7], gamma2=0.5)
-    assert m.gamma1 == (0.9, 0.8, 0.7)
-    assert m.gamma2 == (0.5, 0.5, 0.5)
-    with pytest.raises(InvariantError):
-        model(n_collapsed=3, gamma1=[0.9, 0.8], gamma2=0.5)
-
-
 def test_forward_chain_two_branches():
     chain = forward_chain(model())
     assert [b.label for b in chain] == ["I", "II"]
@@ -89,9 +80,11 @@ def test_record_factor_overlap():
 
 def test_full_state_is_normalized():
     for c in (0.0, 0.5, 0.9):
-        psi = full_state(model(overlap=c, env_size=4))
-        assert psi.dim == 2 ** 6
-        assert np.isclose(psi.norm(), 1.0, atol=1e-12)
+        for n_collapsed, gamma1, gamma2 in ((0, 1.0, 0.0), (2, 0.9, 0.6)):
+            psi = full_state(model(overlap=c, env_size=4, n_collapsed=n_collapsed,
+                                   gamma1=gamma1, gamma2=gamma2))
+            assert psi.dim == 2 ** 6
+            assert np.isclose(psi.norm(), 1.0, atol=1e-12)
 
 
 def test_full_state_oracle_bound():
@@ -168,27 +161,6 @@ def test_sample_final_boundary_born_frequencies():
     assert abs(hits / trials - 0.36) < 3 * math.sqrt(0.36 * 0.64 / trials)
 
 
-def test_collapse_environment_none_collapsed():
-    m = model(env_size=6, overlap=0.9)
-    rng = np.random.default_rng(81)
-    collapsed = collapse_environment(m, rng)
-    assert collapsed.c1_states == ()
-    assert collapsed.c2_states == ()
-    assert np.isclose(collapsed.remaining_overlap, 0.9 ** 6, atol=1e-15)
-
-
-def test_collapse_environment_single_core_qubit():
-    m = model(env_size=6, overlap=0.9, n_collapsed=5, gamma1=0.9, gamma2=0.7)
-    rng = np.random.default_rng(82)
-    collapsed = collapse_environment(m, rng)
-    assert np.isclose(collapsed.remaining_overlap, 0.9, atol=1e-15)
-    e1 = record_factor_i()
-    for state in collapsed.c1_states:
-        assert np.isclose(abs(inner(e1, state)), 0.9, atol=1e-12)
-    for state in collapsed.c2_states:
-        assert np.isclose(abs(inner(e1, state)), 0.7, atol=1e-12)
-
-
 def test_robustness_ratio_reference_value():
     m = model(alpha=HALF, beta=HALF, env_size=20, overlap=0.9, n_collapsed=5,
               gamma1=0.9, gamma2=0.9)
@@ -247,12 +219,10 @@ def test_brute_force_ratio_matches_closed_form():
     assert abs(brute - robustness_ratio(m)) / robustness_ratio(m) < 1e-9
 
 
-def test_brute_force_ratio_random_phases_and_unequal_gammas():
+def test_brute_force_ratio_unequal_gammas():
     m = model(alpha=0.6, beta=0.8, env_size=7, overlap=0.8, n_collapsed=3,
               gamma1=0.9, gamma2=0.6)
-    rng = np.random.default_rng(83)
-    collapsed = collapse_environment(m, rng)
-    brute = brute_force_ratio(m, collapsed)
+    brute = brute_force_ratio(m)
     assert abs(brute - robustness_ratio(m)) / robustness_ratio(m) < 1e-9
 
 
