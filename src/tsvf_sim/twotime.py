@@ -310,10 +310,12 @@ def classical_threshold(
 ) -> int:
     """Smallest record size N for which the robustness ratio reaches the target.
 
-    The closed form N = n + ceil((ln target - ln ratio(n + 1)) / (-2 ln c)) + 1,
-    floored at n + 1, is verified by direct evaluation at N and N - 1 so the
-    returned value brackets the target exactly. Arguments are validated as a
-    RobustnessModel with a single definite branch.
+    Starts from the closed form N = n + ceil((ln target - ln ratio(n + 1)) /
+    (-2 ln c)) + 1, floored at n + 1. The float log ratio is non-decreasing in
+    N, so a bracket doubled outward from that candidate and a bisection inside
+    it find the exact smallest N in O(log N) evaluations, however flat the
+    float staircase of the log ratio is near c = 1. Arguments are validated as
+    a RobustnessModel with a single definite branch.
     """
     if ratio_target <= 0.0:
         raise InvariantError("ratio_target must be positive")
@@ -327,17 +329,30 @@ def classical_threshold(
         gamma2=gamma2,
     )
 
-    def log_ratio_at(env_size: int) -> float:
-        return log_robustness_ratio(replace(model, env_size=env_size))
+    def reaches(env_size: int) -> bool:
+        return log_robustness_ratio(replace(model, env_size=env_size)) >= log_target
 
     log_target = math.log(ratio_target)
     first = log_robustness_ratio(model)
-    if math.isinf(first):
+    if first == math.inf:
         return n_collapsed + 1  # ratio is +inf for any remaining record
     raw = (log_target - first) / (-2.0 * math.log(overlap)) + 1.0
-    candidate = n_collapsed + max(1, math.ceil(raw))
-    while candidate - 1 > n_collapsed and log_ratio_at(candidate - 1) >= log_target:
-        candidate -= 1
-    while log_ratio_at(candidate) < log_target:
-        candidate += 1
-    return candidate
+    if not math.isfinite(raw):
+        raise InvariantError("the record size needed overflows a float")
+    high = n_collapsed + max(1, math.ceil(raw))
+    low = high - 1
+    # The answer lies in (low, high] once low fails (or is n) and high reaches.
+    step = 1
+    while low > n_collapsed and reaches(low):
+        low, high = max(n_collapsed, low - step), low
+        step *= 2
+    while not reaches(high):
+        low, high = high, high + step
+        step *= 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if reaches(mid):
+            high = mid
+        else:
+            low = mid
+    return high

@@ -1,17 +1,35 @@
 """Tests for the command-line experiment runner and its CSV contract."""
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsvf_sim
 from tsvf_sim.cli import main
 from tsvf_sim.experiments import EXPERIMENTS
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def test_module_form_writes_csv(tmp_path):
+    out = tmp_path / "c.csv"
+    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsvf_sim.cli", "run", "--experiment", "commutator",
+         "--param", "brute_max=3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("# meta experiment=commutator")
 
 
 def test_list_names_every_experiment(capsys):
@@ -134,7 +152,6 @@ def test_non_finite_param_exits_2(tmp_path, capsys, experiment, param):
     ("convergence", "Ns=1,1" + "0" * 400, "Ns"),
     ("robustness", "env_sizes=8,8", "env_sizes"),
     ("robustness", "env_sizes=8,1e300", "env_size"),
-    ("threshold", "n=100000000", "'n'"),
     ("weakvalue", "g_over_sigma=1e-300 sigma=1e-100", "g_over_sigma"),
 ])
 def test_value_outside_limits_exits_2_before_any_work(tmp_path, capsys, experiment, param, key):

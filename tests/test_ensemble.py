@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,11 +214,40 @@ def test_spin_commutator_closed_form_values():
     assert np.isclose(average_spin_commutator(10 ** 6), 5e-7, atol=1e-20)
 
 
+def _dense_spin_reference(n):
+    """Scale and identity error from kron-built dense 2^N x 2^N spin averages."""
+    dim = 2 ** n
+    components = []
+    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+        total = np.zeros((dim, dim), dtype=complex)
+        for site in range(n):
+            total += np.kron(
+                np.kron(np.eye(2 ** site), 0.5 * sigma.entries), np.eye(2 ** (n - site - 1))
+            )
+        components.append(total / n)
+    sx, sy, sz = components
+    identity_error = float(np.max(np.abs(sx @ sy - sy @ sx - 1j * sz / n)))
+    return float(np.max(np.abs(np.linalg.eigvalsh(sz)))) / n, identity_error
+
+
 def test_spin_commutator_brute_force_matches_identity():
-    for n in range(1, 7):
+    for n in range(1, 9):
         scale, identity_error = brute_force_spin_commutator(n)
-        assert identity_error <= 1e-12
+        dense_scale, dense_error = _dense_spin_reference(n)
+        assert scale == dense_scale
+        assert identity_error <= 1e-12 and dense_error <= 1e-12
         assert np.isclose(scale, 1.0 / (2.0 * n), atol=1e-10)
+
+
+def test_spin_commutator_memory_stays_below_dense_matrices():
+    # Three dense 2^11 x 2^11 complex matrices and their products peak above 450 MiB.
+    tracemalloc.start()
+    try:
+        brute_force_spin_commutator(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2 ** 20
 
 
 def test_ensemble_spec_validates_counts():

@@ -28,7 +28,7 @@ CHEAP = {
     "brute_max": ["1", "3", "6"],
     "closed_Ns": ["1", "1000000", "1,2,3"],
     "c": ["0.5", "0.9", "0.999999", "0.999999999999999"],
-    "n": ["0", "1", "5"],
+    "n": ["0", "1", "5", "1000000000", "1e99", "1e300"],
     "gamma1": ["0.9", "1", "0.5"],
     "gamma2": ["0.5", "0.9"],
     "env_sizes": ["8,10,12", "8,1000000000", "6,7", "20,1e9", "8,8"],

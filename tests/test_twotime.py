@@ -306,3 +306,49 @@ def test_classical_threshold_brackets_on_grid():
 def test_classical_threshold_collapse_only_orthogonal_wrong_branch():
     # gamma2 = 0 wipes out the wrong branch entirely: any remaining core works
     assert classical_threshold(3, 0.9, 0.9, 0.0, 1e12) == 4
+
+
+def _log_ratio(n, c, gamma1, gamma2, env_size):
+    return log_robustness_ratio(
+        model(env_size=env_size, overlap=c, n_collapsed=n, gamma1=gamma1, gamma2=gamma2)
+    )
+
+
+def _threshold_by_unit_steps(n, c, gamma1, gamma2, target):
+    """Smallest N > n whose log ratio reaches log(target), one record qubit at a time."""
+    log_target = math.log(target)
+    first = _log_ratio(n, c, gamma1, gamma2, n + 1)
+    if first == math.inf:
+        return n + 1
+    size = n + max(1, math.ceil((log_target - first) / (-2.0 * math.log(c)) + 1.0))
+    while size - 1 > n and _log_ratio(n, c, gamma1, gamma2, size - 1) >= log_target:
+        size -= 1
+    while _log_ratio(n, c, gamma1, gamma2, size) < log_target:
+        size += 1
+    return size
+
+
+def test_classical_threshold_matches_unit_step_search():
+    rng = np.random.default_rng(70)
+    for _ in range(300):
+        n = int(rng.choice([0, 1, 5, rng.integers(0, 10 ** 4)]))
+        c = float(rng.choice([rng.random(), 1.0 - 10.0 ** -rng.uniform(1, 15), 1.0 - 1e-15]))
+        gamma1 = float(rng.choice([1.0, 0.5, rng.uniform(0.01, 1.0)]))
+        gamma2 = float(rng.choice([0.0, 0.95, rng.uniform(0.0, 0.999)]))
+        target = float(10.0 ** rng.uniform(-30, 30))
+        assert classical_threshold(n, c, gamma1, gamma2, target) == \
+            _threshold_by_unit_steps(n, c, gamma1, gamma2, target)
+
+
+def test_classical_threshold_brackets_huge_collapse_quickly():
+    args = (10 ** 99, 1.0 - 1e-15, 0.5, 0.95)
+    start = time.perf_counter()
+    size = classical_threshold(*args, 1e6)
+    assert time.perf_counter() - start < 0.5
+    assert _log_ratio(*args, size - 1) < math.log(1e6) <= _log_ratio(*args, size)
+
+
+def test_classical_threshold_rejects_record_size_beyond_floats():
+    # n * ln(gamma1) overflows to -inf, so no finite record size is found.
+    with pytest.raises(InvariantError):
+        classical_threshold(10 ** 307, 0.9, 1e-300, 0.5, 1e6)
