@@ -30,14 +30,13 @@ from .hilbert import (
     projector,
 )
 
-DETERMINISTIC_TOL = 1e-10
 # Uncertainty below this counts as zero and no perpendicular component is reported.
 DELTA_FLOOR = 1e-12
-# Largest spin count for the spin oracle, which does 8^N work: about 7 s and a
-# 128 MiB allocation peak at N = 12 on a 2-core Xeon.
+# Largest spin count for the spin oracle, which does 8^N work: about 2 s and a
+# 64 MiB allocation peak at N = 12 on a 2-core Xeon.
 SPIN_ORACLE_MAX = 12
-# Basis columns per block of the spin oracle; one 2^N x 256 complex block is
-# 16 MiB at N = 12, and wider blocks were slower as well as larger.
+# Basis columns per block of the spin oracle; one 2^N x 256 float64 block is
+# 8 MiB at N = 12, and widths from 128 to 1024 ran equally fast.
 SPIN_BLOCK = 256
 
 
@@ -87,13 +86,6 @@ def decompose(op: HermitianOperator, psi: StateVector) -> Decomposition:
     delta = float(np.linalg.norm(residual))
     perp = StateVector(residual / delta) if delta > DELTA_FLOOR else None
     return Decomposition(abar=abar, delta=delta, perp=perp)
-
-
-def is_deterministic(
-    op: HermitianOperator, psi: StateVector, tol: float = DETERMINISTIC_TOL
-) -> bool:
-    """True when psi is an eigenstate of op within tol, i.e. delta <= tol."""
-    return decompose(op, psi).delta <= tol
 
 
 def deterministic_basis(psi: StateVector) -> tuple[HermitianOperator, ...]:
@@ -214,29 +206,39 @@ def brute_force_spin_commutator(n: int) -> tuple[float, float]:
 
     Applies Sx_avg, Sy_avg, Sz_avg site by site to every basis vector of the
     full 2^N space, SPIN_BLOCK columns at a time, so every one of the 4^N
-    matrix entries is checked without holding a 2^N x 2^N matrix. Returns the
-    scale max|eig(Sz_avg)|/N, read off the diagonal of Sz_avg (which must have
-    no nonzero off-diagonal entry), together with the worst entrywise
-    deviation of [Sx_avg, Sy_avg] from i Sz_avg / N.
+    matrix entries is checked without holding a 2^N x 2^N matrix. All of it
+    is real float64: sigma_y/2 = i Y with Y = [[0, -1/2], [1/2, 0]] real, so
+    [Sx_avg, Sy_avg] = i Sz_avg / N holds exactly when
+    Sx_avg Y_avg - Y_avg Sx_avg = Sz_avg / N. The three real 2x2 matrices are
+    taken from SIGMA_X, SIGMA_Y and SIGMA_Z, and InvariantError is raised
+    unless that split is exact. Returns the scale max|eig(Sz_avg)|/N, read off
+    the diagonal of Sz_avg (which must have no nonzero off-diagonal entry),
+    together with the worst entrywise deviation of the real identity.
     """
     if n < 1:
         raise InvariantError("need at least one spin")
     if n > SPIN_ORACLE_MAX:
         raise TooLargeForOracle(f"dense spin oracle is limited to {SPIN_ORACLE_MAX} spins")
     dim = 2 ** n
-    sx_one, sy_one, sz_one = (0.5 * sigma.entries for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    sx_one, sz_one = (0.5 * sigma.entries for sigma in (SIGMA_X, SIGMA_Z))
+    y_one = (-0.5j * SIGMA_Y.entries).real
+    if np.any(sx_one.imag) or np.any(sz_one.imag) or not np.array_equal(
+        1j * y_one, 0.5 * SIGMA_Y.entries
+    ):
+        raise InvariantError("spin matrices do not split into real Sx, Sz and i times real Y")
+    sx_one, sz_one = sx_one.real, sz_one.real
     eig_max = 0.0
     identity_error = 0.0
     for start in range(0, dim, SPIN_BLOCK):
         width = min(SPIN_BLOCK, dim - start)
-        columns = np.eye(dim, width, -start, dtype=complex)
+        columns = np.eye(dim, width, -start)
         sx = _site_average(sx_one, columns, 2, n)
-        sy = _site_average(sy_one, columns, 2, n)
+        y = _site_average(y_one, columns, 2, n)
         sz = _site_average(sz_one, columns, 2, n)
         diag = sz[start + np.arange(width), np.arange(width)]
         if np.count_nonzero(sz) != np.count_nonzero(diag):
             raise InvariantError("averaged Sz is not diagonal in the product basis")
         eig_max = max(eig_max, float(np.max(np.abs(diag))))
-        comm = _site_average(sx_one, sy, 2, n) - _site_average(sy_one, sx, 2, n)
-        identity_error = max(identity_error, float(np.max(np.abs(comm - 1j * sz / n))))
+        comm = _site_average(sx_one, y, 2, n) - _site_average(y_one, sx, 2, n)
+        identity_error = max(identity_error, float(np.max(np.abs(comm - sz / n))))
     return eig_max / n, identity_error

@@ -7,12 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tsvf_sim import ensemble
 from tsvf_sim import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DimensionError,
     EnsembleSpec,
+    HermitianOperator,
     InvariantError,
     StateVector,
     TooLargeForOracle,
@@ -25,7 +27,6 @@ from tsvf_sim import (
     decompose,
     deterministic_basis,
     inner,
-    is_deterministic,
     projector,
     random_hermitian,
     random_state,
@@ -37,17 +38,17 @@ MINUS = StateVector(np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0))
 
 
 def test_is_deterministic_eigenstate():
-    assert is_deterministic(SIGMA_Z, KET0)
+    assert decompose(SIGMA_Z, KET0).delta <= 1e-10
 
 
 def test_is_deterministic_rejects_superposition():
-    assert not is_deterministic(SIGMA_X, KET0)
+    assert decompose(SIGMA_X, KET0).delta > 1e-10
 
 
 def test_projector_is_deterministic_for_its_state():
     rng = np.random.default_rng(61)
     psi = random_state(5, rng)
-    assert is_deterministic(projector(psi), psi)
+    assert decompose(projector(psi), psi).delta <= 1e-10
 
 
 @pytest.mark.parametrize("dim,count", [(2, 2), (3, 5), (4, 10)])
@@ -61,7 +62,7 @@ def test_deterministic_basis_members_are_deterministic():
     rng = np.random.default_rng(62)
     psi = random_state(4, rng)
     for op in deterministic_basis(psi):
-        assert is_deterministic(op, psi, tol=1e-10)
+        assert decompose(op, psi).delta <= 1e-10
 
 
 def test_deterministic_basis_linearly_independent():
@@ -239,15 +240,23 @@ def test_spin_commutator_brute_force_matches_identity():
         assert np.isclose(scale, 1.0 / (2.0 * n), atol=1e-10)
 
 
+def test_spin_commutator_real_split_rejects_sigma_y_with_real_part(monkeypatch):
+    mixed = HermitianOperator((SIGMA_X.entries + SIGMA_Y.entries) / math.sqrt(2.0))
+    monkeypatch.setattr(ensemble, "SIGMA_Y", mixed)
+    with pytest.raises(InvariantError):
+        brute_force_spin_commutator(3)
+
+
 def test_spin_commutator_memory_stays_below_dense_matrices():
-    # Three dense 2^11 x 2^11 complex matrices and their products peak above 450 MiB.
+    # Three dense 2^11 x 2^11 complex matrices and their products peak above
+    # 450 MiB; the blockwise oracle peaks at 32 MiB in float64 (64 MiB in complex).
     tracemalloc.start()
     try:
         brute_force_spin_commutator(11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2 ** 20
+    assert peak < 48 * 2 ** 20
 
 
 def test_ensemble_spec_validates_counts():

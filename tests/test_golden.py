@@ -1,9 +1,13 @@
 """Byte-level goldens: every experiment at a fixed seed and small parameters.
 
 Reruns of the same code (criterion 10) cannot catch a refactor that changes
-output; these files can. A change that alters an RNG stream on purpose
-regenerates them deliberately with `python3 tests/test_golden.py` (run with
-`src` on PYTHONPATH) and says so in CHANGES.md.
+output; these files can. A change that alters an output on purpose
+regenerates the affected goldens deliberately and says so in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/test_golden.py [EXPERIMENT ...]
+
+rewrites only the named experiments' files, or all of them when none is
+named; an unknown name exits non-zero before any file is written.
 """
 
 import contextlib
@@ -44,6 +48,10 @@ def test_output_matches_golden(tmp_path, name):
 
 
 if __name__ == "__main__":
-    for experiment in PARAMS:
+    names = sys.argv[1:] or list(PARAMS)
+    unknown = [name for name in names if name not in PARAMS]
+    if unknown:
+        sys.exit(f"unknown experiment(s) {', '.join(unknown)}; choose from {', '.join(PARAMS)}")
+    for experiment in names:
         if _run(experiment, GOLDEN_DIR / f"{experiment}.csv") != 0:
             sys.exit(f"{experiment}: run failed")
