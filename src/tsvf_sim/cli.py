@@ -17,6 +17,9 @@ from .errors import ConfigError
 from .experiments import EXPERIMENTS, Experiment, ExperimentResult, resolve_params
 
 MAX_SEED = 2 ** 64
+# Rows formatted at a time: the cells of one chunk are the only per-cell
+# Python objects alive, so render memory is the text plus a fixed overhead.
+RENDER_CHUNK = 1 << 14
 
 
 def _fmt(value) -> str:
@@ -25,6 +28,32 @@ def _fmt(value) -> str:
     if isinstance(value, (list, tuple)):
         return ",".join(_fmt(v) for v in value)
     return str(value)
+
+
+def _cells(column) -> list[str]:
+    """Format one column slice; every cell gets the text `_fmt` would give it."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return list(map(_fmt, column))
+
+
+def _row_chunks(columns):
+    """Yield the CSV data rows as text, RENDER_CHUNK rows at a time.
+
+    A chunk is one flat list in which every cell is followed by a comma, or
+    by a newline at the end of its row. Each column's cells are put in with
+    one strided slice assignment, so no per-row tuple or string is made, and
+    the list is joined once.
+    """
+    width = 2 * len(columns)
+    n_rows = len(columns[0])
+    for start in range(0, n_rows, RENDER_CHUNK):
+        stop = min(start + RENDER_CHUNK, n_rows)
+        cells = [","] * (width * (stop - start))
+        cells[width - 1::width] = ["\n"] * (stop - start)
+        for j, column in enumerate(columns):
+            cells[2 * j::width] = _cells(column[start:stop])
+        yield "".join(cells)
 
 
 def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResult) -> str:
@@ -40,8 +69,7 @@ def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResul
     lines = ["# meta " + " ".join(meta)]
     lines.append("# summary " + " ".join(f"{k}={_fmt(v)}" for k, v in result.summary.items()))
     lines.append(",".join(result.header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
-    return "\n".join(lines) + "\n"
+    return "".join(["\n".join(lines), "\n", *_row_chunks(result.columns)])
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -134,8 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key.strip()] = value.strip()
         params = resolve_params(exp, overrides)
 
-        rng = np.random.default_rng(seed)
-        result = exp.runner(params, rng)
+        result = exp.runner(params, seed)
         text = render_csv(exp, seed, params, result)
     except ConfigError as exc:
         print(f"tsvf-sim: error: {exc}", file=sys.stderr)

@@ -36,8 +36,9 @@ from .twotime import (
     robustness_ratio,
 )
 
-# Rows are built in memory before the CSV is written; 10^7 of them peak at
-# about 2 GiB (born) to 3.3 GiB (decay).
+# A run holds its columns and its whole CSV text in memory until the file is
+# written; at 10^7 rows it peaks at about 0.45 GiB RSS (born), 0.75 GiB
+# (weakvalue, every trial accepted) and 0.9 GiB (decay).
 MAX_ROWS = 10 ** 7
 # Deep in the strong regime: branches 2000 sigma apart, and a reading g*a + sigma*z
 # still resolves sigma-scale detail to about 1e-13 sigma in a double.
@@ -61,14 +62,38 @@ class Experiment:
     name: str
     description: str
     params: tuple[ParamSpec, ...]
-    runner: Callable[[dict, np.random.Generator], "ExperimentResult"]
+    runner: Callable[[dict, int], "ExperimentResult"]  # (params, seed)
 
 
 @dataclass
 class ExperimentResult:
+    """One run's table, stored by column, and its summary record.
+
+    `columns[i]` holds every cell under `header[i]`, top to bottom. Large
+    sampled columns are numpy int64 or float64 arrays; small mixed columns
+    are lists, which keep Python ints of any size and "" blanks. The CSV
+    renderer formats each column as a whole, so no per-row tuple exists.
+    """
+
     header: tuple[str, ...]
-    rows: list[tuple]
+    columns: tuple[np.ndarray | list, ...]
     summary: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.header or len(self.columns) != len(self.header):
+            raise InvariantError(
+                f"a result needs one column per header name: {len(self.header)} names, "
+                f"{len(self.columns)} columns"
+            )
+        lengths = {len(column) for column in self.columns}
+        if len(lengths) != 1:
+            raise InvariantError(f"result columns differ in length: {sorted(lengths)}")
+
+    # Only perfbench/trace_child.py reads this, as len(result.rows) for its row
+    # count; it goes when the in-program report of ROADMAP item 1 replaces it.
+    @property
+    def rows(self) -> range:
+        return range(len(self.columns[0]))
 
 
 def _parse_scalar(kind: str, name: str, raw: str):
@@ -127,17 +152,17 @@ def _require(condition: bool, message: str):
 # ---------------------------------------------------------------- experiments
 
 
-def _run_born(params: dict, rng: np.random.Generator) -> ExperimentResult:
+def _run_born(params: dict, seed: int) -> ExperimentResult:
     a2, trials = params["alpha2"], params["trials"]
     _require(0.0 <= a2 <= 1.0, "parameter 'alpha2' must lie in [0, 1]")
     _require(1 <= trials <= MAX_ROWS, f"parameter 'trials' must lie in [1, {MAX_ROWS}]")
     psi = StateVector(np.array([math.sqrt(a2), math.sqrt(1.0 - a2)], dtype=complex))
+    rng = np.random.default_rng(seed)
     outcomes = np.rint(measure_outcomes(psi, SIGMA_Z, rng, trials)).astype(int)
-    rows = list(enumerate(outcomes.tolist()))
     freq = int(np.count_nonzero(outcomes == 1)) / trials
     return ExperimentResult(
         header=("trial", "outcome"),
-        rows=rows,
+        columns=(np.arange(trials), outcomes),
         summary={
             "frequency_plus": freq,
             "expected": a2,
@@ -146,7 +171,7 @@ def _run_born(params: dict, rng: np.random.Generator) -> ExperimentResult:
     )
 
 
-def _run_weakvalue(params: dict, rng: np.random.Generator) -> ExperimentResult:
+def _run_weakvalue(params: dict, seed: int) -> ExperimentResult:
     ratio, sigma, trials = params["g_over_sigma"], params["sigma"], params["trials"]
     angle = params["post_angle"]
     _require(0.0 < ratio <= MAX_G_OVER_SIGMA,
@@ -161,11 +186,10 @@ def _run_weakvalue(params: dict, rng: np.random.Generator) -> ExperimentResult:
     backward = StateVector(np.array([math.cos(angle), -math.sin(angle)], dtype=complex))
     ts = TwoState(forward, backward)
     value = weak_value(ts, SIGMA_Z)
-    est = weak_estimate(ts, SIGMA_Z, g, sigma, trials, rng)
-    rows = [(i, float(q)) for i, q in enumerate(est.samples)]
+    est = weak_estimate(ts, SIGMA_Z, g, sigma, trials, np.random.default_rng(seed))
     return ExperimentResult(
         header=("index", "reading"),
-        rows=rows,
+        columns=(np.arange(est.samples.size), est.samples),
         summary={
             "weak_value_re": value.real,
             "weak_value_im": value.imag,
@@ -177,43 +201,41 @@ def _run_weakvalue(params: dict, rng: np.random.Generator) -> ExperimentResult:
     )
 
 
-def _run_convergence(params: dict, rng: np.random.Generator) -> ExperimentResult:
+def _run_convergence(params: dict, seed: int) -> ExperimentResult:
     sizes = params["Ns"]
     _require(all(n >= 1 for n in sizes), "parameter 'Ns' entries must be at least 1")
     _require(len(set(sizes)) >= 2, "parameter 'Ns' needs two distinct sizes to fit a slope")
     psi = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
-    rows = []
+    residuals = []
     abar_last = 0.0
     for n in sizes:
         abar_last, residual = average_operator_residual(SIGMA_Z, EnsembleSpec(((psi, n),)))
-        rows.append((n, residual))
-    logs_n = np.log10([float(r[0]) for r in rows])
-    logs_r = np.log10([r[1] for r in rows])
-    slope = float(np.polyfit(logs_n, logs_r, 1)[0])
+        residuals.append(residual)
+    logs_n = np.log10([float(n) for n in sizes])
+    slope = float(np.polyfit(logs_n, np.log10(residuals), 1)[0])
     return ExperimentResult(
         header=("N", "residual"),
-        rows=rows,
+        columns=(list(sizes), residuals),
         summary={"slope": slope, "expected_slope": -0.5, "abar": abar_last},
     )
 
 
-def _run_commutator(params: dict, rng: np.random.Generator) -> ExperimentResult:
+def _run_commutator(params: dict, seed: int) -> ExperimentResult:
     brute_max, closed_ns = params["brute_max"], params["closed_Ns"]
     _require(1 <= brute_max <= SPIN_ORACLE_MAX,
              f"parameter 'brute_max' must lie in [1, {SPIN_ORACLE_MAX}]")
     _require(all(n >= 1 for n in closed_ns), "parameter 'closed_Ns' entries must be >= 1")
-    rows = []
-    worst = 0.0
-    for n in range(1, brute_max + 1):
-        scale, err = brute_force_spin_commutator(n)
-        worst = max(worst, err)
-        rows.append((n, "brute", scale, err))
-    for n in closed_ns:
-        rows.append((n, "closed", average_spin_commutator(n), ""))
+    brute = [brute_force_spin_commutator(n) for n in range(1, brute_max + 1)]
+    errors = [err for _, err in brute]
     return ExperimentResult(
         header=("spins", "method", "scale", "identity_error"),
-        rows=rows,
-        summary={"max_identity_error": worst, "brute_max": brute_max},
+        columns=(
+            [*range(1, brute_max + 1), *closed_ns],
+            ["brute"] * brute_max + ["closed"] * len(closed_ns),
+            [scale for scale, _ in brute] + [average_spin_commutator(n) for n in closed_ns],
+            errors + [""] * len(closed_ns),
+        ),
+        summary={"max_identity_error": max(errors), "brute_max": brute_max},
     )
 
 
@@ -233,28 +255,26 @@ def _model_from(params: dict, env_size: int) -> RobustnessModel:
         raise ConfigError(str(exc)) from None
 
 
-def _run_robustness(params: dict, rng: np.random.Generator) -> ExperimentResult:
+def _run_robustness(params: dict, seed: int) -> ExperimentResult:
     sizes = params["env_sizes"]
     _require(len(set(sizes)) >= 2, "parameter 'env_sizes' needs two distinct entries")
     _require(all(n > params["n"] for n in sizes), "every env_size must exceed 'n'")
     _require(all(n <= MAX_ENV_SIZE for n in sizes), "every env_size must be at most 1e100")
-    rows = []
-    logs = []
+    logs, ratios, oracles = [], [], []
     for size in sizes:
         model = _model_from(params, size)
-        log_ratio = log_robustness_ratio(model)
-        ratio = robustness_ratio(model)
+        logs.append(log_robustness_ratio(model))
+        ratios.append(robustness_ratio(model))
         oracle = ""
         if model.n_collapsed >= 1 and fits_oracle(2, size + 2):
             oracle = brute_force_ratio(model)
-        rows.append((size, params["n"], log_ratio, ratio, oracle))
-        logs.append(log_ratio)
+        oracles.append(oracle)
     fitted = ""
     if np.all(np.isfinite(logs)):
         fitted = float(np.polyfit(np.array(sizes, dtype=float), logs, 1)[0])
     return ExperimentResult(
         header=("env_size", "n_collapsed", "log_ratio", "ratio", "brute_ratio"),
-        rows=rows,
+        columns=(list(sizes), [params["n"]] * len(sizes), logs, ratios, oracles),
         summary={
             "expected_log_slope": -2.0 * math.log(params["c"]) if params["c"] > 0 else "",
             "fitted_log_slope": fitted,
@@ -262,11 +282,10 @@ def _run_robustness(params: dict, rng: np.random.Generator) -> ExperimentResult:
     )
 
 
-def _run_threshold(params: dict, rng: np.random.Generator) -> ExperimentResult:
+def _run_threshold(params: dict, seed: int) -> ExperimentResult:
     targets = params["targets"]
     _require(all(t > 0 for t in targets), "parameter 'targets' entries must be positive")
-    rows = []
-    needed = []
+    needed, at, below = [], [], []
     for target in targets:
         try:
             size = classical_threshold(
@@ -274,15 +293,14 @@ def _run_threshold(params: dict, rng: np.random.Generator) -> ExperimentResult:
             )
         except (InvariantError, OrthogonalCollapseForbidden) as exc:
             raise ConfigError(str(exc)) from None
-        at = robustness_ratio(_model_from(params, size))
-        below = ""
-        if size - 1 > params["n"]:
-            below = robustness_ratio(_model_from(params, size - 1))
-        rows.append((target, size, at, below))
         needed.append(size)
+        at.append(robustness_ratio(_model_from(params, size)))
+        below.append(
+            robustness_ratio(_model_from(params, size - 1)) if size - 1 > params["n"] else ""
+        )
     return ExperimentResult(
         header=("target", "env_size_needed", "ratio_at_threshold", "ratio_below"),
-        rows=rows,
+        columns=(list(targets), needed, at, below),
         summary={
             "targets": ",".join(repr(float(t)) for t in targets),
             "env_sizes_needed": ",".join(str(n) for n in needed),
@@ -290,7 +308,7 @@ def _run_threshold(params: dict, rng: np.random.Generator) -> ExperimentResult:
     )
 
 
-def _run_decay(params: dict, rng: np.random.Generator) -> ExperimentResult:
+def _run_decay(params: dict, seed: int) -> ExperimentResult:
     n0, tau = params["n0"], params["time_constant"]
     t_max, steps = params["t_max"], params["steps"]
     _require(n0 >= 0.0, "parameter 'n0' must be non-negative")
@@ -298,11 +316,13 @@ def _run_decay(params: dict, rng: np.random.Generator) -> ExperimentResult:
     _require(t_max >= 0.0, "parameter 't_max' must be non-negative")
     _require(2 <= steps <= MAX_ROWS, f"parameter 'steps' must lie in [2, {MAX_ROWS}]")
     times = np.linspace(0.0, t_max, steps)
-    rows = [(float(t), core_decay(n0, tau, float(t))) for t in times]
+    remaining = np.fromiter(
+        (core_decay(n0, tau, t) for t in times.tolist()), dtype=float, count=steps
+    )
     return ExperimentResult(
         header=("t", "remaining"),
-        rows=rows,
-        summary={"n0": n0, "time_constant": tau, "final_remaining": rows[-1][1]},
+        columns=(times, remaining),
+        summary={"n0": n0, "time_constant": tau, "final_remaining": remaining[-1]},
     )
 
 

@@ -19,14 +19,18 @@ def run_cli(*args):
     return main(list(args))
 
 
+def _child_env():
+    """Environment for a child interpreter that imports this tsvf_sim."""
+    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def test_module_form_writes_csv(tmp_path):
     out = tmp_path / "c.csv"
-    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "tsvf_sim.cli", "run", "--experiment", "commutator",
          "--param", "brute_max=3", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("# meta experiment=commutator")
@@ -169,6 +173,30 @@ def test_convergence_accepts_sizes_beyond_int64(tmp_path):
                    "--param", "Ns=1,100000000000000000000", "--out", str(out)) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
     assert [int(r[0]) for r in rows] == [1, 10 ** 20]
+
+
+def test_robustness_writes_record_sizes_beyond_int64_exactly(tmp_path):
+    out = tmp_path / "r.csv"
+    assert run_cli("run", "--experiment", "robustness", "--param",
+                   "env_sizes=20,99999999999999999999999999999", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    assert [r[0] for r in rows] == ["20", "99999999999999999999999999999"]
+
+
+def test_closed_form_run_never_imports_numpy_random(tmp_path):
+    out = tmp_path / "d.csv"
+    script = (
+        "import sys, numpy\n"
+        "if 'numpy.random' in sys.modules: sys.exit(9)  # imported eagerly by numpy\n"
+        "from tsvf_sim.cli import main\n"
+        f"assert main(['run', '--experiment', 'decay', '--out', {str(out)!r}]) == 0\n"
+        "sys.exit(int('numpy.random' in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode == 9:
+        pytest.skip("this numpy imports numpy.random with numpy")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_experiment_exits_2(capsys):

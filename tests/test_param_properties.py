@@ -11,7 +11,6 @@ default.
 
 import warnings
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,7 +66,7 @@ def test_params_fail_only_with_package_errors(run):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             params = resolve_params(exp, overrides)
-            result = exp.runner(params, np.random.default_rng(0))
+            result = exp.runner(params, 0)
             text = render_csv(exp, 0, params, result)
     except Exception as exc:
         assert type(exc).__module__ == "tsvf_sim.errors", repr(exc)
