@@ -7,149 +7,62 @@ operators with their 1/sqrt(N) residuals, and a qubit-record model of how a
 measurement outcome stays reconstructible after part of its environment is
 collapsed. Everything is deterministic under a seeded generator; the
 `tsvf-sim` command-line tool runs the bundled experiments.
+
+Exports and submodules are imported on first use (PEP 562), so importing the
+package, or running a closed-form experiment, does not import numpy.
 """
 
-from .errors import (
-    ConfigError,
-    DimensionError,
-    InvariantError,
-    NearOrthogonalPrePost,
-    NoAcceptedTrials,
-    NoConsistentHistory,
-    NotInStrongRegime,
-    OrthogonalCollapseForbidden,
-    PostSelectionImpossible,
-    TooLargeForOracle,
-)
-from .hilbert import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    DensityMatrix,
-    EigenBranch,
-    HermitianOperator,
-    StateVector,
-    basis_state,
-    eig_hermitian,
-    identity,
-    inner,
-    partial_trace,
-    projector,
-    random_hermitian,
-    random_state,
-    tensor,
-)
-from .pointer import (
-    GaussianPointer,
-    JointPointerState,
-    PointerBranch,
-    ReadoutDensity,
-    classify_strong,
-    couple,
-    readout_density,
-)
-from .measurement import (
-    MeasurementRecord,
-    TwoState,
-    WeakEstimate,
-    post_select,
-    strong_measure,
-    weak_estimate,
-    weak_value,
-)
-from .ensemble import (
-    Decomposition,
-    EnsembleSpec,
-    average_operator_residual,
-    average_spin_commutator,
-    brute_force_average,
-    brute_force_spin_commutator,
-    commute_on_state,
-    decompose,
-    deterministic_basis,
-)
-from .twotime import (
-    BranchState,
-    FinalBoundary,
-    RobustnessModel,
-    brute_force_ratio,
-    classical_threshold,
-    core_decay,
-    forward_chain,
-    full_state,
-    log_robustness_ratio,
-    record_factor_i,
-    record_factor_ii,
-    robustness_ratio,
-    sample_final_boundary,
-    select_by_final,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DimensionError",
-    "InvariantError",
-    "NearOrthogonalPrePost",
-    "NoAcceptedTrials",
-    "NoConsistentHistory",
-    "NotInStrongRegime",
-    "OrthogonalCollapseForbidden",
-    "PostSelectionImpossible",
-    "TooLargeForOracle",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "DensityMatrix",
-    "EigenBranch",
-    "HermitianOperator",
-    "StateVector",
-    "basis_state",
-    "eig_hermitian",
-    "identity",
-    "inner",
-    "partial_trace",
-    "projector",
-    "random_hermitian",
-    "random_state",
-    "tensor",
-    "GaussianPointer",
-    "JointPointerState",
-    "PointerBranch",
-    "ReadoutDensity",
-    "classify_strong",
-    "couple",
-    "readout_density",
-    "MeasurementRecord",
-    "TwoState",
-    "WeakEstimate",
-    "post_select",
-    "strong_measure",
-    "weak_estimate",
-    "weak_value",
-    "Decomposition",
-    "EnsembleSpec",
-    "average_operator_residual",
-    "average_spin_commutator",
-    "brute_force_average",
-    "brute_force_spin_commutator",
-    "commute_on_state",
-    "decompose",
-    "deterministic_basis",
-    "BranchState",
-    "FinalBoundary",
-    "RobustnessModel",
-    "brute_force_ratio",
-    "classical_threshold",
-    "core_decay",
-    "forward_chain",
-    "full_state",
-    "log_robustness_ratio",
-    "record_factor_i",
-    "record_factor_ii",
-    "robustness_ratio",
-    "sample_final_boundary",
-    "select_by_final",
-    "__version__",
-]
+# Each exported name, under the submodule that defines it.
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "DimensionError", "InvariantError", "NearOrthogonalPrePost",
+        "NoAcceptedTrials", "NoConsistentHistory", "NotInStrongRegime",
+        "OrthogonalCollapseForbidden", "PostSelectionImpossible", "TooLargeForOracle",
+    ),
+    "hilbert": (
+        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "DensityMatrix", "EigenBranch",
+        "HermitianOperator", "StateVector", "basis_state", "eig_hermitian", "identity",
+        "inner", "partial_trace", "projector", "random_hermitian", "random_state",
+        "tensor",
+    ),
+    "pointer": (
+        "GaussianPointer", "JointPointerState", "PointerBranch", "ReadoutDensity",
+        "classify_strong", "couple", "readout_density",
+    ),
+    "measurement": (
+        "MeasurementRecord", "TwoState", "WeakEstimate", "post_select", "strong_measure",
+        "weak_estimate", "weak_value",
+    ),
+    "ensemble": (
+        "Decomposition", "EnsembleSpec", "average_operator_residual",
+        "average_spin_commutator", "brute_force_average", "brute_force_spin_commutator",
+        "commute_on_state", "decompose", "deterministic_basis",
+    ),
+    "twotime": (
+        "RobustnessModel", "classical_threshold", "core_decay", "log_robustness_ratio",
+        "robustness_ratio",
+    ),
+    "branches": (
+        "BranchState", "FinalBoundary", "brute_force_ratio", "forward_chain",
+        "full_state", "record_factor_i", "record_factor_ii", "sample_final_boundary",
+        "select_by_final",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset([*_EXPORTS, "cli", "experiments"])
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

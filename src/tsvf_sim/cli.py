@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError
 from .experiments import EXPERIMENTS, Experiment, ExperimentResult, resolve_params
 
@@ -31,10 +29,15 @@ def _fmt(value) -> str:
 
 
 def _cells(column) -> list[str]:
-    """Format one column slice; every cell gets the text `_fmt` would give it."""
-    if isinstance(column, np.ndarray):
-        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
-    return list(map(_fmt, column))
+    """Format one column slice; every cell gets the text `_fmt` would give it.
+
+    A list is formatted cell by cell. Any other column is typed (a numpy
+    array or an `array('d')`): its `tolist()` holds only Python floats or only
+    Python ints, whose `repr` is the text `_fmt` gives them.
+    """
+    if isinstance(column, list):
+        return list(map(_fmt, column))
+    return list(map(repr, column.tolist()))
 
 
 def _row_chunks(columns):

@@ -2,8 +2,28 @@
 
 Everything raised on bad input derives from ValueError, everything raised when
 a run cannot produce a result derives from RuntimeError, so callers can catch
-broadly without importing each class.
+broadly without importing each class. The tolerance and the dense-oracle
+bound that gate InvariantError and TooLargeForOracle live here too, so the
+closed-form modules can use them without importing numpy.
 """
+
+import math
+
+# Tolerance for identities that hold exactly in the algebra (hermiticity,
+# normalization, trace); hilbert.ATOL_EIG is the one for eigensolver output.
+ATOL_EXACT = 1e-12
+# Dense brute-force oracles are limited to Hilbert dimension 2^ORACLE_MAX_QUBITS.
+ORACLE_MAX_QUBITS = 14
+
+
+def fits_oracle(dim: int, copies: int) -> bool:
+    """True when the product space dim^copies is within the dense-oracle bound.
+
+    Compares exponents, so a huge copy count never builds dim^copies. For a
+    power-of-two dim the comparison is exact; any other dim^copies is at
+    least one away from 2^ORACLE_MAX_QUBITS, far beyond the rounding error.
+    """
+    return dim == 1 or copies <= ORACLE_MAX_QUBITS / math.log2(dim)
 
 
 class DimensionError(ValueError):

@@ -9,32 +9,47 @@ byte-identical files.
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .errors import ConfigError, InvariantError, OrthogonalCollapseForbidden
-from .hilbert import SIGMA_Z, StateVector, fits_oracle
-# strong_measure is unused here but kept: perfbench/trace_child.py wraps this name.
-from .measurement import TwoState, measure_outcomes, strong_measure, weak_estimate, weak_value
-from .ensemble import (
-    SPIN_ORACLE_MAX,
-    EnsembleSpec,
-    average_operator_residual,
-    average_spin_commutator,
-    brute_force_spin_commutator,
-)
+from .errors import ConfigError, InvariantError, OrthogonalCollapseForbidden, fits_oracle
 from .twotime import (
     RobustnessModel,
-    brute_force_ratio,
     classical_threshold,
     core_decay,
     log_robustness_ratio,
     robustness_ratio,
 )
+
+# Numpy-backed names that perfbench/trace_child.py reads and rebinds on this
+# module. They are imported on first use (PEP 562 __getattr__ below), so runs
+# that never call them never import numpy, and runners call them through
+# `_module` so that they find a rebound wrapper. strong_measure has no caller
+# here. This table goes with the rebinding, when the in-program stage timers
+# of ROADMAP item 1 replace it.
+_TRACED = {
+    "strong_measure": "measurement",
+    "weak_estimate": "measurement",
+    "average_operator_residual": "ensemble",
+    "average_spin_commutator": "ensemble",
+    "brute_force_spin_commutator": "ensemble",
+    "brute_force_ratio": "branches",
+}
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 # A run holds its columns and its whole CSV text in memory until the file is
 # written; at 10^7 rows it peaks at about 0.45 GiB RSS (born), 0.75 GiB
@@ -70,13 +85,15 @@ class ExperimentResult:
     """One run's table, stored by column, and its summary record.
 
     `columns[i]` holds every cell under `header[i]`, top to bottom. Large
-    sampled columns are numpy int64 or float64 arrays; small mixed columns
-    are lists, which keep Python ints of any size and "" blanks. The CSV
-    renderer formats each column as a whole, so no per-row tuple exists.
+    columns are typed: numpy int64 or float64 arrays for sampled columns, and
+    `array('d')` for the decay table, which is built without numpy. Small
+    mixed columns are lists, which keep Python ints of any size and ""
+    blanks. The CSV renderer formats each column as a whole, so no per-row
+    tuple exists.
     """
 
     header: tuple[str, ...]
-    columns: tuple[np.ndarray | list, ...]
+    columns: tuple[Sequence, ...]
     summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -156,6 +173,11 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
     a2, trials = params["alpha2"], params["trials"]
     _require(0.0 <= a2 <= 1.0, "parameter 'alpha2' must lie in [0, 1]")
     _require(1 <= trials <= MAX_ROWS, f"parameter 'trials' must lie in [1, {MAX_ROWS}]")
+    import numpy as np
+
+    from .hilbert import SIGMA_Z, StateVector
+    from .measurement import measure_outcomes
+
     psi = StateVector(np.array([math.sqrt(a2), math.sqrt(1.0 - a2)], dtype=complex))
     rng = np.random.default_rng(seed)
     outcomes = np.rint(measure_outcomes(psi, SIGMA_Z, rng, trials)).astype(int)
@@ -182,11 +204,16 @@ def _run_weakvalue(params: dict, seed: int) -> ExperimentResult:
     g = ratio * sigma
     _require(g >= sys.float_info.min,
              f"parameters 'g_over_sigma' * 'sigma' must be at least {sys.float_info.min:g}")
+    import numpy as np
+
+    from .hilbert import SIGMA_Z, StateVector
+    from .measurement import TwoState, weak_value
+
     forward = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     backward = StateVector(np.array([math.cos(angle), -math.sin(angle)], dtype=complex))
     ts = TwoState(forward, backward)
     value = weak_value(ts, SIGMA_Z)
-    est = weak_estimate(ts, SIGMA_Z, g, sigma, trials, np.random.default_rng(seed))
+    est = _module.weak_estimate(ts, SIGMA_Z, g, sigma, trials, np.random.default_rng(seed))
     return ExperimentResult(
         header=("index", "reading"),
         columns=(np.arange(est.samples.size), est.samples),
@@ -205,11 +232,17 @@ def _run_convergence(params: dict, seed: int) -> ExperimentResult:
     sizes = params["Ns"]
     _require(all(n >= 1 for n in sizes), "parameter 'Ns' entries must be at least 1")
     _require(len(set(sizes)) >= 2, "parameter 'Ns' needs two distinct sizes to fit a slope")
+    import numpy as np
+
+    from .ensemble import EnsembleSpec
+    from .hilbert import SIGMA_Z, StateVector
+
     psi = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
     residuals = []
     abar_last = 0.0
     for n in sizes:
-        abar_last, residual = average_operator_residual(SIGMA_Z, EnsembleSpec(((psi, n),)))
+        spec = EnsembleSpec(((psi, n),))
+        abar_last, residual = _module.average_operator_residual(SIGMA_Z, spec)
         residuals.append(residual)
     logs_n = np.log10([float(n) for n in sizes])
     slope = float(np.polyfit(logs_n, np.log10(residuals), 1)[0])
@@ -221,18 +254,21 @@ def _run_convergence(params: dict, seed: int) -> ExperimentResult:
 
 
 def _run_commutator(params: dict, seed: int) -> ExperimentResult:
+    from .ensemble import SPIN_ORACLE_MAX
+
     brute_max, closed_ns = params["brute_max"], params["closed_Ns"]
     _require(1 <= brute_max <= SPIN_ORACLE_MAX,
              f"parameter 'brute_max' must lie in [1, {SPIN_ORACLE_MAX}]")
     _require(all(n >= 1 for n in closed_ns), "parameter 'closed_Ns' entries must be >= 1")
-    brute = [brute_force_spin_commutator(n) for n in range(1, brute_max + 1)]
+    brute = [_module.brute_force_spin_commutator(n) for n in range(1, brute_max + 1)]
     errors = [err for _, err in brute]
     return ExperimentResult(
         header=("spins", "method", "scale", "identity_error"),
         columns=(
             [*range(1, brute_max + 1), *closed_ns],
             ["brute"] * brute_max + ["closed"] * len(closed_ns),
-            [scale for scale, _ in brute] + [average_spin_commutator(n) for n in closed_ns],
+            [scale for scale, _ in brute]
+            + [_module.average_spin_commutator(n) for n in closed_ns],
             errors + [""] * len(closed_ns),
         ),
         summary={"max_identity_error": max(errors), "brute_max": brute_max},
@@ -267,8 +303,10 @@ def _run_robustness(params: dict, seed: int) -> ExperimentResult:
         ratios.append(robustness_ratio(model))
         oracle = ""
         if model.n_collapsed >= 1 and fits_oracle(2, size + 2):
-            oracle = brute_force_ratio(model)
+            oracle = _module.brute_force_ratio(model)
         oracles.append(oracle)
+    import numpy as np
+
     fitted = ""
     if np.all(np.isfinite(logs)):
         fitted = float(np.polyfit(np.array(sizes, dtype=float), logs, 1)[0])
@@ -315,10 +353,17 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
     _require(tau > 0.0, "parameter 'time_constant' must be positive")
     _require(t_max >= 0.0, "parameter 't_max' must be non-negative")
     _require(2 <= steps <= MAX_ROWS, f"parameter 'steps' must lie in [2, {MAX_ROWS}]")
-    times = np.linspace(0.0, t_max, steps)
-    remaining = np.fromiter(
-        (core_decay(n0, tau, t) for t in times.tolist()), dtype=float, count=steps
-    )
+    # The points of np.linspace(0.0, t_max, steps) bit for bit: i * step, or
+    # i / (steps - 1) * t_max when the step underflows to 0, plus the start
+    # 0.0 (which turns -0.0 into 0.0); the last point is t_max itself.
+    step = t_max / (steps - 1)
+    if step:
+        times = [i * step for i in range(steps - 1)]
+    else:
+        times = [i / (steps - 1) * t_max + 0.0 for i in range(steps - 1)]
+    times.append(t_max)
+    times = array("d", times)
+    remaining = array("d", [core_decay(n0, tau, t) for t in times])
     return ExperimentResult(
         header=("t", "remaining"),
         columns=(times, remaining),

@@ -13,29 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-import math
 import string
 
 import numpy as np
 
-from .errors import DimensionError, InvariantError
+# The oracle bound lives with the errors it gates; it is imported here too
+# for callers that take it from hilbert.
+from .errors import ATOL_EXACT, ORACLE_MAX_QUBITS, DimensionError, InvariantError, fits_oracle
 
-# Tolerance for identities that hold exactly in the algebra (hermiticity,
-# normalization, trace) versus quantities that pass through the eigensolver.
-ATOL_EXACT = 1e-12
+# Tolerance for quantities that pass through the eigensolver.
 ATOL_EIG = 1e-10
-# Dense brute-force oracles are limited to Hilbert dimension 2^ORACLE_MAX_QUBITS.
-ORACLE_MAX_QUBITS = 14
-
-
-def fits_oracle(dim: int, copies: int) -> bool:
-    """True when the product space dim^copies is within the dense-oracle bound.
-
-    Compares exponents, so a huge copy count never builds dim^copies. For a
-    power-of-two dim the comparison is exact; any other dim^copies is at
-    least one away from 2^ORACLE_MAX_QUBITS, far beyond the rounding error.
-    """
-    return dim == 1 or copies <= ORACLE_MAX_QUBITS / math.log2(dim)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

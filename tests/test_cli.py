@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tsvf_sim
 from tsvf_sim.cli import main
-from tsvf_sim.experiments import EXPERIMENTS
+from tsvf_sim.experiments import EXPERIMENTS, resolve_params
 
 
 def run_cli(*args):
@@ -338,6 +340,31 @@ def test_decay_rows_match_closed_form(tmp_path):
     for t_str, remaining_str in rows:
         assert np.isclose(float(remaining_str),
                           1000 * math.exp(-float(t_str) / 2.0), atol=1e-9)
+
+
+EDGE_T_MAX = [0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    t_max=st.one_of(st.sampled_from(EDGE_T_MAX),
+                    st.floats(min_value=0.0, max_value=1.7976931348623157e308)),
+    steps=st.integers(min_value=2, max_value=5000),
+)
+@example(t_max=5e-324, steps=2)
+@example(t_max=5e-324, steps=5000)
+@example(t_max=-0.0, steps=3)
+@example(t_max=1.7976931348623157e308, steps=5000)
+@example(t_max=1.7976931348623157e308, steps=25)
+def test_decay_times_equal_linspace_bit_for_bit(t_max, steps):
+    exp = EXPERIMENTS["decay"]
+    params = resolve_params(exp, {"t_max": repr(t_max), "steps": str(steps)})
+    times = exp.runner(params, 0).columns[0]
+    # linspace computes its last point as (steps - 1) * step, which may
+    # overflow, before it overwrites that point with t_max itself.
+    with np.errstate(over="ignore"):
+        expected = np.linspace(0.0, t_max, steps)
+    assert times.tobytes() == expected.tobytes()
 
 
 def test_every_experiment_has_schema_defaults():
