@@ -14,10 +14,11 @@ Spin components carry the explicit 1/2 factor (hbar = 1), e.g. S_z = sigma_z/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, InvariantError, TooLargeForOracle
+from .errors import SPIN_ORACLE_MAX, DimensionError, InvariantError, TooLargeForOracle
 from .hilbert import (
     ATOL_EXACT,
     ORACLE_MAX_QUBITS,
@@ -32,12 +33,10 @@ from .hilbert import (
 
 # Uncertainty below this counts as zero and no perpendicular component is reported.
 DELTA_FLOOR = 1e-12
-# Largest spin count for the spin oracle, which does 8^N work: about 2 s and a
-# 64 MiB allocation peak at N = 12 on a 2-core Xeon.
-SPIN_ORACLE_MAX = 12
-# Basis columns per block of the spin oracle; one 2^N x 256 float64 block is
-# 8 MiB at N = 12, and widths from 128 to 1024 ran equally fast.
-SPIN_BLOCK = 256
+# Basis columns per block of the spin oracle, and so the column count of its
+# matrix products; one 2^N x 32 float64 block is 1 MiB at N = 12. Of widths 16
+# to 1024, 32 ran fastest at N = 11 and 12; 256 took about 20% longer.
+SPIN_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,22 +147,42 @@ def average_operator_residual(
     return abar_sum / total, float(np.sqrt(var_sum)) / total
 
 
-def _apply_at_site(op_entries: np.ndarray, block: np.ndarray, site: int, dim: int) -> np.ndarray:
-    """Apply a one-copy operator at one site to a (dim^N, B) block of vectors.
+def _site_sum(op_entries: np.ndarray, dim: int, sites: int) -> np.ndarray:
+    """Dense sum_i A_i over `sites` sites, a dim^sites square matrix.
 
-    A single vector of shape (dim^N,) is the case B = 1.
+    No sites give a 1 x 1 zero, and one site gives op_entries itself.
     """
-    cube = block.reshape(dim ** site, dim, -1)
-    return np.matmul(op_entries, cube).reshape(block.shape)
-
-
-def _site_average(op_entries: np.ndarray, block: np.ndarray, dim: int, n: int) -> np.ndarray:
-    """(1/N) sum_i A_i applied to a block, one site at a time."""
-    total = np.zeros_like(block)
-    for site in range(n):
-        total += _apply_at_site(op_entries, block, site, dim)
-    total /= n
+    if sites == 0:
+        return np.zeros((1, 1), dtype=op_entries.dtype)
+    total = op_entries
+    for k in range(1, sites):
+        total = np.kron(total, np.eye(dim)) + np.kron(np.eye(dim ** k), op_entries)
     return total
+
+
+def _site_average(
+    op_entries: np.ndarray, dim: int, n: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Return a function applying (1/N) sum_i A_i to (dim^N, B) blocks, B = 1 for one vector.
+
+    With the h = N//2 high sites split from the N - h low ones, the site sum is
+    the Kronecker sum H (x) I + I (x) L of the two halves' dense sums, built
+    once here. Each application takes one matrix product on a (dim^h, -1) view
+    of the block and one stacked product on a (dim^h, dim^(N-h), -1) view: two
+    passes over the block, not N.
+    """
+    high = n // 2
+    upper_sum = _site_sum(op_entries, dim, high)
+    lower_sum = _site_sum(op_entries, dim, n - high)
+
+    def apply(block: np.ndarray) -> np.ndarray:
+        total = (upper_sum @ block.reshape(dim ** high, -1)).reshape(block.shape)
+        lower = np.matmul(lower_sum, block.reshape(dim ** high, dim ** (n - high), -1))
+        total += lower.reshape(block.shape)
+        total /= n
+        return total
+
+    return apply
 
 
 def brute_force_average(
@@ -171,8 +190,9 @@ def brute_force_average(
 ) -> tuple[float, float]:
     """Full product-space oracle for average_operator_residual.
 
-    Builds the complete d^N product state and applies (1/N) sum_i A_i site by
-    site, with no closed-form shortcuts. Guarded by d^N <= 2^14.
+    Builds the complete d^N product state and applies (1/N) sum_i A_i to it
+    as a Kronecker sum over two halves of the sites, with no closed-form
+    shortcuts. Guarded by d^N <= 2^14.
     """
     if op.dim != spec.dim:
         raise DimensionError(f"operator dim {op.dim} != ensemble copy dim {spec.dim}")
@@ -183,7 +203,7 @@ def brute_force_average(
     for state, count in spec.groups:
         for _ in range(count):
             full = np.kron(full, state.amps)
-    averaged = _site_average(op.entries, full, d, n)
+    averaged = _site_average(op.entries, d, n)(full)
     abar = float(np.real(np.vdot(full, averaged)))
     residual = float(np.linalg.norm(averaged - abar * full))
     return abar, residual
@@ -204,10 +224,11 @@ def average_spin_commutator(n: int) -> float:
 def brute_force_spin_commutator(n: int) -> tuple[float, float]:
     """Brute-force oracle for the averaged-spin commutator identity.
 
-    Applies Sx_avg, Sy_avg, Sz_avg site by site to every basis vector of the
-    full 2^N space, SPIN_BLOCK columns at a time, so every one of the 4^N
-    matrix entries is checked without holding a 2^N x 2^N matrix. All of it
-    is real float64: sigma_y/2 = i Y with Y = [[0, -1/2], [1/2, 0]] real, so
+    Applies Sx_avg, Sy_avg, Sz_avg, each a Kronecker sum over two halves of
+    the sites, to every basis vector of the full 2^N space, SPIN_BLOCK
+    columns at a time, so every one of the 4^N matrix entries is checked
+    without holding a 2^N x 2^N matrix. All of it is real float64:
+    sigma_y/2 = i Y with Y = [[0, -1/2], [1/2, 0]] real, so
     [Sx_avg, Sy_avg] = i Sz_avg / N holds exactly when
     Sx_avg Y_avg - Y_avg Sx_avg = Sz_avg / N. The three real 2x2 matrices are
     taken from SIGMA_X, SIGMA_Y and SIGMA_Z, and InvariantError is raised
@@ -226,19 +247,19 @@ def brute_force_spin_commutator(n: int) -> tuple[float, float]:
         1j * y_one, 0.5 * SIGMA_Y.entries
     ):
         raise InvariantError("spin matrices do not split into real Sx, Sz and i times real Y")
-    sx_one, sz_one = sx_one.real, sz_one.real
+    sx_avg, y_avg, sz_avg = (_site_average(one, 2, n) for one in (sx_one.real, y_one, sz_one.real))
     eig_max = 0.0
     identity_error = 0.0
     for start in range(0, dim, SPIN_BLOCK):
         width = min(SPIN_BLOCK, dim - start)
         columns = np.eye(dim, width, -start)
-        sx = _site_average(sx_one, columns, 2, n)
-        y = _site_average(y_one, columns, 2, n)
-        sz = _site_average(sz_one, columns, 2, n)
+        sx = sx_avg(columns)
+        y = y_avg(columns)
+        sz = sz_avg(columns)
         diag = sz[start + np.arange(width), np.arange(width)]
         if np.count_nonzero(sz) != np.count_nonzero(diag):
             raise InvariantError("averaged Sz is not diagonal in the product basis")
         eig_max = max(eig_max, float(np.max(np.abs(diag))))
-        comm = _site_average(sx_one, y, 2, n) - _site_average(y_one, sx, 2, n)
+        comm = sx_avg(y) - y_avg(sx)
         identity_error = max(identity_error, float(np.max(np.abs(comm - sz / n))))
     return eig_max / n, identity_error

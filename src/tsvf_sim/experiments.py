@@ -17,7 +17,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigError, InvariantError, OrthogonalCollapseForbidden, fits_oracle
+from .errors import (
+    SPIN_ORACLE_MAX,
+    ConfigError,
+    InvariantError,
+    OrthogonalCollapseForbidden,
+    fits_oracle,
+)
 from .twotime import (
     RobustnessModel,
     classical_threshold,
@@ -254,8 +260,6 @@ def _run_convergence(params: dict, seed: int) -> ExperimentResult:
 
 
 def _run_commutator(params: dict, seed: int) -> ExperimentResult:
-    from .ensemble import SPIN_ORACLE_MAX
-
     brute_max, closed_ns = params["brute_max"], params["closed_Ns"]
     _require(1 <= brute_max <= SPIN_ORACLE_MAX,
              f"parameter 'brute_max' must lie in [1, {SPIN_ORACLE_MAX}]")

@@ -92,6 +92,8 @@ NUMPY_FREE_RUNS = [
                  id="born-trials-out-of-range"),
     pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=8,8"], 2,
                  id="robustness-one-distinct-size"),
+    pytest.param(["run", "--experiment", "commutator", "--param", "brute_max=13"], 2,
+                 id="commutator-brute_max-out-of-range"),
 ]
 
 
