@@ -8,6 +8,8 @@ configuration error, 3 runtime or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +20,9 @@ MAX_SEED = 2 ** 64
 # Rows formatted at a time: the cells of one chunk are the only per-cell
 # Python objects alive, so render memory is the text plus a fixed overhead.
 RENDER_CHUNK = 1 << 14
+# OpenBLAS takes its thread count from the first of these that is set, read
+# once when numpy loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _fmt(value) -> str:
@@ -125,6 +130,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Let numpy's OpenBLAS start on one thread for the runner inside.
+
+    The oracles' largest matrix is 64 x 64: a second BLAS thread nearly
+    doubles the CPU time of their products and saves at most a tenth of
+    their wall time. This takes effect only if numpy is not loaded yet,
+    which holds in a fresh `tsvf-sim run` because every runner imports numpy
+    itself. A thread count the user set in any of BLAS_THREAD_VARS wins, and
+    os.environ is left as it was found.
+    """
+    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
 def _list_experiments() -> int:
     for exp in EXPERIMENTS.values():
         print(f"{exp.name}: {exp.description}")
@@ -165,7 +191,8 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key.strip()] = value.strip()
         params = resolve_params(exp, overrides)
 
-        result = exp.runner(params, seed)
+        with _one_blas_thread():
+            result = exp.runner(params, seed)
         text = render_csv(exp, seed, params, result)
     except ConfigError as exc:
         print(f"tsvf-sim: error: {exc}", file=sys.stderr)

@@ -24,6 +24,8 @@ from .errors import (
     OrthogonalCollapseForbidden,
     fits_oracle,
 )
+# core_decay has no caller here: perfbench/trace_child.py reads and rebinds it
+# until ROADMAP item 1 removes that rebinding.
 from .twotime import (
     RobustnessModel,
     classical_threshold,
@@ -367,7 +369,8 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
         times = [i / (steps - 1) * t_max + 0.0 for i in range(steps - 1)]
     times.append(t_max)
     times = array("d", times)
-    remaining = array("d", [core_decay(n0, tau, t) for t in times])
+    # core_decay's own expression, checked once above instead of per row.
+    remaining = array("d", [n0 * math.exp(-t / tau) for t in times])
     return ExperimentResult(
         header=("t", "remaining"),
         columns=(times, remaining),

@@ -1,10 +1,12 @@
 """Tests for the command-line experiment runner and its CSV contract."""
 
+import json
 import math
 import os
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -13,18 +15,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tsvf_sim
-from tsvf_sim.cli import main
+from tsvf_sim.cli import BLAS_THREAD_VARS, main
 from tsvf_sim.experiments import EXPERIMENTS, resolve_params
+from tsvf_sim.twotime import core_decay
 
 
 def run_cli(*args):
     return main(list(args))
 
 
-def _child_env():
-    """Environment for a child interpreter that imports this tsvf_sim."""
+def _child_env(**blas_threads):
+    """Environment for a child interpreter that imports this tsvf_sim.
+
+    The BLAS thread variables are only those given, not this process's.
+    """
     path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return dict(env, PYTHONPATH=os.pathsep.join(filter(None, path)), **blas_threads)
 
 
 def test_module_form_writes_csv(tmp_path):
@@ -36,6 +43,73 @@ def test_module_form_writes_csv(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("# meta experiment=commutator")
+
+
+THREAD_COUNT = (
+    "import os, sys\n"
+    "from tsvf_sim.cli import main\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "print(len(os.listdir('/proc/self/task')))\n"
+)
+
+
+# OpenBLAS never starts more threads than the CPUs this process may run on.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and at least 2 CPUs")
+@pytest.mark.parametrize(("user_set", "threads"), [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"GOTO_NUM_THREADS": "2"}, 2),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+], ids=["default", "openblas", "goto", "omp"])
+def test_cli_run_uses_one_blas_thread_unless_the_user_sets_a_count(tmp_path, user_set, threads):
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_COUNT, "run", "--experiment", "born",
+         "--param", "trials=10", "--out", str(tmp_path / "b.csv")],
+        env=_child_env(**user_set), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(threads)
+
+
+# Calls main in process and reports the BLAS thread variables its runner saw
+# and whether os.environ afterwards equals os.environ before.
+ENVIRON_AROUND_MAIN = (
+    "import dataclasses, json, os, sys\n"
+    "from tsvf_sim.cli import BLAS_THREAD_VARS, main\n"
+    "from tsvf_sim.experiments import EXPERIMENTS\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "exp = EXPERIMENTS[argv[2]]\n"
+    "seen = []\n"
+    "def runner(params, seed):\n"
+    "    seen.append({var: os.environ.get(var) for var in BLAS_THREAD_VARS})\n"
+    "    return exp.runner(params, seed)\n"
+    "EXPERIMENTS[exp.name] = dataclasses.replace(exp, runner=runner)\n"
+    "before = dict(os.environ)\n"
+    "code = main(argv)\n"
+    "print(json.dumps([code, seen, dict(os.environ) == before]))\n"
+)
+
+
+@pytest.mark.parametrize(("user_set", "params", "exit_code"), [
+    ({}, ["trials=10"], 0),
+    ({}, ["trials=0"], 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["trials=10"], 0),
+    ({"GOTO_NUM_THREADS": "3"}, ["trials=10"], 0),
+    ({"OMP_NUM_THREADS": "3"}, ["trials=0"], 2),
+], ids=["numpy-run", "exit-2", "user-openblas", "user-goto", "user-omp-exit-2"])
+def test_main_sets_one_blas_thread_only_for_its_runner(tmp_path, user_set, params, exit_code):
+    argv = ["run", "--experiment", "born", "--out", str(tmp_path / "b.csv")]
+    for param in params:
+        argv += ["--param", param]
+    proc = subprocess.run([sys.executable, "-c", ENVIRON_AROUND_MAIN, json.dumps(argv)],
+                          env=_child_env(**user_set), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, seen, unchanged = json.loads(proc.stdout.splitlines()[-1])
+    expected = dict.fromkeys(BLAS_THREAD_VARS)
+    expected.update(user_set or {"OPENBLAS_NUM_THREADS": "1"})
+    assert (code, seen, unchanged) == (exit_code, [expected], True)
 
 
 def test_list_names_every_experiment(capsys):
@@ -340,6 +414,20 @@ def test_decay_rows_match_closed_form(tmp_path):
     for t_str, remaining_str in rows:
         assert np.isclose(float(remaining_str),
                           1000 * math.exp(-float(t_str) / 2.0), atol=1e-9)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"steps": "200003"},
+    {"t_max": "1e300"},
+    {"t_max": "5e-324", "steps": "3"},  # the step underflows to 0
+    {"n0": "0"},
+], ids=["many-steps", "huge-t_max", "step-underflows", "n0-zero"])
+def test_decay_remaining_equals_core_decay_loop(overrides):
+    exp = EXPERIMENTS["decay"]
+    params = resolve_params(exp, overrides)
+    times, remaining = exp.runner(params, 0).columns
+    expected = array("d", [core_decay(params["n0"], params["time_constant"], t) for t in times])
+    assert remaining.tobytes() == expected.tobytes()
 
 
 EDGE_T_MAX = [0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308]

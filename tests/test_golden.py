@@ -14,12 +14,15 @@ or "unchanged"; an unknown name exits non-zero before any file is written.
 import contextlib
 import io
 import itertools
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tsvf_sim.cli import main
+import tsvf_sim
+from tsvf_sim.cli import BLAS_THREAD_VARS, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEED = "31337"
@@ -34,12 +37,30 @@ PARAMS = {
 }
 
 
-def _run(name: str, out: Path) -> int:
+def _args(name: str, out: Path, params: list[str]) -> list[str]:
     args = ["run", "--experiment", name, "--seed", SEED, "--out", str(out)]
-    for param in PARAMS[name]:
+    for param in params:
         args += ["--param", param]
+    return args
+
+
+def _run(name: str, out: Path) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
-        return main(args)
+        return main(_args(name, out, PARAMS[name]))
+
+
+def _run_in_child(name: str, out: Path, params: list[str], **blas_threads) -> bytes:
+    """Run `tsvf-sim` in a fresh interpreter, where numpy loads inside `main`.
+
+    The BLAS thread variables are only those given, not this process's.
+    """
+    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_threads, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "tsvf_sim.cli", *_args(name, out, params)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
 
 
 def _cells(text: str) -> list[dict[str, str]]:
@@ -85,6 +106,21 @@ def test_output_matches_golden(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     assert _run(name, out) == 0
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+# This process loaded numpy long ago, with its default BLAS threads; a fresh
+# `tsvf-sim run` loads it on one BLAS thread.
+@pytest.mark.parametrize("name", ["born", "weakvalue", "convergence", "commutator", "robustness"])
+def test_fresh_interpreter_output_matches_golden(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert _run_in_child(name, out, PARAMS[name]) == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+def test_user_blas_thread_count_does_not_change_the_output(tmp_path):
+    params = ["brute_max=10"]
+    default = _run_in_child("commutator", tmp_path / "default.csv", params)
+    assert _run_in_child("commutator", tmp_path / "two.csv", params,
+                         OPENBLAS_NUM_THREADS="2") == default
 
 
 if __name__ == "__main__":
