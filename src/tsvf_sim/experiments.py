@@ -68,7 +68,8 @@ MAX_ROWS = 10 ** 7
 MAX_G_OVER_SIGMA = 1e3
 # Pointer spreads whose squares and ratios stay far inside the float range.
 MIN_SIGMA, MAX_SIGMA = 1e-100, 1e100
-# Record sizes whose squares stay inside the float range of the slope fit.
+# Record sizes for which the slope fit's centred squares stay below about
+# 1e200, far inside the float range.
 MAX_ENV_SIZE = 10 ** 100
 
 
@@ -174,6 +175,23 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against xs; xs need two distinct values.
+
+    Deviations are taken from the rounded means and corrected by their own
+    mean (the corrected two-pass form), and every sum is exactly rounded
+    (math.fsum), so the slope stays within a few ulp of the exact one even
+    when the xs cluster within a few ulp of each other.
+    """
+    k = len(xs)
+    x0, y0 = math.fsum(xs) / k, math.fsum(ys) / k
+    dx, dy = [x - x0 for x in xs], [y - y0 for y in ys]
+    sx, sy = math.fsum(dx), math.fsum(dy)
+    sxy = math.fsum([*(u * v for u, v in zip(dx, dy)), -sx * sy / k])
+    sxx = math.fsum([*(u * u for u in dx), -sx * sx / k])
+    return sxy / sxx
+
+
 # ---------------------------------------------------------------- experiments
 
 
@@ -239,7 +257,9 @@ def _run_weakvalue(params: dict, seed: int) -> ExperimentResult:
 def _run_convergence(params: dict, seed: int) -> ExperimentResult:
     sizes = params["Ns"]
     _require(all(n >= 1 for n in sizes), "parameter 'Ns' entries must be at least 1")
-    _require(len(set(sizes)) >= 2, "parameter 'Ns' needs two distinct sizes to fit a slope")
+    logs_n = [math.log10(float(n)) for n in sizes]
+    _require(len(set(logs_n)) >= 2,
+             "parameter 'Ns' needs two sizes whose float log10 differ to fit a slope")
     import numpy as np
 
     from .ensemble import EnsembleSpec
@@ -252,8 +272,7 @@ def _run_convergence(params: dict, seed: int) -> ExperimentResult:
         spec = EnsembleSpec(((psi, n),))
         abar_last, residual = _module.average_operator_residual(SIGMA_Z, spec)
         residuals.append(residual)
-    logs_n = np.log10([float(n) for n in sizes])
-    slope = float(np.polyfit(logs_n, np.log10(residuals), 1)[0])
+    slope = _slope(logs_n, [math.log10(r) for r in residuals])
     return ExperimentResult(
         header=("N", "residual"),
         columns=(list(sizes), residuals),
@@ -299,7 +318,8 @@ def _model_from(params: dict, env_size: int) -> RobustnessModel:
 
 def _run_robustness(params: dict, seed: int) -> ExperimentResult:
     sizes = params["env_sizes"]
-    _require(len(set(sizes)) >= 2, "parameter 'env_sizes' needs two distinct entries")
+    xs = [float(n) for n in sizes]
+    _require(len(set(xs)) >= 2, "parameter 'env_sizes' needs two entries that differ as floats")
     _require(all(n > params["n"] for n in sizes), "every env_size must exceed 'n'")
     _require(all(n <= MAX_ENV_SIZE for n in sizes), "every env_size must be at most 1e100")
     logs, ratios, oracles = [], [], []
@@ -311,11 +331,7 @@ def _run_robustness(params: dict, seed: int) -> ExperimentResult:
         if model.n_collapsed >= 1 and fits_oracle(2, size + 2):
             oracle = _module.brute_force_ratio(model)
         oracles.append(oracle)
-    import numpy as np
-
-    fitted = ""
-    if np.all(np.isfinite(logs)):
-        fitted = float(np.polyfit(np.array(sizes, dtype=float), logs, 1)[0])
+    fitted = _slope(xs, logs) if all(map(math.isfinite, logs)) else ""
     return ExperimentResult(
         header=("env_size", "n_collapsed", "log_ratio", "ratio", "brute_ratio"),
         columns=(list(sizes), [params["n"]] * len(sizes), logs, ratios, oracles),

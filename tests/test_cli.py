@@ -230,6 +230,10 @@ def test_non_finite_param_exits_2(tmp_path, capsys, experiment, param):
     ("weakvalue", "g_over_sigma=1e200", "g_over_sigma"),
     ("convergence", "Ns=5,5", "Ns"),
     ("convergence", "Ns=1,1" + "0" * 400, "Ns"),
+    # Distinct ints whose fitted x values (log10 of the float, the float) are equal.
+    ("convergence", "Ns=100000000000000000000,100000000000000000001", "Ns"),
+    ("convergence", "Ns=1000000000000000,1000000000000001", "Ns"),
+    ("robustness", "env_sizes=100000000000000000000,100000000000000000001", "env_sizes"),
     ("robustness", "env_sizes=8,8", "env_sizes"),
     ("robustness", "env_sizes=8,1e300", "env_size"),
     ("weakvalue", "g_over_sigma=1e-300 sigma=1e-100", "g_over_sigma"),

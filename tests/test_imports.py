@@ -87,11 +87,22 @@ NUMPY_FREE_RUNS = [
                  id="seed-not-an-integer"),
     pytest.param(["run", "--experiment", "decay", "--param", "t_max=inf"], 2,
                  id="decay-t_max-inf"),
+    # robustness loads numpy only for its oracle: n >= 1 and some size <= 12.
+    pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=13,20,57"], 0,
+                 id="robustness-no-oracle-size"),
+    pytest.param(["run", "--experiment", "robustness", "--param", "n=0"], 0,
+                 id="robustness-nothing-collapsed"),
     # Runners that use numpy check their limits before they import it.
     pytest.param(["run", "--experiment", "born", "--param", "trials=0"], 2,
                  id="born-trials-out-of-range"),
     pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=8,8"], 2,
                  id="robustness-one-distinct-size"),
+    pytest.param(["run", "--experiment", "robustness", "--param",
+                  "env_sizes=100000000000000000000,100000000000000000001"], 2,
+                 id="robustness-sizes-equal-as-floats"),
+    pytest.param(["run", "--experiment", "convergence", "--param",
+                  "Ns=100000000000000000000,100000000000000000001"], 2,
+                 id="convergence-sizes-equal-as-floats"),
     pytest.param(["run", "--experiment", "commutator", "--param", "brute_max=13"], 2,
                  id="commutator-brute_max-out-of-range"),
 ]

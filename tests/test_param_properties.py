@@ -23,14 +23,16 @@ CHEAP = {
     "g_over_sigma": ["0.01", "1", "10", "1000", "1e-100"],
     "sigma": ["1", "0.5", "1e-100", "1e100"],
     "post_angle": ["0", "0.39269908169872414", "0.7853981633974483", "3"],
-    "Ns": ["1,10", "100,1000,10000", "1,1000000000", "1,100000000000000000000", "5,5"],
+    "Ns": ["1,10", "100,1000,10000", "1,1000000000", "1,100000000000000000000", "5,5",
+           "100000000000000000000,100000000000000000001"],
     "brute_max": ["1", "3", "6"],
     "closed_Ns": ["1", "1000000", "1,2,3"],
     "c": ["0.5", "0.9", "0.999999", "0.999999999999999"],
     "n": ["0", "1", "5", "1000000000", "1e99", "1e300"],
     "gamma1": ["0.9", "1", "0.5"],
     "gamma2": ["0.5", "0.9"],
-    "env_sizes": ["8,10,12", "8,1000000000", "6,7", "20,1e9", "8,8"],
+    "env_sizes": ["8,10,12", "8,1000000000", "6,7", "20,1e9", "8,8",
+                  "100000000000000000000,100000000000000000001"],
     "targets": ["1e3,1e6", "1e300", "1", "10,1e-300"],
     "n0": ["1e6", "1e300"],
     "time_constant": ["1", "1e-300", "1e300"],
