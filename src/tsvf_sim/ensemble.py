@@ -30,6 +30,7 @@ from .hilbert import (
     fits_oracle,
     projector,
 )
+from .twotime import ensemble_average
 
 # Uncertainty below this counts as zero and no perpendicular component is reported.
 DELTA_FLOOR = 1e-12
@@ -133,18 +134,16 @@ def average_operator_residual(
 
     On the product state the averaged operator acts as abar_ens plus a
     remainder of norm sqrt(sum_g N_g delta_g^2)/N; for N identical copies that
-    is delta/sqrt(N). Closed form, valid for arbitrarily large counts.
+    is delta/sqrt(N). Closed form (twotime.ensemble_average over each group's
+    decompose moments), valid for arbitrarily large counts.
     """
     if op.dim != spec.dim:
         raise DimensionError(f"operator dim {op.dim} != ensemble copy dim {spec.dim}")
-    total = spec.size
-    abar_sum = 0.0
-    var_sum = 0.0
+    moments = []
     for state, count in spec.groups:
         dec = decompose(op, state)
-        abar_sum += count * dec.abar
-        var_sum += count * dec.delta ** 2
-    return abar_sum / total, float(np.sqrt(var_sum)) / total
+        moments.append((count, dec.abar, dec.delta))
+    return ensemble_average(moments)
 
 
 def _site_sum(op_entries: np.ndarray, dim: int, sites: int) -> np.ndarray:

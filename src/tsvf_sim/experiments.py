@@ -30,6 +30,7 @@ from .twotime import (
     RobustnessModel,
     classical_threshold,
     core_decay,
+    ensemble_average,
     log_robustness_ratio,
     robustness_ratio,
 )
@@ -37,9 +38,9 @@ from .twotime import (
 # Numpy-backed names that perfbench/trace_child.py reads and rebinds on this
 # module. They are imported on first use (PEP 562 __getattr__ below), so runs
 # that never call them never import numpy, and runners call them through
-# `_module` so that they find a rebound wrapper. strong_measure has no caller
-# here. This table goes with the rebinding, when the in-program stage timers
-# of ROADMAP item 1 replace it.
+# `_module` so that they find a rebound wrapper. strong_measure and
+# average_operator_residual have no caller here. This table goes with the
+# rebinding, when the in-program stage timers of ROADMAP item 1 replace it.
 _TRACED = {
     "strong_measure": "measurement",
     "weak_estimate": "measurement",
@@ -254,29 +255,31 @@ def _run_weakvalue(params: dict, seed: int) -> ExperimentResult:
     )
 
 
+def _sigma_z_moments(a0: complex, a1: complex) -> tuple[float, float]:
+    """One-copy mean and uncertainty of sigma_z on the normalized a0|0> + a1|1>.
+
+    abar = |a0|^2 - |a1|^2, and delta^2 = 1 - abar^2 because sigma_z^2 = I.
+    """
+    abar = abs(a0) ** 2 - abs(a1) ** 2
+    return abar, math.sqrt(1.0 - abar * abar)
+
+
 def _run_convergence(params: dict, seed: int) -> ExperimentResult:
     sizes = params["Ns"]
     _require(all(n >= 1 for n in sizes), "parameter 'Ns' entries must be at least 1")
     logs_n = [math.log10(float(n)) for n in sizes]
     _require(len(set(logs_n)) >= 2,
              "parameter 'Ns' needs two sizes whose float log10 differ to fit a slope")
-    import numpy as np
-
-    from .ensemble import EnsembleSpec
-    from .hilbert import SIGMA_Z, StateVector
-
-    psi = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
-    residuals = []
-    abar_last = 0.0
-    for n in sizes:
-        spec = EnsembleSpec(((psi, n),))
-        abar_last, residual = _module.average_operator_residual(SIGMA_Z, spec)
-        residuals.append(residual)
+    # sigma_z on |+> = (|0> + |1>)/sqrt(2): abar = 0 and delta = 1 exactly.
+    plus = 1.0 / math.sqrt(2.0)
+    abar, delta = _sigma_z_moments(plus, plus)
+    averages = [ensemble_average(((n, abar, delta),)) for n in sizes]
+    residuals = [residual for _, residual in averages]
     slope = _slope(logs_n, [math.log10(r) for r in residuals])
     return ExperimentResult(
         header=("N", "residual"),
         columns=(list(sizes), residuals),
-        summary={"slope": slope, "expected_slope": -0.5, "abar": abar_last},
+        summary={"slope": slope, "expected_slope": -0.5, "abar": averages[-1][0]},
     )
 
 

@@ -14,6 +14,12 @@ which grows exponentially in N - n; a record is treated as effectively
 classical once the ratio clears a configurable threshold (default 1e6).
 Ratios are evaluated in the log domain so N up to 1e9 is safe.
 
+The module also holds the ensemble reduction behind the 1/sqrt(N) law:
+averaging a one-copy observable over a product ensemble leaves mean
+sum_g N_g abar_g / N and residual sqrt(sum_g N_g delta_g^2) / N, from each
+group's one-copy moments. `ensemble.average_operator_residual` and the
+`convergence` experiment both reduce through `ensemble_average`.
+
 Everything here is scalar float arithmetic with `math`, so this module does
 not import numpy; the dense branch states that check it live in `branches`.
 """
@@ -21,6 +27,7 @@ not import numpy; the dense branch states that check it live in `branches`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .errors import ATOL_EXACT, InvariantError, OrthogonalCollapseForbidden
@@ -113,6 +120,25 @@ def core_decay(n0: float, time_constant: float, t: float) -> float:
     if t < 0.0:
         raise InvariantError("time must be non-negative")
     return float(n0 * math.exp(-t / time_constant))
+
+
+def ensemble_average(moments: Iterable[tuple[int, float, float]]) -> tuple[float, float]:
+    """Mean and residual of the averaged operator (1/N) sum_i A_i on a product state.
+
+    `moments` holds (N_g, abar_g, delta_g) for each group of N_g identical
+    copies, with the one-copy mean and uncertainty of A. Returns
+    (sum_g N_g abar_g / N, sqrt(sum_g N_g delta_g^2) / N) with N = sum_g N_g;
+    for N identical copies the residual is delta/sqrt(N). Counts may be any
+    size whose float stays finite.
+    """
+    total = 0
+    abar_sum = 0.0
+    var_sum = 0.0
+    for count, abar, delta in moments:
+        total += count
+        abar_sum += count * abar
+        var_sum += count * delta ** 2
+    return abar_sum / total, math.sqrt(var_sum) / total
 
 
 def classical_threshold(

@@ -77,6 +77,11 @@ NUMPY_FREE_RUNS = [
     pytest.param(["list"], 0, id="list"),
     pytest.param(["run", "--experiment", "threshold"], 0, id="threshold-defaults"),
     pytest.param(["run", "--experiment", "decay"], 0, id="decay-defaults"),
+    pytest.param(["run", "--experiment", "convergence"], 0, id="convergence-defaults"),
+    pytest.param(["run", "--experiment", "convergence", "--param",
+                  "Ns=1046,385514,2617291,9999999"], 0, id="convergence-sweep-like"),
+    pytest.param(["run", "--experiment", "convergence", "--param",
+                  "Ns=10,100000000000000000000"], 0, id="convergence-beyond-int64"),
     pytest.param(["run", "--experiment", "convergence", "--param", "no_such_param=1"], 2,
                  id="unknown-parameter"),
     pytest.param(["run", "--experiment", "robustness", "--param", "c=not-a-number"], 2,
@@ -125,7 +130,6 @@ def test_run_does_not_import_numpy(tmp_path, argv, exit_code):
 
 CALLED_THROUGH_THE_MODULE = [
     ("weak_estimate", "weakvalue", {"trials": "200"}),
-    ("average_operator_residual", "convergence", {}),
     ("brute_force_spin_commutator", "commutator", {"brute_max": "3"}),
     ("average_spin_commutator", "commutator", {"brute_max": "3"}),
     ("brute_force_ratio", "robustness", {}),
