@@ -20,22 +20,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ConfigError", "DimensionError", "InvariantError", "NearOrthogonalPrePost",
-        "NoAcceptedTrials", "NoConsistentHistory", "NotInStrongRegime",
-        "OrthogonalCollapseForbidden", "PostSelectionImpossible", "TooLargeForOracle",
+        "NoAcceptedTrials", "NoConsistentHistory", "OrthogonalCollapseForbidden",
+        "PostSelectionImpossible", "TooLargeForOracle",
     ),
     "hilbert": (
-        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "DensityMatrix", "EigenBranch",
-        "HermitianOperator", "StateVector", "basis_state", "eig_hermitian", "identity",
-        "inner", "partial_trace", "projector", "random_hermitian", "random_state",
-        "tensor",
+        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "EigenBranch", "HermitianOperator", "StateVector",
+        "basis_state", "identity", "inner", "projector", "random_hermitian", "random_state",
     ),
     "pointer": (
-        "GaussianPointer", "JointPointerState", "PointerBranch", "ReadoutDensity",
-        "classify_strong", "couple", "readout_density",
+        "GaussianPointer", "JointPointerState", "PointerBranch", "ReadoutDensity", "couple",
+        "readout_density",
     ),
     "measurement": (
-        "MeasurementRecord", "TwoState", "WeakEstimate", "post_select", "strong_measure",
-        "weak_estimate", "weak_value",
+        "MeasurementRecord", "TwoState", "WeakEstimate", "strong_measure", "weak_estimate",
+        "weak_value",
     ),
     "ensemble": (
         "Decomposition", "EnsembleSpec", "average_operator_residual",
@@ -47,9 +45,8 @@ _EXPORTS = {
         "robustness_ratio",
     ),
     "branches": (
-        "BranchState", "FinalBoundary", "brute_force_ratio", "forward_chain",
-        "full_state", "record_factor_i", "record_factor_ii", "sample_final_boundary",
-        "select_by_final",
+        "BranchState", "brute_force_ratio", "forward_chain", "full_state",
+        "record_factor_i", "record_factor_ii", "select_by_final",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -45,22 +45,6 @@ class BranchState:
     env_size: int
 
 
-@dataclass(frozen=True, eq=False)
-class FinalBoundary:
-    """Backward boundary condition: a pointer reading plus an optional microstate.
-
-    When micro is None the boundary's microscopic part defaults to the forward
-    particle state of the selected branch.
-    """
-
-    reading: str = READING_I
-    micro: StateVector | None = None
-
-    def __post_init__(self):
-        if self.reading not in (READING_I, READING_II):
-            raise InvariantError(f"reading must be {READING_I!r} or {READING_II!r}")
-
-
 def record_factor_i() -> StateVector:
     """Per-qubit record state of branch I."""
     return basis_state(2, 0)
@@ -138,41 +122,30 @@ def full_state(model: RobustnessModel) -> StateVector:
     return StateVector(amps)
 
 
-def select_by_final(
-    model: RobustnessModel, final: FinalBoundary | None = None
-) -> tuple[float, float]:
-    """Projection weights of a final boundary on the uncollapsed branches.
+def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]:
+    """Weights of the final pointer reading on the amplified state (n_collapsed = 0).
 
-    Valid before any collapse (n_collapsed = 0). Returns (p_right, p_wrong):
-    p_right = |amplitude|^2 |<micro|particle>|^2 for the branch matching the
-    boundary reading, and p_wrong = 0 exactly because the other branch's
-    pointer is orthogonal to the selected reading. The reading is therefore
-    reproduced with probability 1; a boundary orthogonal to every branch has
-    no consistent history.
+    Projects full_state on that reading and sums over the record. Returns
+    (p_right, p_wrong): the weight of the particle state that carries the
+    reading, and of the other particle state under the same reading. The
+    pointers are orthogonal, so p_wrong is exactly zero and the reading is
+    reproduced with probability 1; a reading that no branch carries has no
+    consistent history. Bounded like full_state (env_size <= 12).
     """
     if model.n_collapsed != 0:
         raise InvariantError("select_by_final applies before any collapse (n_collapsed = 0)")
-    final = final if final is not None else FinalBoundary()
-    selected = None
-    for b in forward_chain(model):
-        if b.pointer_label == final.reading:
-            selected = b
-    if selected is None:
-        raise NoConsistentHistory(
-            f"no forward branch carries reading {final.reading}; boundary is inconsistent"
-        )
-    micro_weight = 1.0
-    if final.micro is not None:
-        micro_weight = abs(complex(np.vdot(final.micro.amps, selected.particle.amps))) ** 2
-    p_right = abs(selected.amplitude) ** 2 * micro_weight
+    if reading not in (READING_I, READING_II):
+        raise InvariantError(f"reading must be {READING_I!r} or {READING_II!r}")
+    k = 0 if reading == READING_I else 1
+    # (particle, pointer, record) in row-major order; keep the reading's pointer slice
+    selected = full_state(model).amps.reshape(2, 2, -1)[:, k, :]
+    weights = np.sum(np.abs(selected) ** 2, axis=1)
+    p_right, p_wrong = float(weights[k]), float(weights[1 - k])
     if p_right == 0.0:
-        raise NoConsistentHistory("final microstate is orthogonal to the selected branch")
-    return p_right, 0.0
-
-
-def sample_final_boundary(model: RobustnessModel, rng: np.random.Generator) -> str:
-    """Draw a final reading with Born weights |alpha|^2 / |beta|^2."""
-    return READING_I if rng.random() < abs(model.alpha) ** 2 else READING_II
+        raise NoConsistentHistory(
+            f"no forward branch carries reading {reading}; boundary is inconsistent"
+        )
+    return p_right, p_wrong
 
 
 def brute_force_ratio(model: RobustnessModel) -> float:

@@ -18,18 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SPIN_ORACLE_MAX, DimensionError, InvariantError, TooLargeForOracle
-from .hilbert import (
+from .errors import (
     ATOL_EXACT,
     ORACLE_MAX_QUBITS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    HermitianOperator,
-    StateVector,
+    SPIN_ORACLE_MAX,
+    DimensionError,
+    InvariantError,
+    TooLargeForOracle,
     fits_oracle,
-    projector,
 )
+from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, StateVector, projector
 from .twotime import ensemble_average
 
 # Uncertainty below this counts as zero and no perpendicular component is reported.

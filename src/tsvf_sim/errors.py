@@ -11,7 +11,7 @@ use them without importing numpy.
 import math
 
 # Tolerance for identities that hold exactly in the algebra (hermiticity,
-# normalization, trace); hilbert.ATOL_EIG is the one for eigensolver output.
+# normalization); hilbert.ATOL_EIG is the one for eigensolver output.
 ATOL_EXACT = 1e-12
 # Dense brute-force oracles are limited to Hilbert dimension 2^ORACLE_MAX_QUBITS.
 ORACLE_MAX_QUBITS = 14
@@ -40,10 +40,6 @@ class InvariantError(ValueError):
 
 class PostSelectionImpossible(RuntimeError):
     """The post-selection state is orthogonal to every branch of the coupled state."""
-
-
-class NotInStrongRegime(ValueError):
-    """Pointer branch separations are too small for unambiguous readout classification."""
 
 
 class NearOrthogonalPrePost(ValueError):

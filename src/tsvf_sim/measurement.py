@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ATOL_EXACT,
     DimensionError,
     InvariantError,
     NearOrthogonalPrePost,
     NoAcceptedTrials,
 )
-from .hilbert import ATOL_EXACT, HermitianOperator, StateVector, inner
+from .hilbert import HermitianOperator, StateVector, inner
 from .pointer import couple, readout_density
 
 # Overlaps at or below this are treated as orthogonal for weak values; callers
@@ -120,11 +121,6 @@ def measure_outcomes(
     _, weights, total = _born_branches(psi, op)
     eigenvalues = np.array([b.eigenvalue for b in op.branches])
     return eigenvalues[_pick_branches(weights, total, rng.random(size))]
-
-
-def post_select(psi: StateVector, phi: StateVector, rng: np.random.Generator) -> bool:
-    """Bernoulli post-selection of phi on psi with success probability |<phi|psi>|^2."""
-    return bool(rng.random() < abs(inner(phi, psi)) ** 2)
 
 
 def weak_value(

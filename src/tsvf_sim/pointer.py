@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvariantError,
-    NotInStrongRegime,
-    PostSelectionImpossible,
-)
-from .hilbert import ATOL_EXACT, HermitianOperator, StateVector
+from .errors import ATOL_EXACT, DimensionError, InvariantError, PostSelectionImpossible
+from .hilbert import HermitianOperator, StateVector
 
 # One block of sampling proposals holds at most this many kernel values
 # (proposals x mixture components), about 2 MiB per float array.
@@ -222,21 +217,3 @@ def readout_density(joint: JointPointerState, post: StateVector | None = None) -
         raise PostSelectionImpossible("post-selection state is orthogonal to all branches")
     return density
 
-
-def classify_strong(q: float, joint: JointPointerState) -> int:
-    """Map a reading to the branch with the nearest pointer mean.
-
-    Only valid in the strong regime: every pair of branch means must be more
-    than 6 sigma apart, which bounds the misclassification probability per
-    trial by erfc(3/sqrt(2)). Returns the index into joint.terms.
-    """
-    means = joint.branch_means()
-    if len(means) > 1:
-        gaps = np.abs(np.subtract.outer(means, means))
-        min_gap = float(np.min(gaps[~np.eye(len(means), dtype=bool)]))
-        if not min_gap > 6.0 * joint.sigma:
-            raise NotInStrongRegime(
-                f"smallest branch separation {min_gap:.6g} is not above "
-                f"6 sigma = {6.0 * joint.sigma:.6g}"
-            )
-    return int(np.argmin(np.abs(means - q)))

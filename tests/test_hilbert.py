@@ -1,4 +1,4 @@
-"""Tests for states, operators, tensor products, and partial traces."""
+"""Tests for states, operators, eigenbranches and the dense-oracle bound."""
 
 import math
 
@@ -9,22 +9,18 @@ from tsvf_sim import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    DensityMatrix,
     DimensionError,
     HermitianOperator,
     InvariantError,
     StateVector,
     basis_state,
-    eig_hermitian,
     identity,
     inner,
-    partial_trace,
     projector,
     random_hermitian,
     random_state,
-    tensor,
 )
-from tsvf_sim.hilbert import fits_oracle
+from tsvf_sim.errors import fits_oracle
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -50,39 +46,6 @@ def test_normalize_unit_norm():
 def test_amps_are_read_only():
     with pytest.raises(ValueError):
         KET0.amps[0] = 5.0
-
-
-def test_tensor_basis_case():
-    assert np.allclose(tensor(KET0, KET0).amps, [1, 0, 0, 0])
-
-
-def test_tensor_distributes_over_superposition():
-    result = tensor(PLUS, KET0)
-    assert np.allclose(result.amps, np.array([1, 0, 1, 0]) / math.sqrt(2.0))
-
-
-def test_tensor_row_major_ordering():
-    # index of the first factor varies slowest
-    a = StateVector(np.array([0, 1], dtype=complex))
-    b = StateVector(np.array([1, 0], dtype=complex))
-    assert np.allclose(tensor(a, b).amps, [0, 0, 1, 0])
-
-
-def test_tensor_preserves_norm():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        a = random_state(3, rng)
-        b = random_state(2, rng)
-        assert np.isclose(tensor(a, b).norm(), 1.0, atol=1e-12)
-
-
-def test_tensor_associative():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        a, b, c = (random_state(d, rng) for d in (2, 3, 2))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert np.allclose(left.amps, right.amps, atol=1e-12)
 
 
 def test_inner_orthogonal():
@@ -112,41 +75,39 @@ def test_inner_dimension_mismatch():
         inner(KET0, basis_state(3, 0))
 
 
+def eigensystem(op):
+    """Eigenvalues and eigenvectors of op, one per column, from its branches."""
+    values = [b.eigenvalue for b in op.branches for _ in range(b.multiplicity)]
+    return np.array(values), np.hstack([b.vectors for b in op.branches])
+
+
 def test_eig_sigma_z():
-    values, vectors = eig_hermitian(SIGMA_Z)
+    values, vectors = eigensystem(SIGMA_Z)
     assert np.allclose(values, [-1.0, 1.0])
-    assert np.isclose(abs(inner(vectors[0], KET1)), 1.0, atol=1e-10)
-    assert np.isclose(abs(inner(vectors[1], KET0)), 1.0, atol=1e-10)
+    assert np.isclose(abs(np.vdot(vectors[:, 0], KET1.amps)), 1.0, atol=1e-10)
+    assert np.isclose(abs(np.vdot(vectors[:, 1], KET0.amps)), 1.0, atol=1e-10)
 
 
 def test_eig_sigma_x():
-    values, vectors = eig_hermitian(SIGMA_X)
+    values, vectors = eigensystem(SIGMA_X)
     assert np.allclose(values, [-1.0, 1.0])
-    assert np.isclose(abs(inner(vectors[0], MINUS)), 1.0, atol=1e-10)
-    assert np.isclose(abs(inner(vectors[1], PLUS)), 1.0, atol=1e-10)
+    assert np.isclose(abs(np.vdot(vectors[:, 0], MINUS.amps)), 1.0, atol=1e-10)
+    assert np.isclose(abs(np.vdot(vectors[:, 1], PLUS.amps)), 1.0, atol=1e-10)
 
 
 def test_eig_reconstruction_dim6():
     rng = np.random.default_rng(10)
     op = random_hermitian(6, rng)
-    values, vectors = eig_hermitian(op)
-    rebuilt = sum(
-        a * np.outer(v.amps, v.amps.conj()) for a, v in zip(values, vectors)
-    )
+    values, vectors = eigensystem(op)
+    rebuilt = (vectors * values) @ vectors.conj().T
     assert np.allclose(rebuilt, op.entries, atol=1e-9)
 
 
 def test_eig_orthonormal_vectors():
     rng = np.random.default_rng(11)
     op = random_hermitian(5, rng)
-    _, vectors = eig_hermitian(op)
-    gram = np.array([[inner(u, v) for v in vectors] for u in vectors])
-    assert np.allclose(gram, np.eye(5), atol=1e-10)
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(InvariantError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    _, vectors = eigensystem(op)
+    assert np.allclose(vectors.conj().T @ vectors, np.eye(5), atol=1e-10)
 
 
 def test_hermitian_operator_rejects_non_hermitian():
@@ -170,52 +131,6 @@ def test_degenerate_branches_merge():
     branches = op.branches
     assert len(branches) == 2
     assert branches[-1].multiplicity == 2
-
-
-def test_partial_trace_product_state():
-    rho = tensor(KET0, KET0).density_matrix()
-    reduced = partial_trace(rho, [2, 2], keep=[0])
-    assert np.allclose(reduced.entries, [[1, 0], [0, 0]], atol=1e-12)
-
-
-def test_partial_trace_bell_state():
-    bell = StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
-    for keep in ([0], [1]):
-        reduced = partial_trace(bell.density_matrix(), [2, 2], keep=keep)
-        assert np.allclose(reduced.entries, np.eye(2) / 2.0, atol=1e-12)
-
-
-def test_partial_trace_branching_record_state():
-    # particle (x) pointer (x) environment, with orthogonal environment states:
-    # tracing out the environment leaves a diagonal mixture of the two
-    # particle-pointer branch states.
-    alpha, beta = 0.6, 0.8
-    branch1 = tensor(tensor(KET0, KET0), KET0)
-    branch2 = tensor(tensor(KET1, KET1), KET1)
-    psi = StateVector(alpha * branch1.amps + beta * branch2.amps)
-    reduced = partial_trace(psi.density_matrix(), [2, 2, 2], keep=[0, 1])
-    expected = np.zeros((4, 4))
-    expected[0, 0] = alpha ** 2   # |0>|0> component
-    expected[3, 3] = beta ** 2    # |1>|1> component
-    assert np.allclose(reduced.entries, expected, atol=1e-12)
-
-
-def test_partial_trace_keeps_unit_trace():
-    rng = np.random.default_rng(13)
-    psi = random_state(8, rng)
-    reduced = partial_trace(psi.density_matrix(), [2, 2, 2], keep=[1])
-    assert np.isclose(np.trace(reduced.entries).real, 1.0, atol=1e-12)
-
-
-def test_partial_trace_rejects_bad_dims():
-    rho = tensor(KET0, KET0).density_matrix()
-    with pytest.raises(DimensionError):
-        partial_trace(rho, [2, 3], keep=[0])
-
-
-def test_density_matrix_validates_trace():
-    with pytest.raises(InvariantError):
-        DensityMatrix(np.eye(2, dtype=complex))  # trace 2
 
 
 def test_projector_squares_to_itself():

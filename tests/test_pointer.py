@@ -13,12 +13,10 @@ from tsvf_sim import (
     GaussianPointer,
     HermitianOperator,
     InvariantError,
-    NotInStrongRegime,
     PostSelectionImpossible,
     StateVector,
     TwoState,
     basis_state,
-    classify_strong,
     couple,
     random_hermitian,
     random_state,
@@ -281,25 +279,3 @@ def test_sample_covers_far_branches_at_strong_coupling():
     assert near_plus + near_minus == readings.size
     assert abs(near_plus / readings.size - 0.5) < 3 * math.sqrt(0.25 / readings.size)
 
-
-def test_classify_strong_nearest_mean():
-    joint = couple(PLUS, SIGMA_Z, g=1.0, sigma=0.05)
-    means = joint.branch_means()
-    assert means[classify_strong(0.98, joint)] == 1.0
-    assert means[classify_strong(-1.1, joint)] == -1.0
-
-
-def test_classify_strong_rejects_overlapping_branches():
-    joint = couple(PLUS, SIGMA_Z, g=1.0, sigma=1.0)
-    with pytest.raises(NotInStrongRegime):
-        classify_strong(0.0, joint)
-
-
-def test_classify_strong_monte_carlo_born_frequencies():
-    joint = couple(PLUS, SIGMA_Z, g=1.0, sigma=0.05)
-    means = joint.branch_means()
-    rng = np.random.default_rng(28)
-    readings = readout_density(joint).sample(rng, size=100_000)
-    plus_count = sum(means[classify_strong(q, joint)] == 1.0 for q in readings)
-    freq = plus_count / readings.size
-    assert abs(freq - 0.5) < 3 * math.sqrt(0.25 / readings.size)

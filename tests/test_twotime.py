@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from tsvf_sim import (
-    FinalBoundary,
     InvariantError,
     NoConsistentHistory,
     OrthogonalCollapseForbidden,
     RobustnessModel,
     TooLargeForOracle,
-    basis_state,
     brute_force_ratio,
     classical_threshold,
     core_decay,
@@ -21,11 +19,9 @@ from tsvf_sim import (
     full_state,
     inner,
     log_robustness_ratio,
-    partial_trace,
     record_factor_i,
     record_factor_ii,
     robustness_ratio,
-    sample_final_boundary,
     select_by_final,
 )
 from tsvf_sim.twotime import CLASSICAL_RATIO_THRESHOLD
@@ -101,64 +97,70 @@ def test_oracle_guards_reject_huge_records_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def reduced_particle_pointer(m):
+    """Particle-pointer density matrix with the record traced out."""
+    a = full_state(m).amps.reshape(4, -1)
+    return a @ a.conj().T
+
+
 def test_orthogonal_environment_decoheres_pointer():
     # with c = 0 the reduced particle-pointer state is exactly diagonal:
     # the environment has selected the branch basis.
     m = model(overlap=0.0, env_size=3)
-    rho = partial_trace(full_state(m).density_matrix(), [2] * 5, keep=[0, 1])
+    rho = reduced_particle_pointer(m)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 0.36   # |particle 0, reading I>
     expected[3, 3] = 0.64   # |particle 1, reading II>
-    assert np.allclose(rho.entries, expected, atol=1e-12)
+    assert np.allclose(rho, expected, atol=1e-12)
 
 
 def test_partial_environment_overlap_leaves_coherence():
     m = model(overlap=0.9, env_size=3)
-    rho = partial_trace(full_state(m).density_matrix(), [2] * 5, keep=[0, 1])
-    assert np.isclose(rho.entries[0, 3], 0.6 * 0.8 * 0.9 ** 3, atol=1e-12)
+    rho = reduced_particle_pointer(m)
+    assert np.isclose(rho[0, 3], 0.6 * 0.8 * 0.9 ** 3, atol=1e-12)
 
 
 def test_select_by_final_right_reading_is_certain():
-    p_right, p_wrong = select_by_final(model(), FinalBoundary(reading="I"))
+    p_right, p_wrong = select_by_final(model(), "I")
     assert p_wrong == 0.0
     assert np.isclose(p_right, 0.36, atol=1e-12)
     assert p_right / (p_right + p_wrong) == 1.0
 
 
 def test_select_by_final_reading_two():
-    p_right, p_wrong = select_by_final(model(), FinalBoundary(reading="II"))
+    p_right, p_wrong = select_by_final(model(), "II")
     assert p_wrong == 0.0
     assert np.isclose(p_right, 0.64, atol=1e-12)
 
 
-def test_select_by_final_micro_overlap_scales_weight():
-    micro = basis_state(2, 0)
-    p_right, _ = select_by_final(model(), FinalBoundary(reading="I", micro=micro))
-    assert np.isclose(p_right, 0.36, atol=1e-12)
+@pytest.mark.parametrize("env_size", [1, 4, 12])
+@pytest.mark.parametrize("c", [0.0, 0.5, 0.9])
+def test_select_by_final_projects_the_dense_state(c, env_size):
+    m = model(overlap=c, env_size=env_size)
+    for reading, weight in (("I", 0.36), ("II", 0.64)):
+        p_right, p_wrong = select_by_final(m, reading)
+        assert p_wrong == 0.0
+        assert abs(p_right - weight) < 1e-12
+
+
+def test_select_by_final_rejects_unknown_reading():
+    with pytest.raises(InvariantError):
+        select_by_final(model(), "III")
+
+
+def test_select_by_final_oracle_bound():
+    with pytest.raises(TooLargeForOracle):
+        select_by_final(model(env_size=13), "I")
 
 
 def test_select_by_final_empty_branch_is_inconsistent():
     with pytest.raises(NoConsistentHistory):
-        select_by_final(model(alpha=0.0, beta=1.0), FinalBoundary(reading="I"))
-
-
-def test_select_by_final_orthogonal_micro_is_inconsistent():
-    micro = basis_state(2, 1)  # branch I's particle is basis 0
-    with pytest.raises(NoConsistentHistory):
-        select_by_final(model(), FinalBoundary(reading="I", micro=micro))
+        select_by_final(model(alpha=0.0, beta=1.0), "I")
 
 
 def test_select_by_final_requires_uncollapsed_model():
     with pytest.raises(InvariantError):
-        select_by_final(model(n_collapsed=2, gamma1=0.9, gamma2=0.5))
-
-
-def test_sample_final_boundary_born_frequencies():
-    m = model()  # |alpha|^2 = 0.36
-    rng = np.random.default_rng(80)
-    trials = 100_000
-    hits = sum(sample_final_boundary(m, rng) == "I" for _ in range(trials))
-    assert abs(hits / trials - 0.36) < 3 * math.sqrt(0.36 * 0.64 / trials)
+        select_by_final(model(n_collapsed=2, gamma1=0.9, gamma2=0.5), "I")
 
 
 def test_robustness_ratio_reference_value():
