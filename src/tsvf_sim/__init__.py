@@ -9,7 +9,8 @@ collapsed. Everything is deterministic under a seeded generator; the
 `tsvf-sim` command-line tool runs the bundled experiments.
 
 Exports and submodules are imported on first use (PEP 562), so importing the
-package, or running a closed-form experiment, does not import numpy.
+package, or running any experiment but `born`, `weakvalue` and `commutator`,
+does not import numpy.
 """
 
 import importlib

@@ -6,14 +6,16 @@ e2 = c|0> + sqrt(1-c^2)|1> per qubit. Selecting a final boundary that carries
 one reading makes the history definite: with the bare orthogonal pointer
 intact the wrong reading has probability exactly zero. The dense state of
 dimension 2^(N+2) checks the closed form of `twotime` for small N.
+
+Pure Python, without numpy: a state is a tuple of complex amplitudes in
+row-major order (the left factor varies slowest), so the amplitude of
+|particle, pointer, record> sits at index (2*particle + pointer) * 2^N + record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ORACLE_MAX_QUBITS,
@@ -22,11 +24,13 @@ from .errors import (
     TooLargeForOracle,
     fits_oracle,
 )
-from .hilbert import StateVector, basis_state
 from .twotime import RobustnessModel
 
 READING_I = "I"
 READING_II = "II"
+
+# Computational basis states |0>, |1> of one qubit (particle, pointer or record).
+_KET = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,21 +43,30 @@ class BranchState:
 
     label: str
     amplitude: complex
-    particle: StateVector
+    particle: tuple[complex, complex]
     pointer_label: str
-    env_factor: StateVector
+    env_factor: tuple[complex, complex]
     env_size: int
 
 
-def record_factor_i() -> StateVector:
+def _kron(a, b) -> list[complex]:
+    """Row-major Kronecker product of two amplitude sequences, as np.kron."""
+    return [x * y for x in a for y in b]
+
+
+def _qubit(overlap: float) -> tuple[complex, complex]:
+    """One-qubit state overlapping |0> by `overlap`, with zero phase."""
+    return complex(overlap), complex(math.sqrt(1.0 - overlap * overlap))
+
+
+def record_factor_i() -> tuple[complex, complex]:
     """Per-qubit record state of branch I."""
-    return basis_state(2, 0)
+    return _KET[0]
 
 
-def record_factor_ii(model: RobustnessModel) -> StateVector:
+def record_factor_ii(model: RobustnessModel) -> tuple[complex, complex]:
     """Per-qubit record state of branch II, overlapping branch I's by c."""
-    c = model.overlap
-    return StateVector(np.array([c, math.sqrt(1.0 - c * c)], dtype=complex))
+    return _qubit(model.overlap)
 
 
 def forward_chain(model: RobustnessModel) -> tuple[BranchState, ...]:
@@ -68,7 +81,7 @@ def forward_chain(model: RobustnessModel) -> tuple[BranchState, ...]:
             BranchState(
                 label=READING_I,
                 amplitude=complex(model.alpha),
-                particle=basis_state(2, 0),
+                particle=_KET[0],
                 pointer_label=READING_I,
                 env_factor=record_factor_i(),
                 env_size=model.env_size,
@@ -79,7 +92,7 @@ def forward_chain(model: RobustnessModel) -> tuple[BranchState, ...]:
             BranchState(
                 label=READING_II,
                 amplitude=complex(model.beta),
-                particle=basis_state(2, 1),
+                particle=_KET[1],
                 pointer_label=READING_II,
                 env_factor=record_factor_ii(model),
                 env_size=model.env_size,
@@ -88,26 +101,25 @@ def forward_chain(model: RobustnessModel) -> tuple[BranchState, ...]:
     return tuple(branches)
 
 
-def _branch_vector(model: RobustnessModel, branch: BranchState) -> np.ndarray:
+def _branch_vector(model: RobustnessModel, branch: BranchState) -> list[complex]:
     """Dense particle (x) pointer (x) record vector of one branch.
 
     The first n_collapsed record qubits hold the branch's collapse state
     (overlap gamma1 or gamma2 with e1, zero phase); the rest keep env_factor.
     """
-    pointer = basis_state(2, 0 if branch.pointer_label == READING_I else 1)
-    vec = np.kron(branch.particle.amps, pointer.amps)
+    pointer = _KET[0 if branch.pointer_label == READING_I else 1]
+    vec = _kron(branch.particle, pointer)
     if model.n_collapsed >= 1:
-        gamma = model.gamma1 if branch.label == READING_I else model.gamma2
-        collapsed = np.array([gamma, math.sqrt(1.0 - gamma * gamma)], dtype=complex)
+        collapsed = _qubit(model.gamma1 if branch.label == READING_I else model.gamma2)
         for _ in range(model.n_collapsed):
-            vec = np.kron(vec, collapsed)
+            vec = _kron(vec, collapsed)
     for _ in range(model.remaining):
-        vec = np.kron(vec, branch.env_factor.amps)
+        vec = _kron(vec, branch.env_factor)
     return vec
 
 
-def full_state(model: RobustnessModel) -> StateVector:
-    """Dense particle (x) pointer (x) record state for small N (dim 2^(N+2)).
+def full_state(model: RobustnessModel) -> tuple[complex, ...]:
+    """Dense particle (x) pointer (x) record amplitudes for small N (2^(N+2) of them).
 
     Includes the collapse: the first n_collapsed record qubits of each branch
     hold its collapse state, so n_collapsed = 0 gives the amplified state.
@@ -116,10 +128,16 @@ def full_state(model: RobustnessModel) -> StateVector:
         raise TooLargeForOracle(
             f"full state dim 2^{model.env_size + 2} exceeds 2^{ORACLE_MAX_QUBITS}"
         )
-    amps = np.zeros(2 ** (model.env_size + 2), dtype=complex)
+    amps = [0j] * 2 ** (model.env_size + 2)
     for b in forward_chain(model):
-        amps += b.amplitude * _branch_vector(model, b)
-    return StateVector(amps)
+        amps = [s + b.amplitude * v for s, v in zip(amps, _branch_vector(model, b))]
+    return tuple(amps)
+
+
+def _weight(state: tuple[complex, ...], particle: int, pointer: int, env_size: int) -> float:
+    """Weight of |particle, pointer> in state, summed over the record."""
+    start = (2 * particle + pointer) << env_size
+    return math.fsum(abs(a) ** 2 for a in state[start:start + (1 << env_size)])
 
 
 def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]:
@@ -137,10 +155,9 @@ def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]
     if reading not in (READING_I, READING_II):
         raise InvariantError(f"reading must be {READING_I!r} or {READING_II!r}")
     k = 0 if reading == READING_I else 1
-    # (particle, pointer, record) in row-major order; keep the reading's pointer slice
-    selected = full_state(model).amps.reshape(2, 2, -1)[:, k, :]
-    weights = np.sum(np.abs(selected) ** 2, axis=1)
-    p_right, p_wrong = float(weights[k]), float(weights[1 - k])
+    state = full_state(model)
+    p_right = _weight(state, k, k, model.env_size)
+    p_wrong = _weight(state, 1 - k, k, model.env_size)
     if p_right == 0.0:
         raise NoConsistentHistory(
             f"no forward branch carries reading {reading}; boundary is inconsistent"
@@ -151,26 +168,20 @@ def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]
 def brute_force_ratio(model: RobustnessModel) -> float:
     """Full-state oracle for the robustness ratio (dim 2^(N+2) <= 2^14).
 
-    Projects full_state, which includes the collapse, on explicit boundary
-    vectors. With n_collapsed = 0 the bare pointer is part of the boundary:
-    the wrong history is branch II's particle met by the reading-I boundary,
-    orthogonal pointers make its projection vanish identically and the ratio
-    is +inf. With n_collapsed >= 1 the reading is carried by the record, so
-    the right/wrong boundaries pair each reading with the full e1(N) record
-    vector; branch weights are divided out (per-branch renormalization).
+    Projects full_state, which includes the collapse, on boundary basis
+    vectors |particle, pointer, e1...e1>; each projection is the amplitude at
+    that vector's index. With n_collapsed = 0 the bare pointer is part of the
+    boundary: the wrong history is branch II's particle met by the reading-I
+    boundary, orthogonal pointers make its projection vanish identically and
+    the ratio is +inf. With n_collapsed >= 1 the reading is carried by the
+    record, so the right/wrong boundaries pair each reading with the full
+    e1(N) record vector; branch weights are divided out (per-branch
+    renormalization).
     """
-    state = full_state(model).amps
-    particle = [basis_state(2, 0).amps, basis_state(2, 1).amps]
-    pointer = [basis_state(2, 0).amps, basis_state(2, 1).amps]
-    e1 = record_factor_i().amps
-    record_e1 = np.ones(1, dtype=complex)
-    for _ in range(model.env_size):
-        record_e1 = np.kron(record_e1, e1)
-    wrong_pointer = pointer[0] if model.n_collapsed == 0 else pointer[1]
-    boundary_right = np.kron(np.kron(particle[0], pointer[0]), record_e1)
-    boundary_wrong = np.kron(np.kron(particle[1], wrong_pointer), record_e1)
-    amp_right = np.vdot(boundary_right, state)
-    amp_wrong = np.vdot(boundary_wrong, state)
+    state = full_state(model)
+    wrong_pointer = 0 if model.n_collapsed == 0 else 1
+    amp_right = state[0]
+    amp_wrong = state[(2 + wrong_pointer) << model.env_size]
     p_right = abs(amp_right) ** 2 / abs(model.alpha) ** 2 if model.alpha != 0 else 0.0
     p_wrong = abs(amp_wrong) ** 2 / abs(model.beta) ** 2 if model.beta != 0 else 0.0
     if p_wrong == 0.0:

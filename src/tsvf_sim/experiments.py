@@ -35,12 +35,14 @@ from .twotime import (
     robustness_ratio,
 )
 
-# Numpy-backed names that perfbench/trace_child.py reads and rebinds on this
-# module. They are imported on first use (PEP 562 __getattr__ below), so runs
-# that never call them never import numpy, and runners call them through
-# `_module` so that they find a rebound wrapper. strong_measure and
-# average_operator_residual have no caller here. This table goes with the
-# rebinding, when the in-program stage timers of ROADMAP item 1 replace it.
+# Names that perfbench/trace_child.py reads and rebinds on this module. They
+# are imported on first use (PEP 562 __getattr__ below), so runs that never
+# call them never import their module, and runners call them through
+# `_module` so that they find a rebound wrapper. All but brute_force_ratio are
+# numpy-backed; that pure-Python oracle stays here only for the tracer.
+# strong_measure and average_operator_residual have no caller here. This table
+# goes with the rebinding, when the in-program stage timers of ROADMAP item 1
+# replace it.
 _TRACED = {
     "strong_measure": "measurement",
     "weak_estimate": "measurement",
@@ -70,8 +72,9 @@ MAX_G_OVER_SIGMA = 1e3
 # Pointer spreads whose squares and ratios stay far inside the float range.
 MIN_SIGMA, MAX_SIGMA = 1e-100, 1e100
 # Record sizes for which the slope fit's centred squares stay below about
-# 1e200, far inside the float range.
-MAX_ENV_SIZE = 10 ** 100
+# 1e200, far inside the float range. The int of the float 1e100, so that the
+# documented limit "1e100" parses to a size the check accepts.
+MAX_ENV_SIZE = int(1e100)
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,18 @@ def test_robustness_writes_record_sizes_beyond_int64_exactly(tmp_path):
     assert [r[0] for r in rows] == ["20", "99999999999999999999999999999"]
 
 
+def test_robustness_accepts_its_documented_limit_1e100(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run_cli("run", "--experiment", "robustness", "--param",
+                   "env_sizes=13,1e100", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    assert [int(r[0]) for r in rows] == [13, int(1e100)]
+    capsys.readouterr()
+    assert run_cli("run", "--experiment", "robustness", "--param",
+                   f"env_sizes=13,{int(1e100) + 1}", "--out", str(out)) == 2
+    assert "every env_size must be at most 1e100" in capsys.readouterr().err
+
+
 def test_closed_form_run_never_imports_numpy_random(tmp_path):
     out = tmp_path / "d.csv"
     script = (

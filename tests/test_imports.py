@@ -92,11 +92,16 @@ NUMPY_FREE_RUNS = [
                  id="seed-not-an-integer"),
     pytest.param(["run", "--experiment", "decay", "--param", "t_max=inf"], 2,
                  id="decay-t_max-inf"),
-    # robustness loads numpy only for its oracle: n >= 1 and some size <= 12.
+    # robustness never loads numpy: its oracle is pure Python, at every size.
     pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=13,20,57"], 0,
                  id="robustness-no-oracle-size"),
     pytest.param(["run", "--experiment", "robustness", "--param", "n=0"], 0,
                  id="robustness-nothing-collapsed"),
+    pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=8,10,12",
+                  "--param", "n=3", "--param", "gamma1=0.9", "--param", "gamma2=0.7"], 0,
+                 id="robustness-oracle-sizes"),
+    pytest.param(["run", "--experiment", "robustness", "--seed", "31337", "--param", "n=5"], 0,
+                 id="robustness-golden-config"),
     # Runners that use numpy check their limits before they import it.
     pytest.param(["run", "--experiment", "born", "--param", "trials=0"], 2,
                  id="born-trials-out-of-range"),

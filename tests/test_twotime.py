@@ -17,7 +17,6 @@ from tsvf_sim import (
     core_decay,
     forward_chain,
     full_state,
-    inner,
     log_robustness_ratio,
     record_factor_i,
     record_factor_ii,
@@ -60,7 +59,7 @@ def test_forward_chain_two_branches():
     assert [b.label for b in chain] == ["I", "II"]
     assert np.isclose(chain[0].amplitude, 0.6)
     assert np.isclose(chain[1].amplitude, 0.8)
-    assert np.isclose(inner(chain[0].particle, chain[1].particle), 0.0, atol=1e-12)
+    assert np.isclose(np.vdot(chain[0].particle, chain[1].particle), 0.0, atol=1e-12)
 
 
 def test_forward_chain_definite_outcome_single_branch():
@@ -71,7 +70,7 @@ def test_forward_chain_definite_outcome_single_branch():
 
 def test_record_factor_overlap():
     m = model(overlap=0.9)
-    assert np.isclose(inner(record_factor_i(), record_factor_ii(m)), 0.9, atol=1e-12)
+    assert np.isclose(np.vdot(record_factor_i(), record_factor_ii(m)), 0.9, atol=1e-12)
 
 
 def test_full_state_is_normalized():
@@ -79,8 +78,8 @@ def test_full_state_is_normalized():
         for n_collapsed, gamma1, gamma2 in ((0, 1.0, 0.0), (2, 0.9, 0.6)):
             psi = full_state(model(overlap=c, env_size=4, n_collapsed=n_collapsed,
                                    gamma1=gamma1, gamma2=gamma2))
-            assert psi.dim == 2 ** 6
-            assert np.isclose(psi.norm(), 1.0, atol=1e-12)
+            assert len(psi) == 2 ** 6
+            assert np.isclose(np.linalg.norm(psi), 1.0, atol=1e-12)
 
 
 def test_full_state_oracle_bound():
@@ -97,9 +96,82 @@ def test_oracle_guards_reject_huge_records_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def _kron_reference(m):
+    """The dense state as np.kron builds it, from the model's parameters alone.
+
+    An independent reference for full_state: particle (x) pointer (x) record
+    in row-major order, with numpy doing the complex products.
+    """
+    ket = np.eye(2, dtype=complex)
+    amps = np.zeros(2 ** (m.env_size + 2), dtype=complex)
+    for k, (amplitude, gamma, overlap) in enumerate(
+        ((m.alpha, m.gamma1, 1.0), (m.beta, m.gamma2, m.overlap))
+    ):
+        if amplitude == 0:
+            continue
+        vec = np.kron(ket[k], ket[k])
+        for q, count in ((gamma, m.n_collapsed), (overlap, m.env_size - m.n_collapsed)):
+            factor = np.array([q, math.sqrt(1.0 - q * q)], dtype=complex)
+            for _ in range(count):
+                vec = np.kron(vec, factor)
+        amps += complex(amplitude) * vec
+    return amps
+
+
+def _vdot_ratio(m):
+    """Robustness ratio from np.vdot projections of the reference state."""
+    state = _kron_reference(m)
+    ket = np.eye(2, dtype=complex)
+    record_e1 = np.ones(1, dtype=complex)
+    for _ in range(m.env_size):
+        record_e1 = np.kron(record_e1, ket[0])
+    wrong_pointer = ket[0] if m.n_collapsed == 0 else ket[1]
+    amp_right = np.vdot(np.kron(np.kron(ket[0], ket[0]), record_e1), state)
+    amp_wrong = np.vdot(np.kron(np.kron(ket[1], wrong_pointer), record_e1), state)
+    p_right = abs(amp_right) ** 2 / abs(m.alpha) ** 2 if m.alpha != 0 else 0.0
+    p_wrong = abs(amp_wrong) ** 2 / abs(m.beta) ** 2 if m.beta != 0 else 0.0
+    return float("inf") if p_wrong == 0.0 else float(p_right / p_wrong)
+
+
+@pytest.mark.parametrize("env_size", [1, 4, 12])
+@pytest.mark.parametrize("c", [0.0, 0.5, 0.9])
+def test_full_state_equals_the_kron_reference(c, env_size):
+    for alpha in (1.0, 0.6):
+        for gamma2 in (0.0, 0.6):
+            for n in sorted({0, 1, env_size - 1}):
+                if n >= env_size:
+                    continue
+                m = model(alpha=alpha, beta=math.sqrt(1.0 - alpha * alpha), env_size=env_size,
+                          overlap=c, n_collapsed=n, gamma1=0.9, gamma2=gamma2)
+                state = full_state(m)
+                assert len(state) == 2 ** (env_size + 2)
+                assert np.array_equal(np.array(state), _kron_reference(m))
+
+
+def test_brute_force_ratio_equals_vdot_on_the_reference():
+    rng = np.random.default_rng(1515)
+
+    def sometimes_zero(value):
+        return 0.0 if rng.random() < 0.1 else float(value)
+
+    finite = 0
+    for _ in range(200):
+        env_size = int(rng.integers(1, 13))
+        theta = sometimes_zero(rng.uniform(0.0, math.pi / 2))
+        m = model(alpha=math.cos(theta), beta=math.sin(theta), env_size=env_size,
+                  overlap=sometimes_zero(rng.random()),
+                  n_collapsed=int(rng.integers(0, env_size)),
+                  gamma1=float(rng.uniform(0.01, 1.0)),
+                  gamma2=sometimes_zero(rng.random()))
+        ratio = brute_force_ratio(m)
+        assert ratio == _vdot_ratio(m)
+        finite += math.isfinite(ratio)
+    assert finite >= 100
+
+
 def reduced_particle_pointer(m):
     """Particle-pointer density matrix with the record traced out."""
-    a = full_state(m).amps.reshape(4, -1)
+    a = np.array(full_state(m)).reshape(4, -1)
     return a @ a.conj().T
 
 
