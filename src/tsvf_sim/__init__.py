@@ -3,14 +3,15 @@
 Finite-dimensional states and Hermitian observables, a Gaussian-pointer
 coupling model with exact readout densities, projective and weakly coupled
 measurements (including post-selected weak values), ensemble-averaged
-operators with their 1/sqrt(N) residuals, and a qubit-record model of how a
+operators with their 1/sqrt(N) residuals, an exact integer check that
+averaged spin components commute up to 1/N, and a qubit-record model of how a
 measurement outcome stays reconstructible after part of its environment is
 collapsed. Everything is deterministic under a seeded generator; the
 `tsvf-sim` command-line tool runs the bundled experiments.
 
 Exports and submodules are imported on first use (PEP 562), so importing the
-package, or running any experiment but `born`, `weakvalue` and `commutator`,
-does not import numpy.
+package, or running any experiment but `born` and `weakvalue`, does not
+import numpy.
 """
 
 import importlib
@@ -37,10 +38,10 @@ _EXPORTS = {
         "weak_value",
     ),
     "ensemble": (
-        "Decomposition", "EnsembleSpec", "average_operator_residual",
-        "average_spin_commutator", "brute_force_average", "brute_force_spin_commutator",
+        "Decomposition", "EnsembleSpec", "average_operator_residual", "brute_force_average",
         "commute_on_state", "decompose", "deterministic_basis",
     ),
+    "spins": ("average_spin_commutator", "brute_force_spin_commutator"),
     "twotime": (
         "RobustnessModel", "classical_threshold", "core_decay", "log_robustness_ratio",
         "robustness_ratio",

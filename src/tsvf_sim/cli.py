@@ -134,12 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _one_blas_thread():
     """Let numpy's OpenBLAS start on one thread for the runner inside.
 
-    The oracles' largest matrix is 64 x 64: a second BLAS thread nearly
-    doubles the CPU time of their products and saves at most a tenth of
-    their wall time. This takes effect only if numpy is not loaded yet,
-    which holds in a fresh `tsvf-sim run` because every runner imports numpy
-    itself. A thread count the user set in any of BLAS_THREAD_VARS wins, and
-    os.environ is left as it was found.
+    Only `born` and `weakvalue` load numpy. A second BLAS thread costs them
+    CPU and saves no time: at defaults, a fresh `born` run took 0.26 s of CPU
+    on one thread and 0.34 s on two, and `weakvalue` 0.31 s and 0.36 s, with
+    wall times to match (medians of 8, 2-core Xeon). This takes effect only
+    if numpy is not loaded yet, which holds in a fresh `tsvf-sim run`
+    because each runner that uses numpy imports it itself. A thread count
+    the user set in any of BLAS_THREAD_VARS wins, and os.environ is left as
+    it was found.
     """
     if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
         yield

@@ -3,39 +3,31 @@
 For a single copy, an observable splits as A|psi> = abar|psi> + delta|perp>
 with abar the expectation value and delta the uncertainty. Averaging one-copy
 observables over a product ensemble of N copies leaves an operator whose
-residual (non-determinism) on the product state shrinks as 1/sqrt(N), while
-averaged spin components commute up to a 1/N-suppressed remainder. Operators
-with delta = 0 are deterministic for the state, and the set of deterministic
-operators is large: (d-1)^2 + 1 linearly independent ones in dimension d.
-
-Spin components carry the explicit 1/2 factor (hbar = 1), e.g. S_z = sigma_z/2.
+residual (non-determinism) on the product state shrinks as 1/sqrt(N).
+Operators with delta = 0 are deterministic for the state, and the set of
+deterministic operators is large: (d-1)^2 + 1 linearly independent ones in
+dimension d. The averaged spin components are in `spins`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
     ATOL_EXACT,
     ORACLE_MAX_QUBITS,
-    SPIN_ORACLE_MAX,
     DimensionError,
     InvariantError,
     TooLargeForOracle,
     fits_oracle,
 )
-from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, HermitianOperator, StateVector, projector
+from .hilbert import HermitianOperator, StateVector, projector
 from .twotime import ensemble_average
 
 # Uncertainty below this counts as zero and no perpendicular component is reported.
 DELTA_FLOOR = 1e-12
-# Basis columns per block of the spin oracle, and so the column count of its
-# matrix products; one 2^N x 32 float64 block is 1 MiB at N = 12. Of widths 16
-# to 1024, 32 ran fastest at N = 11 and 12; 256 took about 20% longer.
-SPIN_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,29 +149,18 @@ def _site_sum(op_entries: np.ndarray, dim: int, sites: int) -> np.ndarray:
     return total
 
 
-def _site_average(
-    op_entries: np.ndarray, dim: int, n: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a function applying (1/N) sum_i A_i to (dim^N, B) blocks, B = 1 for one vector.
+def _site_average(op_entries: np.ndarray, vector: np.ndarray, dim: int, n: int) -> np.ndarray:
+    """Apply (1/N) sum_i A_i to a dim^N vector.
 
     With the h = N//2 high sites split from the N - h low ones, the site sum is
-    the Kronecker sum H (x) I + I (x) L of the two halves' dense sums, built
-    once here. Each application takes one matrix product on a (dim^h, -1) view
-    of the block and one stacked product on a (dim^h, dim^(N-h), -1) view: two
-    passes over the block, not N.
+    the Kronecker sum H (x) I + I (x) L of the two halves' dense sums. On the
+    vector viewed as a (dim^h, dim^(N-h)) matrix V it is H V + V L^T: two
+    matrix products, not N passes.
     """
     high = n // 2
-    upper_sum = _site_sum(op_entries, dim, high)
-    lower_sum = _site_sum(op_entries, dim, n - high)
-
-    def apply(block: np.ndarray) -> np.ndarray:
-        total = (upper_sum @ block.reshape(dim ** high, -1)).reshape(block.shape)
-        lower = np.matmul(lower_sum, block.reshape(dim ** high, dim ** (n - high), -1))
-        total += lower.reshape(block.shape)
-        total /= n
-        return total
-
-    return apply
+    upper_sum, lower_sum = _site_sum(op_entries, dim, high), _site_sum(op_entries, dim, n - high)
+    grid = vector.reshape(dim ** high, dim ** (n - high))
+    return (upper_sum @ grid + grid @ lower_sum.T).reshape(vector.shape) / n
 
 
 def brute_force_average(
@@ -200,63 +181,7 @@ def brute_force_average(
     for state, count in spec.groups:
         for _ in range(count):
             full = np.kron(full, state.amps)
-    averaged = _site_average(op.entries, d, n)(full)
+    averaged = _site_average(op.entries, full, d, n)
     abar = float(np.real(np.vdot(full, averaged)))
     residual = float(np.linalg.norm(averaged - abar * full))
     return abar, residual
-
-
-def average_spin_commutator(n: int) -> float:
-    """Scale of [Sx_avg, Sy_avg] = i Sz_avg / N for N spin-1/2 copies.
-
-    The commutator of the averaged spin components equals the averaged Sz with
-    one extra 1/N suppression; its largest eigenvalue magnitude is 1/(2N).
-    Closed form, any N >= 1.
-    """
-    if n < 1:
-        raise InvariantError("need at least one spin")
-    return 1.0 / (2.0 * n)
-
-
-def brute_force_spin_commutator(n: int) -> tuple[float, float]:
-    """Brute-force oracle for the averaged-spin commutator identity.
-
-    Applies Sx_avg, Sy_avg, Sz_avg, each a Kronecker sum over two halves of
-    the sites, to every basis vector of the full 2^N space, SPIN_BLOCK
-    columns at a time, so every one of the 4^N matrix entries is checked
-    without holding a 2^N x 2^N matrix. All of it is real float64:
-    sigma_y/2 = i Y with Y = [[0, -1/2], [1/2, 0]] real, so
-    [Sx_avg, Sy_avg] = i Sz_avg / N holds exactly when
-    Sx_avg Y_avg - Y_avg Sx_avg = Sz_avg / N. The three real 2x2 matrices are
-    taken from SIGMA_X, SIGMA_Y and SIGMA_Z, and InvariantError is raised
-    unless that split is exact. Returns the scale max|eig(Sz_avg)|/N, read off
-    the diagonal of Sz_avg (which must have no nonzero off-diagonal entry),
-    together with the worst entrywise deviation of the real identity.
-    """
-    if n < 1:
-        raise InvariantError("need at least one spin")
-    if n > SPIN_ORACLE_MAX:
-        raise TooLargeForOracle(f"dense spin oracle is limited to {SPIN_ORACLE_MAX} spins")
-    dim = 2 ** n
-    sx_one, sz_one = (0.5 * sigma.entries for sigma in (SIGMA_X, SIGMA_Z))
-    y_one = (-0.5j * SIGMA_Y.entries).real
-    if np.any(sx_one.imag) or np.any(sz_one.imag) or not np.array_equal(
-        1j * y_one, 0.5 * SIGMA_Y.entries
-    ):
-        raise InvariantError("spin matrices do not split into real Sx, Sz and i times real Y")
-    sx_avg, y_avg, sz_avg = (_site_average(one, 2, n) for one in (sx_one.real, y_one, sz_one.real))
-    eig_max = 0.0
-    identity_error = 0.0
-    for start in range(0, dim, SPIN_BLOCK):
-        width = min(SPIN_BLOCK, dim - start)
-        columns = np.eye(dim, width, -start)
-        sx = sx_avg(columns)
-        y = y_avg(columns)
-        sz = sz_avg(columns)
-        diag = sz[start + np.arange(width), np.arange(width)]
-        if np.count_nonzero(sz) != np.count_nonzero(diag):
-            raise InvariantError("averaged Sz is not diagonal in the product basis")
-        eig_max = max(eig_max, float(np.max(np.abs(diag))))
-        comm = sx_avg(y) - y_avg(sx)
-        identity_error = max(identity_error, float(np.max(np.abs(comm - sz / n))))
-    return eig_max / n, identity_error

@@ -15,8 +15,9 @@ import math
 ATOL_EXACT = 1e-12
 # Dense brute-force oracles are limited to Hilbert dimension 2^ORACLE_MAX_QUBITS.
 ORACLE_MAX_QUBITS = 14
-# Largest spin count for the spin oracle, which does 8^N work: about 0.8 s and
-# an 8 MiB allocation peak at N = 12 on a 2-core Xeon.
+# Largest spin count for the integer spin oracle, which does about 2 N^2 2^N
+# dict updates: about 0.3 s and a 6 KiB allocation peak at N = 12 on a 2-core
+# Xeon, without numpy.
 SPIN_ORACLE_MAX = 12
 
 

@@ -38,8 +38,9 @@ from .twotime import (
 # Names that perfbench/trace_child.py reads and rebinds on this module. They
 # are imported on first use (PEP 562 __getattr__ below), so runs that never
 # call them never import their module, and runners call them through
-# `_module` so that they find a rebound wrapper. All but brute_force_ratio are
-# numpy-backed; that pure-Python oracle stays here only for the tracer.
+# `_module` so that they find a rebound wrapper. The measurement and ensemble
+# names are numpy-backed; the pure-Python spins and branches names stay here
+# only for the tracer.
 # strong_measure and average_operator_residual have no caller here. This table
 # goes with the rebinding, when the in-program stage timers of ROADMAP item 1
 # replace it.
@@ -47,8 +48,8 @@ _TRACED = {
     "strong_measure": "measurement",
     "weak_estimate": "measurement",
     "average_operator_residual": "ensemble",
-    "average_spin_commutator": "ensemble",
-    "brute_force_spin_commutator": "ensemble",
+    "average_spin_commutator": "spins",
+    "brute_force_spin_commutator": "spins",
     "brute_force_ratio": "branches",
 }
 _module = sys.modules[__name__]

@@ -7,14 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsvf_sim import ensemble
+from tsvf_sim import ensemble, spins
 from tsvf_sim import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DimensionError,
     EnsembleSpec,
-    HermitianOperator,
     InvariantError,
     StateVector,
     TooLargeForOracle,
@@ -210,7 +209,10 @@ def test_brute_force_oracle_rejects_huge_ensemble_at_once():
 
 
 def _site_by_site(op_entries, block, dim, n):
-    """Reference for ensemble._site_average: (1/N) sum_i A_i, one site at a time."""
+    """Reference for ensemble._site_average: (1/N) sum_i A_i, one site at a time.
+
+    `block` is one dim^N vector or a (dim^N, B) stack of B column vectors.
+    """
     total = np.zeros(block.shape, dtype=np.result_type(op_entries, block))
     for site in range(n):
         cube = block.reshape(dim ** site, dim, -1)
@@ -230,7 +232,12 @@ def test_site_average_matches_site_by_site_loop(dim, n, columns):
     if dim == 3:
         op_entries = op_entries + 1j * rng.standard_normal((dim, dim))
         block = block + 1j * rng.standard_normal(shape)
-    averaged = ensemble._site_average(op_entries, dim, n)(block)
+    if columns is None:
+        averaged = ensemble._site_average(op_entries, block, dim, n)
+    else:
+        averaged = np.column_stack(
+            [ensemble._site_average(op_entries, column, dim, n) for column in block.T]
+        )
     reference = _site_by_site(op_entries, block, dim, n)
     assert averaged.shape == block.shape and averaged.dtype == reference.dtype
     np.testing.assert_allclose(averaged, reference, rtol=0.0, atol=1e-12)
@@ -273,16 +280,31 @@ def test_spin_commutator_brute_force_matches_identity():
         assert np.isclose(scale, 1.0 / (2.0 * n), atol=1e-10)
 
 
-def test_spin_commutator_real_split_rejects_sigma_y_with_real_part(monkeypatch):
-    mixed = HermitianOperator((SIGMA_X.entries + SIGMA_Y.entries) / math.sqrt(2.0))
-    monkeypatch.setattr(ensemble, "SIGMA_Y", mixed)
+def _site_matrix(site):
+    """The 2 x 2 matrix of a spins one-site table: |bit> -> signs[bit] |bit ^ flip>."""
+    flip, signs = site
+    matrix = np.zeros((2, 2), dtype=int)
+    for bit in (0, 1):
+        matrix[bit ^ flip, bit] = signs[bit]
+    return matrix
+
+
+def test_spin_site_tables_equal_pauli_matrices():
+    assert np.array_equal(_site_matrix(spins.X_SITE), SIGMA_X.entries)
+    assert np.array_equal(_site_matrix(spins.Y2_SITE), -1j * SIGMA_Y.entries)
+    assert np.array_equal(_site_matrix(spins.Z_SITE), SIGMA_Z.entries)
+
+
+def test_spin_commutator_oracle_bounds():
     with pytest.raises(InvariantError):
-        brute_force_spin_commutator(3)
+        brute_force_spin_commutator(0)
+    with pytest.raises(TooLargeForOracle):
+        brute_force_spin_commutator(13)
 
 
 def test_spin_commutator_memory_stays_below_dense_matrices():
     # Three dense 2^11 x 2^11 complex matrices and their products peak above
-    # 450 MiB; the blockwise oracle peaks at 4 MiB in float64 with 32-column blocks.
+    # 450 MiB; the integer oracle holds one sparse column of ints at a time.
     tracemalloc.start()
     try:
         brute_force_spin_commutator(11)

@@ -50,7 +50,7 @@ def _run(name: str, out: Path) -> int:
 
 
 def _run_in_child(name: str, out: Path, params: list[str], **blas_threads) -> bytes:
-    """Run `tsvf-sim` in a fresh interpreter, where numpy loads inside `main`.
+    """Run `tsvf-sim` in a fresh interpreter, where numpy, if used, loads inside `main`.
 
     The BLAS thread variables are only those given, not this process's.
     """
@@ -116,10 +116,11 @@ def test_fresh_interpreter_output_matches_golden(tmp_path, name):
     assert _run_in_child(name, out, PARAMS[name]) == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+# weakvalue loads numpy, so a user's BLAS thread count reaches it.
 def test_user_blas_thread_count_does_not_change_the_output(tmp_path):
-    params = ["brute_max=10"]
-    default = _run_in_child("commutator", tmp_path / "default.csv", params)
-    assert _run_in_child("commutator", tmp_path / "two.csv", params,
+    params = PARAMS["weakvalue"]
+    default = _run_in_child("weakvalue", tmp_path / "default.csv", params)
+    assert _run_in_child("weakvalue", tmp_path / "two.csv", params,
                          OPENBLAS_NUM_THREADS="2") == default
 
 

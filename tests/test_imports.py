@@ -102,6 +102,10 @@ NUMPY_FREE_RUNS = [
                  id="robustness-oracle-sizes"),
     pytest.param(["run", "--experiment", "robustness", "--seed", "31337", "--param", "n=5"], 0,
                  id="robustness-golden-config"),
+    # commutator's spin oracle is exact integer arithmetic, at every size.
+    pytest.param(["run", "--experiment", "commutator"], 0, id="commutator-defaults"),
+    pytest.param(["run", "--experiment", "commutator", "--param", "brute_max=11"], 0,
+                 id="commutator-brute_max-11"),
     # Runners that use numpy check their limits before they import it.
     pytest.param(["run", "--experiment", "born", "--param", "trials=0"], 2,
                  id="born-trials-out-of-range"),

@@ -201,6 +201,39 @@ def test_sample_moments_match_signed_mixture():
     assert abs((samples ** 2).mean() - second) < 4 * (samples ** 2).std(ddof=1) / math.sqrt(n)
 
 
+def _mixture_cdf(density, readings):
+    """F(q) = sum_k w_k Phi((q - mu_k) / sigma) / sum_k w_k at each reading, with math.erf."""
+    components = list(zip(density.weights.tolist(), density.means.tolist()))
+    total = math.fsum(w for w, _ in components)
+    scale = math.sqrt(2.0) * density.sigma
+    return np.array([
+        math.fsum(w * (1.0 + math.erf((q - mu) / scale)) for w, mu in components) / (2.0 * total)
+        for q in readings.tolist()
+    ])
+
+
+# Kolmogorov-Smirnov: sqrt(n) * D exceeds 1.95 with probability 0.001 for exact draws.
+KS_CRITICAL = 1.95
+KS_DRAWS = 20_000
+
+
+@pytest.mark.parametrize(("g", "post", "seed"), [
+    pytest.param(1.0, None, 40, id="no-post-overlapping"),
+    pytest.param(5.0, None, 41, id="no-post-far-apart"),
+    pytest.param(1.0, ANOMALOUS_POST, 42, id="anomalous-post"),
+    pytest.param(1.0, StateVector(np.array([math.cos(-0.3), -math.sin(-0.3)], dtype=complex)),
+                 43, id="post-angle-minus-0.3"),
+])
+def test_sample_distribution_matches_mixture_cdf(g, post, seed):
+    density = readout_density(couple(PLUS, SIGMA_Z, g=g, sigma=1.0), post=post)
+    assert np.any(density.weights < 0.0) == (post is ANOMALOUS_POST)
+    readings = np.sort(density.sample(np.random.default_rng(seed), size=KS_DRAWS))
+    cdf = _mixture_cdf(density, readings)
+    steps = np.arange(KS_DRAWS + 1) / KS_DRAWS
+    distance = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
+    assert distance < KS_CRITICAL / math.sqrt(KS_DRAWS)
+
+
 def test_weak_estimate_near_orthogonal_post_stays_fast():
     ts = TwoState(forward=PLUS, backward=NEAR_ORTHOGONAL_POST)
     start = time.perf_counter()
