@@ -46,10 +46,7 @@ _EXPORTS = {
         "RobustnessModel", "classical_threshold", "core_decay", "log_robustness_ratio",
         "robustness_ratio",
     ),
-    "branches": (
-        "BranchState", "brute_force_ratio", "forward_chain", "full_state",
-        "record_factor_i", "record_factor_ii", "select_by_final",
-    ),
+    "branches": ("brute_force_ratio", "full_state", "select_by_final"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset([*_EXPORTS, "cli", "experiments"])

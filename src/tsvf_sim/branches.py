@@ -5,7 +5,8 @@ qubits all in e1 = |0>; branch II pairs |2> with reading II and the record
 e2 = c|0> + sqrt(1-c^2)|1> per qubit. Selecting a final boundary that carries
 one reading makes the history definite: with the bare orthogonal pointer
 intact the wrong reading has probability exactly zero. The dense state of
-dimension 2^(N+2) checks the closed form of `twotime` for small N.
+dimension 2^(N+2) checks the closed form of `twotime` for small N; each
+branch vector is built straight from the RobustnessModel's parameters.
 
 Pure Python, without numpy: a state is a tuple of complex amplitudes in
 row-major order (the left factor varies slowest), so the amplitude of
@@ -15,7 +16,6 @@ row-major order (the left factor varies slowest), so the amplitude of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     ORACLE_MAX_QUBITS,
@@ -33,22 +33,6 @@ READING_II = "II"
 _KET = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
-@dataclass(frozen=True, eq=False)
-class BranchState:
-    """One branch of the amplified superposition.
-
-    The environment record is a product of env_size identical per-qubit
-    factors, stored once in env_factor.
-    """
-
-    label: str
-    amplitude: complex
-    particle: tuple[complex, complex]
-    pointer_label: str
-    env_factor: tuple[complex, complex]
-    env_size: int
-
-
 def _kron(a, b) -> list[complex]:
     """Row-major Kronecker product of two amplitude sequences, as np.kron."""
     return [x * y for x in a for y in b]
@@ -59,62 +43,21 @@ def _qubit(overlap: float) -> tuple[complex, complex]:
     return complex(overlap), complex(math.sqrt(1.0 - overlap * overlap))
 
 
-def record_factor_i() -> tuple[complex, complex]:
-    """Per-qubit record state of branch I."""
-    return _KET[0]
+def _branch_vector(model: RobustnessModel, k: int) -> list[complex]:
+    """Dense particle (x) pointer (x) record vector of branch I (k = 0) or II (k = 1).
 
-
-def record_factor_ii(model: RobustnessModel) -> tuple[complex, complex]:
-    """Per-qubit record state of branch II, overlapping branch I's by c."""
-    return _qubit(model.overlap)
-
-
-def forward_chain(model: RobustnessModel) -> tuple[BranchState, ...]:
-    """Branches after amplification and environment entanglement.
-
-    A branch with exactly zero amplitude is omitted, so alpha = 1 yields a
-    single definite branch.
+    Particle and pointer are both |k>. The first n_collapsed record qubits hold
+    the branch's collapse state (overlap gamma1 or gamma2 with e1, zero phase);
+    the rest keep the branch record, e1 = |0> for I and overlap c with it for II.
     """
-    branches = []
-    if model.alpha != 0:
-        branches.append(
-            BranchState(
-                label=READING_I,
-                amplitude=complex(model.alpha),
-                particle=_KET[0],
-                pointer_label=READING_I,
-                env_factor=record_factor_i(),
-                env_size=model.env_size,
-            )
-        )
-    if model.beta != 0:
-        branches.append(
-            BranchState(
-                label=READING_II,
-                amplitude=complex(model.beta),
-                particle=_KET[1],
-                pointer_label=READING_II,
-                env_factor=record_factor_ii(model),
-                env_size=model.env_size,
-            )
-        )
-    return tuple(branches)
-
-
-def _branch_vector(model: RobustnessModel, branch: BranchState) -> list[complex]:
-    """Dense particle (x) pointer (x) record vector of one branch.
-
-    The first n_collapsed record qubits hold the branch's collapse state
-    (overlap gamma1 or gamma2 with e1, zero phase); the rest keep env_factor.
-    """
-    pointer = _KET[0 if branch.pointer_label == READING_I else 1]
-    vec = _kron(branch.particle, pointer)
+    vec = _kron(_KET[k], _KET[k])
     if model.n_collapsed >= 1:
-        collapsed = _qubit(model.gamma1 if branch.label == READING_I else model.gamma2)
+        collapsed = _qubit((model.gamma1, model.gamma2)[k])
         for _ in range(model.n_collapsed):
             vec = _kron(vec, collapsed)
+    record = _qubit(model.overlap) if k else _KET[0]
     for _ in range(model.remaining):
-        vec = _kron(vec, branch.env_factor)
+        vec = _kron(vec, record)
     return vec
 
 
@@ -129,8 +72,10 @@ def full_state(model: RobustnessModel) -> tuple[complex, ...]:
             f"full state dim 2^{model.env_size + 2} exceeds 2^{ORACLE_MAX_QUBITS}"
         )
     amps = [0j] * 2 ** (model.env_size + 2)
-    for b in forward_chain(model):
-        amps = [s + b.amplitude * v for s, v in zip(amps, _branch_vector(model, b))]
+    for k, amplitude in enumerate((model.alpha, model.beta)):
+        if amplitude != 0:  # so alpha = 1 yields a single definite branch
+            amplitude = complex(amplitude)
+            amps = [s + amplitude * v for s, v in zip(amps, _branch_vector(model, k))]
     return tuple(amps)
 
 

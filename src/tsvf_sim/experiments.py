@@ -28,6 +28,7 @@ from .errors import (
 # until ROADMAP item 1 removes that rebinding.
 from .twotime import (
     RobustnessModel,
+    _decay_curve,
     classical_threshold,
     core_decay,
     ensemble_average,
@@ -392,8 +393,8 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
         times = [i / (steps - 1) * t_max + 0.0 for i in range(steps - 1)]
     times.append(t_max)
     times = array("d", times)
-    # core_decay's own expression, checked once above instead of per row.
-    remaining = array("d", [n0 * math.exp(-t / tau) for t in times])
+    # core_decay's curve, checked once above instead of per row.
+    remaining = _decay_curve(n0, tau, times)
     return ExperimentResult(
         header=("t", "remaining"),
         columns=(times, remaining),

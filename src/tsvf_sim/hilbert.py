@@ -100,14 +100,9 @@ class HermitianOperator:
         return float(np.real(np.vdot(psi.amps, self.apply(psi))))
 
     @cached_property
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(self.entries)
-        return w, v
-
-    @cached_property
     def branches(self) -> tuple[EigenBranch, ...]:
         """Eigenvalues ascending, degenerate values merged into one branch."""
-        w, v = self._eigensystem
+        w, v = np.linalg.eigh(self.entries)
         tol = ATOL_EIG * max(1.0, float(np.max(np.abs(w))))
         groups: list[EigenBranch] = []
         start = 0

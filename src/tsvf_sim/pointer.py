@@ -51,7 +51,6 @@ class PointerBranch:
     eigenvalue: float
     amplitude: complex
     state: StateVector  # normalized system state of the branch
-    pointer: GaussianPointer
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,22 +62,21 @@ class JointPointerState:
     sigma: float
 
     def __post_init__(self):
+        if not self.sigma > 0.0:
+            raise InvariantError("pointer sigma must be positive")
         if not self.terms:
             raise InvariantError("joint state needs at least one branch")
         total = sum(abs(t.amplitude) ** 2 for t in self.terms)
         if abs(total - 1.0) > ATOL_EXACT:
             raise InvariantError("branch weights do not sum to 1 within 1e-12")
-        for t in self.terms:
-            target = self.coupling * t.eigenvalue
-            if abs(t.pointer.mean - target) > ATOL_EXACT * max(1.0, abs(target)):
-                raise InvariantError("branch pointer mean differs from g * eigenvalue")
 
     @property
     def system_dim(self) -> int:
         return self.terms[0].state.dim
 
     def branch_means(self) -> np.ndarray:
-        return np.array([t.pointer.mean for t in self.terms])
+        """Pointer center g * a_i of each branch."""
+        return np.array([self.coupling * t.eigenvalue for t in self.terms])
 
 
 def couple(psi: StateVector, op: HermitianOperator, g: float, sigma: float) -> JointPointerState:
@@ -87,8 +85,8 @@ def couple(psi: StateVector, op: HermitianOperator, g: float, sigma: float) -> J
     Expands psi over the eigenbranches of op; a degenerate eigenvalue
     contributes a single term whose amplitude is the norm of the projection and
     whose branch state is the normalized projection. Branches with negligible
-    weight are dropped, and each surviving branch carries a pointer shifted to
-    g times its eigenvalue.
+    weight are dropped; the pointer of each surviving branch is shifted to g
+    times its eigenvalue (JointPointerState.branch_means).
     """
     if psi.dim != op.dim:
         raise DimensionError(f"state dim {psi.dim} != operator dim {op.dim}")
@@ -108,10 +106,7 @@ def couple(psi: StateVector, op: HermitianOperator, g: float, sigma: float) -> J
             continue
         terms.append(
             PointerBranch(
-                eigenvalue=branch.eigenvalue,
-                amplitude=amp,
-                state=StateVector(state_amps),
-                pointer=GaussianPointer(sigma=sigma, mean=g * branch.eigenvalue),
+                eigenvalue=branch.eigenvalue, amplitude=amp, state=StateVector(state_amps)
             )
         )
     return JointPointerState(terms=tuple(terms), coupling=g, sigma=sigma)

@@ -27,6 +27,7 @@ not import numpy; the dense branch states that check it live in `branches`.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -119,7 +120,12 @@ def core_decay(n0: float, time_constant: float, t: float) -> float:
         raise InvariantError("decay time constant must be positive")
     if t < 0.0:
         raise InvariantError("time must be non-negative")
-    return float(n0 * math.exp(-t / time_constant))
+    return _decay_curve(n0, time_constant, (t,))[0]
+
+
+def _decay_curve(n0: float, time_constant: float, times: Iterable[float]) -> array:
+    """N0 exp(-t/T) at each of `times`, unchecked: callers validate the arguments."""
+    return array("d", [n0 * math.exp(-t / time_constant) for t in times])
 
 
 def ensemble_average(moments: Iterable[tuple[int, float, float]]) -> tuple[float, float]:

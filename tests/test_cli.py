@@ -146,6 +146,25 @@ def test_born_summary_frequency_within_binomial_band(tmp_path):
     assert abs(freq - 0.36) < 3 * math.sqrt(0.36 * 0.64 / 20000)
 
 
+def test_weakvalue_summary_matches_its_own_readings(tmp_path):
+    # sigma != 1, so g = g_over_sigma * sigma differs from g_over_sigma.
+    out = tmp_path / "weak.csv"
+    trials, sigma, ratio = 5000, 0.25, 0.5
+    assert run_cli("run", "--experiment", "weakvalue", "--seed", "3",
+                   "--param", f"sigma={sigma}", "--param", f"g_over_sigma={ratio}",
+                   "--param", f"trials={trials}", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    fields = dict(kv.split("=") for kv in lines[1].removeprefix("# summary ").split())
+    readings = np.array([float(line.split(",")[1]) for line in lines[3:]])
+    g = ratio * sigma
+    assert readings.size > 1
+    assert int(fields["accepted"]) == readings.size
+    assert float(fields["acceptance_rate"]) == readings.size / trials
+    assert float(fields["mean_over_g"]) == pytest.approx(readings.mean() / g, rel=1e-12)
+    stderr = readings.std(ddof=1) / math.sqrt(readings.size)
+    assert float(fields["stderr_over_g"]) == pytest.approx(stderr / g, rel=1e-12)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ("run", "--experiment", "weakvalue", "--seed", "5",

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsvf_sim import ensemble, spins
+from tsvf_sim import spins
 from tsvf_sim import (
     SIGMA_X,
     SIGMA_Y,
@@ -208,45 +208,37 @@ def test_brute_force_oracle_rejects_huge_ensemble_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-def _site_by_site(op_entries, block, dim, n):
-    """Reference for ensemble._site_average: (1/N) sum_i A_i, one site at a time.
-
-    `block` is one dim^N vector or a (dim^N, B) stack of B column vectors.
-    """
-    total = np.zeros(block.shape, dtype=np.result_type(op_entries, block))
+def _dense_sum_over_sites(op_entries, dim, n):
+    """sum_i I (x) ... (x) A (x) ... (x) I over n sites, as a dense np.kron matrix."""
+    total = np.zeros((dim ** n, dim ** n), dtype=complex)
     for site in range(n):
-        cube = block.reshape(dim ** site, dim, -1)
-        total += np.matmul(op_entries, cube).reshape(block.shape)
-    return total / n
+        term = np.ones((1, 1))
+        for k in range(n):
+            term = np.kron(term, op_entries if k == site else np.eye(dim))
+        total += term
+    return total
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize("columns", [None, 5], ids=["vector", "block"])
-def test_site_average_matches_site_by_site_loop(dim, n, columns):
-    # A real 2x2 operator on real vectors, a general complex 3x3 one on complex vectors.
-    rng = np.random.default_rng(100 * dim + n)
-    shape = (dim ** n,) if columns is None else (dim ** n, columns)
-    op_entries = rng.standard_normal((dim, dim))
-    block = rng.standard_normal(shape)
-    if dim == 3:
-        op_entries = op_entries + 1j * rng.standard_normal((dim, dim))
-        block = block + 1j * rng.standard_normal(shape)
-    if columns is None:
-        averaged = ensemble._site_average(op_entries, block, dim, n)
-    else:
-        averaged = np.column_stack(
-            [ensemble._site_average(op_entries, column, dim, n) for column in block.T]
-        )
-    reference = _site_by_site(op_entries, block, dim, n)
-    assert averaged.shape == block.shape and averaged.dtype == reference.dtype
-    np.testing.assert_allclose(averaged, reference, rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_site_sum_reuses_a_single_site_operator(dim):
-    op_entries = np.arange(dim * dim, dtype=float).reshape(dim, dim)
-    assert ensemble._site_sum(op_entries, dim, 1) is op_entries
+@pytest.mark.parametrize(
+    "dim, n, groups",
+    [(2, n, g) for n in range(1, 9) for g in (1, 2) if g <= n]
+    + [(3, n, g) for n in range(1, 7) for g in (1, 2) if g <= n],
+)
+def test_brute_force_average_matches_the_dense_sum_over_sites(dim, n, groups):
+    rng = np.random.default_rng(100 * dim + 10 * n + groups)
+    op = random_hermitian(dim, rng)
+    counts = (n,) if groups == 1 else (n - n // 2, n // 2)
+    spec = EnsembleSpec(tuple((random_state(dim, rng), count) for count in counts))
+    full = np.ones(1, dtype=complex)
+    for state, count in spec.groups:
+        for _ in range(count):
+            full = np.kron(full, state.amps)
+    averaged = _dense_sum_over_sites(op.entries, dim, n) @ full / n
+    abar = float(np.real(np.vdot(full, averaged)))
+    residual = float(np.linalg.norm(averaged - abar * full))
+    brute = brute_force_average(op, spec)
+    assert brute[0] == pytest.approx(abar, rel=0.0, abs=1e-12)
+    assert brute[1] == pytest.approx(residual, rel=0.0, abs=1e-12)
 
 
 def test_spin_commutator_closed_form_values():

@@ -43,6 +43,11 @@ def test_gaussian_pointer_requires_positive_sigma():
         GaussianPointer(sigma=0.0)
 
 
+def test_couple_requires_positive_sigma():
+    with pytest.raises(InvariantError):
+        couple(PLUS, SIGMA_Z, g=1.0, sigma=0.0)
+
+
 def test_gaussian_density_normalized():
     p = GaussianPointer(sigma=0.7, mean=1.3)
     q = np.linspace(-10, 12, 20001)
@@ -58,7 +63,7 @@ def test_couple_eigenstate_single_term():
     term = joint.terms[0]
     assert term.eigenvalue == 1.0
     assert np.isclose(abs(term.amplitude), 1.0, atol=1e-12)
-    assert np.isclose(term.pointer.mean, 1.0, atol=1e-12)
+    assert np.isclose(joint.branch_means()[0], 1.0, atol=1e-12)
 
 
 def test_couple_superposition_two_branches():
@@ -156,11 +161,12 @@ def test_readout_mean_matches_quadrature():
 
 def _coherent_reference(joint, post, q):
     """Unnormalized readout density built from the pointer wavefunctions."""
+    pointers = [GaussianPointer(joint.sigma, m) for m in joint.branch_means()]
     if post is None:
-        return sum(abs(t.amplitude) ** 2 * np.abs(t.pointer.amplitude(q)) ** 2
-                   for t in joint.terms)
-    amp = sum(t.amplitude * np.vdot(post.amps, t.state.amps) * t.pointer.amplitude(q)
-              for t in joint.terms)
+        return sum(abs(t.amplitude) ** 2 * np.abs(p.amplitude(q)) ** 2
+                   for t, p in zip(joint.terms, pointers))
+    amp = sum(t.amplitude * np.vdot(post.amps, t.state.amps) * p.amplitude(q)
+              for t, p in zip(joint.terms, pointers))
     return np.abs(amp) ** 2
 
 

@@ -15,11 +15,8 @@ from tsvf_sim import (
     brute_force_ratio,
     classical_threshold,
     core_decay,
-    forward_chain,
     full_state,
     log_robustness_ratio,
-    record_factor_i,
-    record_factor_ii,
     robustness_ratio,
     select_by_final,
 )
@@ -52,25 +49,6 @@ def test_model_rejects_orthogonal_collapse():
 def test_model_rejects_overlap_of_one():
     with pytest.raises(InvariantError):
         model(overlap=1.0)
-
-
-def test_forward_chain_two_branches():
-    chain = forward_chain(model())
-    assert [b.label for b in chain] == ["I", "II"]
-    assert np.isclose(chain[0].amplitude, 0.6)
-    assert np.isclose(chain[1].amplitude, 0.8)
-    assert np.isclose(np.vdot(chain[0].particle, chain[1].particle), 0.0, atol=1e-12)
-
-
-def test_forward_chain_definite_outcome_single_branch():
-    chain = forward_chain(model(alpha=1.0, beta=0.0))
-    assert len(chain) == 1
-    assert chain[0].label == "I"
-
-
-def test_record_factor_overlap():
-    m = model(overlap=0.9)
-    assert np.isclose(np.vdot(record_factor_i(), record_factor_ii(m)), 0.9, atol=1e-12)
 
 
 def test_full_state_is_normalized():
