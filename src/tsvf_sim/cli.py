@@ -33,6 +33,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _summary_text(summary: dict) -> str:
+    """The summary record as space-separated key=value pairs."""
+    return " ".join(f"{k}={_fmt(v)}" for k, v in summary.items())
+
+
 def _cells(column) -> list[str]:
     """Format one column slice; every cell gets the text `_fmt` would give it.
 
@@ -75,7 +80,7 @@ def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResul
     meta = [f"experiment={exp.name}", f"seed={seed}"]
     meta.extend(f"{p.name}={_fmt(params[p.name])}" for p in exp.params)
     lines = ["# meta " + " ".join(meta)]
-    lines.append("# summary " + " ".join(f"{k}={_fmt(v)}" for k, v in result.summary.items()))
+    lines.append("# summary " + _summary_text(result.summary))
     lines.append(",".join(result.header))
     return "".join(["\n".join(lines), "\n", *_row_chunks(result.columns)])
 
@@ -210,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     print(f"wrote {out}")
-    print("summary: " + " ".join(f"{k}={_fmt(v)}" for k, v in result.summary.items()))
+    print("summary: " + _summary_text(result.summary))
     return 0
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ATOL_EXACT,
     ORACLE_MAX_QUBITS,
     DimensionError,
     InvariantError,
@@ -86,8 +85,7 @@ def deterministic_basis(psi: StateVector) -> tuple[HermitianOperator, ...]:
     complement (each annihilates psi, eigenvalue 0). Real linear combinations
     stay deterministic, and any two members commute on psi exactly.
     """
-    if abs(psi.norm() - 1.0) > ATOL_EXACT:
-        raise InvariantError("deterministic_basis requires a normalized state")
+    psi.require_normalized("deterministic_basis state")
     d = psi.dim
     ops = [projector(psi)]
     # Orthonormal basis of the complement: QR of [psi | I] puts psi (up to

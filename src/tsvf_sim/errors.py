@@ -11,7 +11,8 @@ use them without importing numpy.
 import math
 
 # Tolerance for identities that hold exactly in the algebra (hermiticity,
-# normalization); hilbert.ATOL_EIG is the one for eigensolver output.
+# normalization); hilbert.ATOL_EIG is the one for eigensolver output, such as
+# the Born weights of HermitianOperator.born_branches and JointPointerState.
 ATOL_EXACT = 1e-12
 # Dense brute-force oracles are limited to Hilbert dimension 2^ORACLE_MAX_QUBITS.
 ORACLE_MAX_QUBITS = 14

@@ -9,7 +9,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import importlib
 import math
 import sys
 from array import array
@@ -37,29 +36,25 @@ from .twotime import (
 )
 
 # Names that perfbench/trace_child.py reads and rebinds on this module. They
-# are imported on first use (PEP 562 __getattr__ below), so runs that never
-# call them never import their module, and runners call them through
-# `_module` so that they find a rebound wrapper. The measurement and ensemble
-# names are numpy-backed; the pure-Python spins and branches names stay here
-# only for the tracer.
-# strong_measure and average_operator_residual have no caller here. This table
+# are resolved through the package's export table on first use (PEP 562
+# __getattr__ below), so runs that never call them never import their module,
+# and runners call them through `_module` so that they find a rebound wrapper.
+# The measurement and ensemble names are numpy-backed; the pure-Python spins
+# and branches names stay here only for the tracer.
+# strong_measure and average_operator_residual have no caller here. This set
 # goes with the rebinding, when the in-program stage timers of ROADMAP item 1
 # replace it.
-_TRACED = {
-    "strong_measure": "measurement",
-    "weak_estimate": "measurement",
-    "average_operator_residual": "ensemble",
-    "average_spin_commutator": "spins",
-    "brute_force_spin_commutator": "spins",
-    "brute_force_ratio": "branches",
-}
+_TRACED = frozenset({
+    "strong_measure", "weak_estimate", "average_operator_residual",
+    "average_spin_commutator", "brute_force_spin_commutator", "brute_force_ratio",
+})
 _module = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     if name not in _TRACED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 

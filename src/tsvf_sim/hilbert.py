@@ -18,12 +18,14 @@ import numpy as np
 
 from .errors import ATOL_EXACT, DimensionError, InvariantError
 
-# Tolerance for quantities that pass through the eigensolver.
+# Tolerance for quantities that pass through the eigensolver: eigenvalue
+# grouping and the sum of Born weights.
 ATOL_EIG = 1e-10
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
+def _readonly(a, dtype=complex) -> np.ndarray:
+    """A write-protected copy of a as an array of the given dtype."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
@@ -46,6 +48,11 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
+
+    def require_normalized(self, what: str) -> None:
+        """Raise InvariantError unless the norm is 1 within ATOL_EXACT."""
+        if abs(self.norm() - 1.0) > ATOL_EXACT:
+            raise InvariantError(f"{what} must be normalized")
 
     def normalize(self) -> "StateVector":
         """Return the unit-norm version of this state."""
@@ -113,6 +120,20 @@ class HermitianOperator:
                 start = k
         return tuple(groups)
 
+    def born_branches(self, psi: StateVector) -> tuple[tuple[EigenBranch, float, np.ndarray], ...]:
+        """Expand psi over the eigenbranches: (branch, Born weight, projection) each.
+
+        The weight is Re<p|p> of the projection p. The weights pass through
+        the eigensolver, so they must sum to 1 within ATOL_EIG.
+        """
+        if psi.dim != self.dim:
+            raise DimensionError(f"state dim {psi.dim} != operator dim {self.dim}")
+        projections = [b.project(psi.amps) for b in self.branches]
+        weights = [float(np.real(np.vdot(p, p))) for p in projections]
+        if not abs(np.sum(weights) - 1.0) <= ATOL_EIG:
+            raise InvariantError("branch probabilities do not sum to 1; is psi normalized?")
+        return tuple(zip(self.branches, weights, projections))
+
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis vector |index> in a dim-dimensional space."""
@@ -130,8 +151,7 @@ def identity(dim: int) -> HermitianOperator:
 
 def projector(psi: StateVector) -> HermitianOperator:
     """Rank-one projector |psi><psi| onto a normalized state."""
-    if abs(psi.norm() - 1.0) > ATOL_EXACT:
-        raise InvariantError("projector requires a normalized state")
+    psi.require_normalized("projector state")
     return HermitianOperator(np.outer(psi.amps, psi.amps.conj()))
 
 

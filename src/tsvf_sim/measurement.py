@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ATOL_EXACT,
-    DimensionError,
-    InvariantError,
-    NearOrthogonalPrePost,
-    NoAcceptedTrials,
-)
-from .hilbert import HermitianOperator, StateVector, inner
+from .errors import DimensionError, InvariantError, NearOrthogonalPrePost, NoAcceptedTrials
+from .hilbert import HermitianOperator, StateVector, _readonly, inner
 from .pointer import couple, readout_density
 
 # Overlaps at or below this are treated as orthogonal for weak values; callers
@@ -40,9 +34,8 @@ class TwoState:
             raise DimensionError(
                 f"forward dim {self.forward.dim} != backward dim {self.backward.dim}"
             )
-        for name in ("forward", "backward"):
-            if abs(getattr(self, name).norm() - 1.0) > ATOL_EXACT:
-                raise InvariantError(f"{name} state must be normalized")
+        self.forward.require_normalized("forward state")
+        self.backward.require_normalized("backward state")
         ov = inner(self.backward, self.forward)
         if abs(ov) == 0.0:
             raise NearOrthogonalPrePost("forward and backward states are exactly orthogonal")
@@ -69,26 +62,13 @@ class WeakEstimate:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float).copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _readonly(self.samples, float))
 
 
-def _born_branches(psi: StateVector, op: HermitianOperator):
-    """Branch projections of psi, their Born weights and the weights' total."""
-    if psi.dim != op.dim:
-        raise DimensionError(f"state dim {psi.dim} != operator dim {op.dim}")
-    projections = [b.project(psi.amps) for b in op.branches]
-    weights = np.array([float(np.real(np.vdot(p, p))) for p in projections])
-    total = weights.sum()
-    if not abs(total - 1.0) <= 1e-10:
-        raise InvariantError("branch probabilities do not sum to 1; is psi normalized?")
-    return projections, weights, total
-
-
-def _pick_branches(weights: np.ndarray, total: float, u):
-    """Branch index for each uniform draw u in [0, 1), by inverse CDF."""
-    k = np.searchsorted(np.cumsum(weights), u * total)
+def _pick_branches(expansion, u):
+    """Index into op.born_branches(psi) for each uniform draw u in [0, 1), by inverse CDF."""
+    weights = np.array([w for _, w, _ in expansion])
+    k = np.searchsorted(np.cumsum(weights), u * weights.sum())
     return np.minimum(k, len(weights) - 1)
 
 
@@ -100,12 +80,10 @@ def strong_measure(
     Degenerate eigenvalues form a single outcome whose projector covers the
     whole eigenspace, so measuring the identity returns psi unchanged.
     """
-    projections, weights, total = _born_branches(psi, op)
-    k = int(_pick_branches(weights, total, rng.random()))
-    p = weights[k]
-    collapsed = StateVector(projections[k]).normalize()
+    expansion = op.born_branches(psi)
+    branch, p, projection = expansion[int(_pick_branches(expansion, rng.random()))]
     return MeasurementRecord(
-        outcome=op.branches[k].eigenvalue, collapsed=collapsed, probability=float(p)
+        outcome=branch.eigenvalue, collapsed=StateVector(projection).normalize(), probability=p
     )
 
 
@@ -118,9 +96,9 @@ def measure_outcomes(
     doubles as `size` successive rng.random() calls, so the result equals
     [strong_measure(psi, op, rng).outcome for _ in range(size)] exactly.
     """
-    _, weights, total = _born_branches(psi, op)
-    eigenvalues = np.array([b.eigenvalue for b in op.branches])
-    return eigenvalues[_pick_branches(weights, total, rng.random(size))]
+    expansion = op.born_branches(psi)
+    eigenvalues = np.array([b.eigenvalue for b, _, _ in expansion])
+    return eigenvalues[_pick_branches(expansion, rng.random(size))]
 
 
 def weak_value(

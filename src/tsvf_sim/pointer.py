@@ -11,19 +11,20 @@ readings are drawn from it exactly by rejection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ATOL_EXACT, DimensionError, InvariantError, PostSelectionImpossible
-from .hilbert import HermitianOperator, StateVector
+from .errors import DimensionError, InvariantError, PostSelectionImpossible
+from .hilbert import ATOL_EIG, HermitianOperator, StateVector, _readonly
 
 # One block of sampling proposals holds at most this many kernel values
 # (proposals x mixture components), about 2 MiB per float array.
 SAMPLE_BLOCK_CELLS = 2 ** 18
 # Below this, a post-selection state is treated as orthogonal to all branches.
 MIN_SUCCESS_PROB = 1e-300
-# Branch amplitudes with |alpha|^2 at or below this are dropped from the joint state.
+# Branches with Born weight at or below this are dropped from the joint state.
 NEGLIGIBLE_WEIGHT = 1e-28
 
 
@@ -49,7 +50,7 @@ class PointerBranch:
     """One eigenvalue branch of a coupled system-pointer state."""
 
     eigenvalue: float
-    amplitude: complex
+    amplitude: float  # sqrt of the Born weight, >= 0; the branch phase is in `state`
     state: StateVector  # normalized system state of the branch
 
 
@@ -67,8 +68,8 @@ class JointPointerState:
         if not self.terms:
             raise InvariantError("joint state needs at least one branch")
         total = sum(abs(t.amplitude) ** 2 for t in self.terms)
-        if abs(total - 1.0) > ATOL_EXACT:
-            raise InvariantError("branch weights do not sum to 1 within 1e-12")
+        if abs(total - 1.0) > ATOL_EIG:
+            raise InvariantError("branch weights do not sum to 1 within 1e-10")
 
     @property
     def system_dim(self) -> int:
@@ -82,33 +83,19 @@ class JointPointerState:
 def couple(psi: StateVector, op: HermitianOperator, g: float, sigma: float) -> JointPointerState:
     """Impulsively couple a normalized system state to an observable.
 
-    Expands psi over the eigenbranches of op; a degenerate eigenvalue
-    contributes a single term whose amplitude is the norm of the projection and
-    whose branch state is the normalized projection. Branches with negligible
-    weight are dropped; the pointer of each surviving branch is shifted to g
-    times its eigenvalue (JointPointerState.branch_means).
+    Expands psi over the eigenbranches of op (HermitianOperator.born_branches),
+    the same expansion a projective measurement samples. Each branch with
+    Born weight w above NEGLIGIBLE_WEIGHT becomes one term with amplitude
+    sqrt(w) and the normalized projection as its state, so a degenerate
+    eigenvalue contributes a single term and amplitude * state is the
+    projection of psi. The pointer of each term is shifted to g times its
+    eigenvalue (JointPointerState.branch_means).
     """
-    if psi.dim != op.dim:
-        raise DimensionError(f"state dim {psi.dim} != operator dim {op.dim}")
     terms = []
-    for branch in op.branches:
-        if branch.multiplicity == 1:
-            vec = branch.vectors[:, 0]
-            amp = complex(np.vdot(vec, psi.amps))
-            state_amps = vec
-        else:
-            proj = branch.project(psi.amps)
-            amp = complex(np.linalg.norm(proj))
-            if abs(amp) ** 2 <= NEGLIGIBLE_WEIGHT:
-                continue
-            state_amps = proj / amp
-        if abs(amp) ** 2 <= NEGLIGIBLE_WEIGHT:
-            continue
-        terms.append(
-            PointerBranch(
-                eigenvalue=branch.eigenvalue, amplitude=amp, state=StateVector(state_amps)
-            )
-        )
+    for branch, weight, projection in op.born_branches(psi):
+        if weight > NEGLIGIBLE_WEIGHT:
+            amp = math.sqrt(weight)
+            terms.append(PointerBranch(branch.eigenvalue, amp, StateVector(projection / amp)))
     return JointPointerState(terms=tuple(terms), coupling=g, sigma=sigma)
 
 
@@ -133,9 +120,7 @@ class ReadoutDensity:
 
     def __post_init__(self):
         for name in ("means", "weights"):
-            val = np.asarray(getattr(self, name), dtype=float).copy()
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _readonly(getattr(self, name), float))
 
     @property
     def success_prob(self) -> float:

@@ -25,6 +25,7 @@ from tsvf_sim import (
     weak_value,
 )
 from tsvf_sim.measurement import measure_outcomes
+from tsvf_sim.pointer import couple
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -105,6 +106,20 @@ def test_measure_outcomes_rejects_what_strong_measure_rejects():
         with pytest.raises(error) as batched:
             measure_outcomes(psi, op, rng, 10)
         assert str(batched.value) == str(single.value)
+
+
+@pytest.mark.parametrize(("excess", "accepted"), [(3e-11, True), (1e-9, False)])
+def test_strong_and_weak_paths_share_one_normalization_tolerance(excess, accepted):
+    """measure_outcomes and couple expand psi the same way, so they accept the same states."""
+    psi = StateVector(PLUS.amps * (1.0 + excess))
+    calls = (lambda: measure_outcomes(psi, SIGMA_Z, np.random.default_rng(42), 10),
+             lambda: couple(psi, SIGMA_Z, g=0.1, sigma=1.0))
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(InvariantError):
+                call()
 
 
 def test_two_state_rejects_orthogonal_pair():

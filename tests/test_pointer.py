@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tsvf_sim import (
+    SIGMA_X,
     SIGMA_Z,
     DimensionError,
     GaussianPointer,
@@ -92,6 +93,28 @@ def test_couple_merges_degenerate_eigenvalues():
     weights = {round(t.eigenvalue): abs(t.amplitude) ** 2 for t in joint.terms}
     assert np.isclose(weights[1], 2.0 / 3.0, atol=1e-12)
     assert np.isclose(weights[-1], 1.0 / 3.0, atol=1e-12)
+
+
+_REBUILD_RNG = np.random.default_rng(28)
+REBUILD_OPS = {
+    "random_2": random_hermitian(2, _REBUILD_RNG),
+    "random_3": random_hermitian(3, _REBUILD_RNG),
+    "random_5": random_hermitian(5, _REBUILD_RNG),
+    "sigma_x": SIGMA_X,
+    "degenerate_3": HermitianOperator(np.diag([1.0, 1.0, -1.0]).astype(complex)),
+}
+
+
+@pytest.mark.parametrize("name", REBUILD_OPS)
+def test_couple_terms_rebuild_psi(name):
+    """sum_i amplitude_i |b_i> is psi itself: no branch loses its phase."""
+    op = REBUILD_OPS[name]
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        psi = random_state(op.dim, rng)
+        joint = couple(psi, op, g=0.5, sigma=1.0)
+        rebuilt = sum(t.amplitude * t.state.amps for t in joint.terms)
+        assert np.allclose(rebuilt, psi.amps, rtol=0.0, atol=1e-12)
 
 
 def test_couple_dimension_mismatch():
@@ -298,6 +321,14 @@ def test_sample_reading_deterministic_for_fixed_seed():
         rng = np.random.default_rng(42)
         runs.append([density.sample(rng) for _ in range(50)])
     assert runs[0] == runs[1]
+
+
+def test_weak_estimate_accepts_every_pair_two_state_accepts():
+    ts = TwoState(forward=StateVector(np.array([1.0 + 9e-13, 0.0], dtype=complex)),
+                  backward=StateVector(np.array([0.6, 0.8], dtype=complex)))
+    est = weak_estimate(ts, SIGMA_Z, g=0.01, sigma=1.0, trials=1000,
+                        rng=np.random.default_rng(37))
+    assert 0 < est.accepted < 1000
 
 
 def test_sample_reading_signals_failed_post_selection():
