@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -88,8 +89,8 @@ def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResul
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a key=value config file; '#' lines and blanks are skipped."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -162,7 +163,8 @@ def _list_experiments() -> int:
     for exp in EXPERIMENTS.values():
         print(f"{exp.name}: {exp.description}")
         for p in exp.params:
-            print(f"  --param {p.name}=<{p.kind}>  (default {_fmt(p.default)})  {p.help}")
+            bounds = f" in {p.bounds}" if math.isfinite(p.low) or math.isfinite(p.high) else ""
+            print(f"  --param {p.name}=<{p.kind}>{bounds}  (default {_fmt(p.default)})  {p.help}")
     return 0
 
 

@@ -69,17 +69,27 @@ MAX_G_OVER_SIGMA = 1e3
 # Pointer spreads whose squares and ratios stay far inside the float range.
 MIN_SIGMA, MAX_SIGMA = 1e-100, 1e100
 # Record sizes for which the slope fit's centred squares stay below about
-# 1e200, far inside the float range. The int of the float 1e100, so that the
-# documented limit "1e100" parses to a size the check accepts.
-MAX_ENV_SIZE = int(1e100)
+# 1e200, far inside the float range.
+MAX_ENV_SIZE = 1e100
+# The smallest float above 0: a finite float is >= POSITIVE exactly when it is > 0.
+POSITIVE = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
 class ParamSpec:
+    """One parameter: its kind, its default and the inclusive range [low, high]
+    that the parser checks on its value, or on each entry of a list."""
+
     name: str
     kind: str  # int | float | int_list | float_list
     default: object
     help: str
+    low: float = -math.inf
+    high: float = math.inf
+
+    @property
+    def bounds(self) -> str:
+        return f"[{self.low!r}, {self.high!r}]"
 
 
 @dataclass(frozen=True)
@@ -123,12 +133,19 @@ class ExperimentResult:
         return range(len(self.columns[0]))
 
 
-def _parse_scalar(kind: str, name: str, raw: str):
-    """Parse one int or float; non-finite values (inf, nan, 1e400) are rejected.
+def _require(condition: bool, message: str):
+    if not condition:
+        raise ConfigError(message)
 
-    An integer written out in digits is parsed exactly, but it too must fit
-    in a float.
+
+def _parse_scalar(spec: ParamSpec, raw: str):
+    """Parse one int or float of `spec` (or one list entry) and check its range.
+
+    Non-finite values (inf, nan, 1e400) are rejected. An integer written out
+    in digits is parsed, and compared with the bounds, exactly, but it too
+    must fit in a float.
     """
+    kind, name = spec.kind.removesuffix("_list"), spec.name
     try:
         value = float(raw)
         if kind == "int" and math.isfinite(value) and value != int(value):
@@ -138,19 +155,19 @@ def _parse_scalar(kind: str, name: str, raw: str):
     if not math.isfinite(value):
         raise ConfigError(f"parameter {name!r}: {raw!r} is not a finite number")
     if kind == "int":
-        return int(raw) if raw.strip().lstrip("+-").isdigit() else int(value)
+        value = int(raw) if raw.strip().lstrip("+-").isdigit() else int(value)
+    _require(spec.low <= value <= spec.high, f"parameter {name!r} must lie in {spec.bounds}")
     return value
 
 
 def parse_param_value(spec: ParamSpec, raw: str):
     """Parse one command-line/config value according to the parameter's kind."""
     if spec.kind in ("int", "float"):
-        return _parse_scalar(spec.kind, spec.name, raw)
-    base = spec.kind.removesuffix("_list")
+        return _parse_scalar(spec, raw)
     parts = [p for p in str(raw).split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"parameter {spec.name!r}: empty list")
-    return [_parse_scalar(base, spec.name, p.strip()) for p in parts]
+    return [_parse_scalar(spec, p.strip()) for p in parts]
 
 
 def resolve_params(experiment: Experiment, overrides: dict[str, str]) -> dict:
@@ -169,11 +186,6 @@ def resolve_params(experiment: Experiment, overrides: dict[str, str]) -> dict:
         else:
             resolved[spec.name] = spec.default
     return resolved
-
-
-def _require(condition: bool, message: str):
-    if not condition:
-        raise ConfigError(message)
 
 
 def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -198,8 +210,6 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def _run_born(params: dict, seed: int) -> ExperimentResult:
     a2, trials = params["alpha2"], params["trials"]
-    _require(0.0 <= a2 <= 1.0, "parameter 'alpha2' must lie in [0, 1]")
-    _require(1 <= trials <= MAX_ROWS, f"parameter 'trials' must lie in [1, {MAX_ROWS}]")
     import numpy as np
 
     from .hilbert import SIGMA_Z, StateVector
@@ -223,11 +233,6 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
 def _run_weakvalue(params: dict, seed: int) -> ExperimentResult:
     ratio, sigma, trials = params["g_over_sigma"], params["sigma"], params["trials"]
     angle = params["post_angle"]
-    _require(0.0 < ratio <= MAX_G_OVER_SIGMA,
-             f"parameter 'g_over_sigma' must lie in (0, {MAX_G_OVER_SIGMA:g}]")
-    _require(MIN_SIGMA <= sigma <= MAX_SIGMA,
-             f"parameter 'sigma' must lie in [{MIN_SIGMA:g}, {MAX_SIGMA:g}]")
-    _require(1 <= trials <= MAX_ROWS, f"parameter 'trials' must lie in [1, {MAX_ROWS}]")
     g = ratio * sigma
     _require(g >= sys.float_info.min,
              f"parameters 'g_over_sigma' * 'sigma' must be at least {sys.float_info.min:g}")
@@ -266,7 +271,6 @@ def _sigma_z_moments(a0: complex, a1: complex) -> tuple[float, float]:
 
 def _run_convergence(params: dict, seed: int) -> ExperimentResult:
     sizes = params["Ns"]
-    _require(all(n >= 1 for n in sizes), "parameter 'Ns' entries must be at least 1")
     logs_n = [math.log10(float(n)) for n in sizes]
     _require(len(set(logs_n)) >= 2,
              "parameter 'Ns' needs two sizes whose float log10 differ to fit a slope")
@@ -285,9 +289,6 @@ def _run_convergence(params: dict, seed: int) -> ExperimentResult:
 
 def _run_commutator(params: dict, seed: int) -> ExperimentResult:
     brute_max, closed_ns = params["brute_max"], params["closed_Ns"]
-    _require(1 <= brute_max <= SPIN_ORACLE_MAX,
-             f"parameter 'brute_max' must lie in [1, {SPIN_ORACLE_MAX}]")
-    _require(all(n >= 1 for n in closed_ns), "parameter 'closed_Ns' entries must be >= 1")
     brute = [_module.brute_force_spin_commutator(n) for n in range(1, brute_max + 1)]
     errors = [err for _, err in brute]
     return ExperimentResult(
@@ -323,17 +324,14 @@ def _run_robustness(params: dict, seed: int) -> ExperimentResult:
     sizes = params["env_sizes"]
     xs = [float(n) for n in sizes]
     _require(len(set(xs)) >= 2, "parameter 'env_sizes' needs two entries that differ as floats")
-    _require(all(n > params["n"] for n in sizes), "every env_size must exceed 'n'")
-    _require(all(n <= MAX_ENV_SIZE for n in sizes), "every env_size must be at most 1e100")
-    logs, ratios, oracles = [], [], []
-    for size in sizes:
-        model = _model_from(params, size)
-        logs.append(log_robustness_ratio(model))
-        ratios.append(robustness_ratio(model))
-        oracle = ""
-        if model.n_collapsed >= 1 and fits_oracle(2, size + 2):
-            oracle = _module.brute_force_ratio(model)
-        oracles.append(oracle)
+    models = [_model_from(params, s) for s in sizes]
+    logs = [log_robustness_ratio(model) for model in models]
+    ratios = [robustness_ratio(model) for model in models]
+    oracles = [
+        _module.brute_force_ratio(model)
+        if model.n_collapsed >= 1 and fits_oracle(2, model.env_size + 2) else ""
+        for model in models
+    ]
     fitted = _slope(xs, logs) if all(map(math.isfinite, logs)) else ""
     return ExperimentResult(
         header=("env_size", "n_collapsed", "log_ratio", "ratio", "brute_ratio"),
@@ -347,7 +345,6 @@ def _run_robustness(params: dict, seed: int) -> ExperimentResult:
 
 def _run_threshold(params: dict, seed: int) -> ExperimentResult:
     targets = params["targets"]
-    _require(all(t > 0 for t in targets), "parameter 'targets' entries must be positive")
     needed, at, below = [], [], []
     for target in targets:
         try:
@@ -374,10 +371,6 @@ def _run_threshold(params: dict, seed: int) -> ExperimentResult:
 def _run_decay(params: dict, seed: int) -> ExperimentResult:
     n0, tau = params["n0"], params["time_constant"]
     t_max, steps = params["t_max"], params["steps"]
-    _require(n0 >= 0.0, "parameter 'n0' must be non-negative")
-    _require(tau > 0.0, "parameter 'time_constant' must be positive")
-    _require(t_max >= 0.0, "parameter 't_max' must be non-negative")
-    _require(2 <= steps <= MAX_ROWS, f"parameter 'steps' must lie in [2, {MAX_ROWS}]")
     # The points of np.linspace(0.0, t_max, steps) bit for bit: i * step, or
     # i / (steps - 1) * t_max when the step underflows to 0, plus the start
     # 0.0 (which turns -0.0 into 0.0); the last point is t_max itself.
@@ -388,7 +381,7 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
         times = [i / (steps - 1) * t_max + 0.0 for i in range(steps - 1)]
     times.append(t_max)
     times = array("d", times)
-    # core_decay's curve, checked once above instead of per row.
+    # core_decay's curve; its arguments were checked once, while parsing.
     remaining = _decay_curve(n0, tau, times)
     return ExperimentResult(
         header=("t", "remaining"),
@@ -404,8 +397,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="born",
             description="Projective measurement statistics of sqrt(a2)|0> + sqrt(1-a2)|1>",
             params=(
-                ParamSpec("alpha2", "float", 0.36, "weight |<0|psi>|^2 of the +1 outcome"),
-                ParamSpec("trials", "int", 100000, "number of projective trials"),
+                ParamSpec("alpha2", "float", 0.36, "weight |<0|psi>|^2 of the +1 outcome",
+                          0.0, 1.0),
+                ParamSpec("trials", "int", 100000, "number of projective trials", 1, MAX_ROWS),
             ),
             runner=_run_born,
         ),
@@ -413,9 +407,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="weakvalue",
             description="Weakly coupled, post-selected pointer readings and their mean shift",
             params=(
-                ParamSpec("g_over_sigma", "float", 0.01, "coupling strength over pointer spread"),
-                ParamSpec("sigma", "float", 1.0, "pointer spread"),
-                ParamSpec("trials", "int", 200000, "Monte Carlo trials before post-selection"),
+                ParamSpec("g_over_sigma", "float", 0.01, "coupling strength over pointer spread",
+                          POSITIVE, MAX_G_OVER_SIGMA),
+                ParamSpec("sigma", "float", 1.0, "pointer spread", MIN_SIGMA, MAX_SIGMA),
+                ParamSpec("trials", "int", 200000, "Monte Carlo trials before post-selection",
+                          1, MAX_ROWS),
                 ParamSpec("post_angle", "float", math.pi / 8.0,
                           "backward state cos(a)|0> - sin(a)|1>"),
             ),
@@ -425,7 +421,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="convergence",
             description="1/sqrt(N) shrinkage of the ensemble-average operator residual",
             params=(
-                ParamSpec("Ns", "int_list", [100, 1000, 10000, 100000], "ensemble sizes"),
+                ParamSpec("Ns", "int_list", [100, 1000, 10000, 100000], "ensemble sizes", 1),
             ),
             runner=_run_convergence,
         ),
@@ -433,8 +429,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="commutator",
             description="Averaged-spin commutator identity, brute-force checks plus closed form",
             params=(
-                ParamSpec("brute_max", "int", 10, "largest spin count for the brute-force check"),
-                ParamSpec("closed_Ns", "int_list", [1000000], "closed-form sizes to tabulate"),
+                ParamSpec("brute_max", "int", 10, "largest spin count for the brute-force check",
+                          1, SPIN_ORACLE_MAX),
+                ParamSpec("closed_Ns", "int_list", [1000000], "closed-form sizes to tabulate", 1),
             ),
             runner=_run_commutator,
         ),
@@ -446,7 +443,8 @@ EXPERIMENTS: dict[str, Experiment] = {
                 ParamSpec("n", "int", 5, "collapsed qubit count"),
                 ParamSpec("gamma1", "float", 0.9, "collapse overlap for the right branch"),
                 ParamSpec("gamma2", "float", 0.9, "collapse overlap for the wrong branch"),
-                ParamSpec("env_sizes", "int_list", [8, 10, 12, 16, 20], "record sizes N"),
+                ParamSpec("env_sizes", "int_list", [8, 10, 12, 16, 20], "record sizes N",
+                          1, MAX_ENV_SIZE),
             ),
             runner=_run_robustness,
         ),
@@ -458,7 +456,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 ParamSpec("n", "int", 0, "collapsed qubit count"),
                 ParamSpec("gamma1", "float", 0.9, "collapse overlap for the right branch"),
                 ParamSpec("gamma2", "float", 0.9, "collapse overlap for the wrong branch"),
-                ParamSpec("targets", "float_list", [1e3, 1e6, 1e9], "ratio targets"),
+                ParamSpec("targets", "float_list", [1e3, 1e6, 1e9], "ratio targets", POSITIVE),
             ),
             runner=_run_threshold,
         ),
@@ -466,10 +464,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="decay",
             description="Exponential decay of the intact record core",
             params=(
-                ParamSpec("n0", "float", 1e6, "initial record size"),
-                ParamSpec("time_constant", "float", 1.0, "e-folding time T"),
-                ParamSpec("t_max", "float", 10.0, "last sampled time"),
-                ParamSpec("steps", "int", 101, "number of samples in [0, t_max]"),
+                ParamSpec("n0", "float", 1e6, "initial record size", 0.0),
+                ParamSpec("time_constant", "float", 1.0, "e-folding time T", POSITIVE),
+                ParamSpec("t_max", "float", 10.0, "last sampled time", 0.0),
+                ParamSpec("steps", "int", 101, "number of samples in [0, t_max]", 2, MAX_ROWS),
             ),
             runner=_run_decay,
         ),

@@ -173,7 +173,7 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     return StateVector(amps).normalize()
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
-    """Random Hermitian operator with entries of the given scale."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
+    """Random Hermitian operator with standard Gaussian entries, symmetrized."""
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator(scale * (m + m.conj().T) / 2.0)
+    return HermitianOperator((m + m.conj().T) / 2.0)

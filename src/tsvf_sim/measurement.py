@@ -8,7 +8,7 @@ the two states are nearly orthogonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,9 +16,8 @@ from .errors import DimensionError, InvariantError, NearOrthogonalPrePost, NoAcc
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
 from .pointer import couple, readout_density
 
-# Overlaps at or below this are treated as orthogonal for weak values; callers
-# chasing extreme anomalous values must lower it explicitly.
-DEFAULT_MIN_OVERLAP = 1e-12
+# Overlaps at or below this are treated as orthogonal for weak values.
+MIN_OVERLAP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +26,7 @@ class TwoState:
 
     forward: StateVector
     backward: StateVector
-    overlap: complex = 0j  # computed at construction
+    overlap: complex = field(init=False)  # computed at construction
 
     def __post_init__(self):
         if self.forward.dim != self.backward.dim:
@@ -101,13 +100,11 @@ def measure_outcomes(
     return eigenvalues[_pick_branches(expansion, rng.random(size))]
 
 
-def weak_value(
-    ts: TwoState, op: HermitianOperator, min_overlap: float = DEFAULT_MIN_OVERLAP
-) -> complex:
+def weak_value(ts: TwoState, op: HermitianOperator) -> complex:
     """Weak value <phi|A|psi> / <phi|psi> (complex in general)."""
-    if abs(ts.overlap) <= min_overlap:
+    if abs(ts.overlap) <= MIN_OVERLAP:
         raise NearOrthogonalPrePost(
-            f"|overlap| = {abs(ts.overlap):.3e} is at or below the threshold {min_overlap:.3e}"
+            f"|overlap| = {abs(ts.overlap):.3e} is at or below the threshold {MIN_OVERLAP:.3e}"
         )
     numerator = complex(np.vdot(ts.backward.amps, op.apply(ts.forward)))
     return numerator / ts.overlap

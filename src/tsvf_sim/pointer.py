@@ -142,8 +142,8 @@ class ReadoutDensity:
         """Exact first moment of the density (no quadrature, no sampling noise)."""
         return float(self.weights @ self.means / self.success_prob)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw reading(s) exactly, by rejection from the positive part of the mixture.
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw `size` readings exactly, by rejection from the positive part of the mixture.
 
         A proposal picks component k with probability max(w_k, 0) / sum max(w, 0),
         draws q = mu_k + sigma z, and is kept with probability f(q) / f+(q), where
@@ -152,7 +152,7 @@ class ReadoutDensity:
         kernel values, so memory does not grow with `size` or 1/acceptance.
         Deterministic for a fixed rng seed.
         """
-        n = 1 if size is None else int(size)
+        n = int(size)
         positive = np.maximum(self.weights, 0.0)
         cum = np.cumsum(positive)
         acceptance = self.success_prob / cum[-1]
@@ -169,7 +169,7 @@ class ReadoutDensity:
             take = min(q.size, n - filled)
             out[filled:filled + take] = q[:take]
             filled += take
-        return float(out[0]) if size is None else out
+        return out
 
 
 def readout_density(joint: JointPointerState, post: StateVector | None = None) -> ReadoutDensity:

@@ -64,7 +64,8 @@ class RobustnessModel:
         if not 0.0 <= self.overlap < 1.0:
             raise InvariantError("overlap c must lie in [0, 1)")
         if not 0 <= self.n_collapsed < self.env_size:
-            raise InvariantError("n_collapsed must satisfy 0 <= n < env_size")
+            raise InvariantError(f"n_collapsed = {self.n_collapsed} must be at least 0 "
+                                 f"and below env_size = {self.env_size}")
         object.__setattr__(self, "gamma1", float(self.gamma1))
         object.__setattr__(self, "gamma2", float(self.gamma2))
         if self.n_collapsed >= 1:

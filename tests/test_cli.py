@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import tsvf_sim
 from tsvf_sim.cli import BLAS_THREAD_VARS, main
+from tsvf_sim.errors import ConfigError
 from tsvf_sim.experiments import EXPERIMENTS, resolve_params
 from tsvf_sim.twotime import core_decay
 
@@ -91,15 +92,20 @@ ENVIRON_AROUND_MAIN = (
 )
 
 
-@pytest.mark.parametrize(("user_set", "params", "exit_code"), [
-    ({}, ["trials=10"], 0),
-    ({}, ["trials=0"], 2),
-    ({"OPENBLAS_NUM_THREADS": "3"}, ["trials=10"], 0),
-    ({"GOTO_NUM_THREADS": "3"}, ["trials=10"], 0),
-    ({"OMP_NUM_THREADS": "3"}, ["trials=0"], 2),
+# The exit-2 runs fail inside the runner: g = g_over_sigma * sigma underflows.
+RUNNER_REJECTS = ["weakvalue", ["g_over_sigma=1e-300", "sigma=1e-100"]]
+
+
+@pytest.mark.parametrize(("user_set", "experiment", "params", "exit_code"), [
+    ({}, "born", ["trials=10"], 0),
+    ({}, *RUNNER_REJECTS, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "born", ["trials=10"], 0),
+    ({"GOTO_NUM_THREADS": "3"}, "born", ["trials=10"], 0),
+    ({"OMP_NUM_THREADS": "3"}, *RUNNER_REJECTS, 2),
 ], ids=["numpy-run", "exit-2", "user-openblas", "user-goto", "user-omp-exit-2"])
-def test_main_sets_one_blas_thread_only_for_its_runner(tmp_path, user_set, params, exit_code):
-    argv = ["run", "--experiment", "born", "--out", str(tmp_path / "b.csv")]
+def test_main_sets_one_blas_thread_only_for_its_runner(tmp_path, user_set, experiment, params,
+                                                       exit_code):
+    argv = ["run", "--experiment", experiment, "--out", str(tmp_path / "b.csv")]
     for param in params:
         argv += ["--param", param]
     proc = subprocess.run([sys.executable, "-c", ENVIRON_AROUND_MAIN, json.dumps(argv)],
@@ -291,7 +297,7 @@ def test_robustness_accepts_its_documented_limit_1e100(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("run", "--experiment", "robustness", "--param",
                    f"env_sizes=13,{int(1e100) + 1}", "--out", str(out)) == 2
-    assert "every env_size must be at most 1e100" in capsys.readouterr().err
+    assert "parameter 'env_sizes' must lie in [1, 1e+100]" in capsys.readouterr().err
 
 
 def test_closed_form_run_never_imports_numpy_random(tmp_path):
@@ -360,6 +366,14 @@ def test_config_file_bad_line_exits_2(tmp_path, capsys):
 
 def test_missing_config_file_exits_2(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "absent.cfg")) == 2
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out.csv"
+    cfg.write_bytes(b"experiment = decay\n\xff\xfe = 1\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_3(tmp_path, capsys):
@@ -488,6 +502,46 @@ def test_decay_times_equal_linspace_bit_for_bit(t_max, steps):
     with np.errstate(over="ignore"):
         expected = np.linspace(0.0, t_max, steps)
     assert times.tobytes() == expected.tobytes()
+
+
+def _outside(spec, bound, direction):
+    """The first value of spec's kind beyond `bound` in `direction` (+1 or -1)."""
+    if spec.kind.startswith("int"):
+        return str(int(bound) + direction)
+    return repr(math.nextafter(bound, direction * math.inf))
+
+
+BOUNDS = [
+    pytest.param(exp, spec, bound, direction, id=f"{exp.name}-{spec.name}-{side}")
+    for exp in EXPERIMENTS.values()
+    for spec in exp.params
+    for bound, direction, side in ((spec.low, -1, "low"), (spec.high, 1, "high"))
+    if math.isfinite(bound)
+]
+
+
+@pytest.mark.parametrize(("exp", "spec", "bound", "direction"), BOUNDS)
+def test_each_declared_bound_is_inclusive_and_the_next_value_is_rejected(
+        exp, spec, bound, direction):
+    edge = str(int(bound)) if spec.kind.startswith("int") else repr(bound)
+    value = resolve_params(exp, {spec.name: edge})[spec.name]
+    assert value == ([bound] if spec.kind.endswith("_list") else bound)
+    with pytest.raises(ConfigError, match=f"parameter '{spec.name}' must lie in"):
+        resolve_params(exp, {spec.name: _outside(spec, bound, direction)})
+
+
+def test_every_default_lies_in_its_declared_range():
+    for exp in EXPERIMENTS.values():
+        for spec in exp.params:
+            values = spec.default if spec.kind.endswith("_list") else [spec.default]
+            assert all(spec.low <= v <= spec.high for v in values), (exp.name, spec.name)
+
+
+def test_list_shows_each_declared_range(capsys):
+    assert run_cli("list") == 0
+    out = capsys.readouterr().out
+    assert "--param trials=<int> in [1, 10000000]  (default 100000)" in out
+    assert "--param post_angle=<float>  (default" in out
 
 
 def test_every_experiment_has_schema_defaults():

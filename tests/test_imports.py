@@ -92,6 +92,11 @@ NUMPY_FREE_RUNS = [
                  id="seed-not-an-integer"),
     pytest.param(["run", "--experiment", "decay", "--param", "t_max=inf"], 2,
                  id="decay-t_max-inf"),
+    # Range errors of the numpy-backed experiments are found while parsing.
+    pytest.param(["run", "--experiment", "born", "--param", "alpha2=2"], 2,
+                 id="born-alpha2-out-of-range"),
+    pytest.param(["run", "--experiment", "weakvalue", "--param", "sigma=1e300"], 2,
+                 id="weakvalue-sigma-out-of-range"),
     # robustness never loads numpy: its oracle is pure Python, at every size.
     pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=13,20,57"], 0,
                  id="robustness-no-oracle-size"),

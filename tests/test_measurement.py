@@ -127,6 +127,11 @@ def test_two_state_rejects_orthogonal_pair():
         TwoState(forward=KET0, backward=KET1)
 
 
+def test_two_state_overlap_is_not_an_argument():
+    with pytest.raises(TypeError):
+        TwoState(forward=PLUS, backward=PLUS, overlap=5)
+
+
 def test_weak_value_reduces_to_expectation():
     ts = TwoState(forward=PLUS, backward=PLUS)
     assert np.isclose(weak_value(ts, SIGMA_Z), 0.0, atol=1e-12)

@@ -319,7 +319,7 @@ def test_sample_reading_deterministic_for_fixed_seed():
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
-        runs.append([density.sample(rng) for _ in range(50)])
+        runs.append(density.sample(rng, 50).tolist())
     assert runs[0] == runs[1]
 
 
