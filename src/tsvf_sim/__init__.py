@@ -29,10 +29,7 @@ _EXPORTS = {
         "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "EigenBranch", "HermitianOperator", "StateVector",
         "basis_state", "identity", "inner", "projector", "random_hermitian", "random_state",
     ),
-    "pointer": (
-        "GaussianPointer", "JointPointerState", "PointerBranch", "ReadoutDensity", "couple",
-        "readout_density",
-    ),
+    "pointer": ("GaussianPointer", "ReadoutDensity", "readout_density"),
     "measurement": (
         "MeasurementRecord", "TwoState", "WeakEstimate", "strong_measure", "weak_estimate",
         "weak_value",

@@ -12,7 +12,7 @@ import math
 
 # Tolerance for identities that hold exactly in the algebra (hermiticity,
 # normalization); hilbert.ATOL_EIG is the one for eigensolver output, such as
-# the Born weights of HermitianOperator.born_branches and JointPointerState.
+# the Born weights of HermitianOperator.born_branches.
 ATOL_EXACT = 1e-12
 # Dense brute-force oracles are limited to Hilbert dimension 2^ORACLE_MAX_QUBITS.
 ORACLE_MAX_QUBITS = 14

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, InvariantError, NearOrthogonalPrePost, NoAcceptedTrials
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
-from .pointer import couple, readout_density
+from .pointer import readout_density
 
 # Overlaps at or below this are treated as orthogonal for weak values.
 MIN_OVERLAP = 1e-12
@@ -66,9 +66,10 @@ class WeakEstimate:
 
 def _pick_branches(expansion, u):
     """Index into op.born_branches(psi) for each uniform draw u in [0, 1), by inverse CDF."""
-    weights = np.array([w for _, w, _ in expansion])
-    k = np.searchsorted(np.cumsum(weights), u * weights.sum())
-    return np.minimum(k, len(weights) - 1)
+    cum = np.cumsum([w for _, w, _ in expansion])
+    # side="right", so a draw on a cumulative weight never picks a zero-weight branch
+    k = np.searchsorted(cum, u * cum[-1], side="right")
+    return np.minimum(k, cum.size - 1)
 
 
 def strong_measure(
@@ -130,8 +131,7 @@ def weak_estimate(
     """
     if trials < 1:
         raise InvariantError("trials must be at least 1")
-    joint = couple(ts.forward, op, g, sigma)
-    density = readout_density(joint, post=ts.backward)
+    density = readout_density(ts.forward, op, g, sigma, post=ts.backward)
     accepted = int(np.count_nonzero(rng.random(trials) < density.success_prob))
     if accepted == 0:
         raise NoAcceptedTrials(

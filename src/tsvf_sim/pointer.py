@@ -4,27 +4,29 @@ A pointer starts in the Gaussian wavefunction
 phi(q) = (2 pi sigma^2)^(-1/4) exp(-(q - mean)^2 / (4 sigma^2)),
 so |phi|^2 is a normal density with standard deviation sigma. An impulsive
 coupling of strength g to an observable A shifts the pointer of the eigenvalue-a
-branch by g*a. A readout density is a signed Gaussian mixture: its density,
-moments and post-selection probability are closed forms, and Monte Carlo
-readings are drawn from it exactly by rejection.
+branch by g*a, so the Born expansion of the system state (its branches'
+weights and projections), g and sigma fix every reading. `readout_density`
+builds the reading's density straight from that expansion, as a signed
+Gaussian mixture: its density, moments and post-selection probability are
+closed forms, and Monte Carlo readings are drawn from it exactly by rejection.
+`GaussianPointer` is the pointer wavefunction itself, for reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InvariantError, PostSelectionImpossible
-from .hilbert import ATOL_EIG, HermitianOperator, StateVector, _readonly
+from .hilbert import HermitianOperator, StateVector, _readonly
 
 # One block of sampling proposals holds at most this many kernel values
 # (proposals x mixture components), about 2 MiB per float array.
 SAMPLE_BLOCK_CELLS = 2 ** 18
 # Below this, a post-selection state is treated as orthogonal to all branches.
 MIN_SUCCESS_PROB = 1e-300
-# Branches with Born weight at or below this are dropped from the joint state.
+# Branches with Born weight at or below this are dropped from a readout density.
 NEGLIGIBLE_WEIGHT = 1e-28
 
 
@@ -46,69 +48,15 @@ class GaussianPointer:
 
 
 @dataclass(frozen=True, eq=False)
-class PointerBranch:
-    """One eigenvalue branch of a coupled system-pointer state."""
-
-    eigenvalue: float
-    amplitude: float  # sqrt of the Born weight, >= 0; the branch phase is in `state`
-    state: StateVector  # normalized system state of the branch
-
-
-@dataclass(frozen=True, eq=False)
-class JointPointerState:
-    """Entangled system-pointer state sum_i alpha_i |b_i> (x) |phi(q - g a_i)>."""
-
-    terms: tuple[PointerBranch, ...]
-    coupling: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise InvariantError("pointer sigma must be positive")
-        if not self.terms:
-            raise InvariantError("joint state needs at least one branch")
-        total = sum(abs(t.amplitude) ** 2 for t in self.terms)
-        if abs(total - 1.0) > ATOL_EIG:
-            raise InvariantError("branch weights do not sum to 1 within 1e-10")
-
-    @property
-    def system_dim(self) -> int:
-        return self.terms[0].state.dim
-
-    def branch_means(self) -> np.ndarray:
-        """Pointer center g * a_i of each branch."""
-        return np.array([self.coupling * t.eigenvalue for t in self.terms])
-
-
-def couple(psi: StateVector, op: HermitianOperator, g: float, sigma: float) -> JointPointerState:
-    """Impulsively couple a normalized system state to an observable.
-
-    Expands psi over the eigenbranches of op (HermitianOperator.born_branches),
-    the same expansion a projective measurement samples. Each branch with
-    Born weight w above NEGLIGIBLE_WEIGHT becomes one term with amplitude
-    sqrt(w) and the normalized projection as its state, so a degenerate
-    eigenvalue contributes a single term and amplitude * state is the
-    projection of psi. The pointer of each term is shifted to g times its
-    eigenvalue (JointPointerState.branch_means).
-    """
-    terms = []
-    for branch, weight, projection in op.born_branches(psi):
-        if weight > NEGLIGIBLE_WEIGHT:
-            amp = math.sqrt(weight)
-            terms.append(PointerBranch(branch.eigenvalue, amp, StateVector(projection / amp)))
-    return JointPointerState(terms=tuple(terms), coupling=g, sigma=sigma)
-
-
-@dataclass(frozen=True, eq=False)
 class ReadoutDensity:
     """Probability density of a pointer reading, as a signed Gaussian mixture.
 
     f(q) = sum_k w_k N(q; mu_k, sigma^2) / sum_k w_k. Without post-selection
-    the components are the branches with w_i = |alpha_i|^2, which never
-    interfere because the system states attached to them are orthogonal. With
-    post-selection the coherent square |sum_i c_i phi(q - g a_i)|^2, with
-    c_i = alpha_i <post|b_i>, expands into one component per branch pair
-    i <= j, centred at (m_i + m_j)/2 with the weight
+    the components are the branches, centred at m_i = g a_i with their Born
+    weights w_i, which never interfere because the system projections p_i
+    attached to them are orthogonal. With post-selection the coherent square
+    |sum_i c_i phi(q - m_i)|^2, with c_i = <post|p_i>, expands into one
+    component per branch pair i <= j, centred at (m_i + m_j)/2 with the weight
     (2 - delta_ij) Re(c_i c_j*) exp(-(m_i - m_j)^2 / (8 sigma^2)), which can
     be negative. The weights sum to `success_prob`, the exact post-selection
     probability on the coupled state (1 without post-selection).
@@ -119,8 +67,12 @@ class ReadoutDensity:
     sigma: float
 
     def __post_init__(self):
+        if not self.sigma > 0.0:
+            raise InvariantError("pointer sigma must be positive")
         for name in ("means", "weights"):
             object.__setattr__(self, name, _readonly(getattr(self, name), float))
+        if self.means.ndim != 1 or self.means.size == 0 or self.means.shape != self.weights.shape:
+            raise DimensionError("means and weights must be non-empty 1-d arrays of equal length")
 
     @property
     def success_prob(self) -> float:
@@ -172,28 +124,38 @@ class ReadoutDensity:
         return out
 
 
-def readout_density(joint: JointPointerState, post: StateVector | None = None) -> ReadoutDensity:
-    """Readout density of the coupled state, optionally post-selected on `post`.
+def readout_density(
+    psi: StateVector,
+    op: HermitianOperator,
+    g: float,
+    sigma: float,
+    post: StateVector | None = None,
+) -> ReadoutDensity:
+    """Readout density after impulsively coupling psi to op, optionally post-selected on `post`.
 
-    Raises PostSelectionImpossible when `post` is orthogonal to every branch.
+    Expands psi over the eigenbranches of op (HermitianOperator.born_branches),
+    the same expansion a projective measurement samples, so a degenerate
+    eigenvalue is a single branch. Each branch with Born weight w above
+    NEGLIGIBLE_WEIGHT is one component centred at g times its eigenvalue; with
+    post-selection its projection p gives c = <post|p>. Raises
+    PostSelectionImpossible when `post` is orthogonal to every branch.
     """
-    means = joint.branch_means()
+    kept = [(b.eigenvalue, w, p) for b, w, p in op.born_branches(psi) if w > NEGLIGIBLE_WEIGHT]
+    means = np.array([g * a for a, _, _ in kept])
+    # Built first, so sigma is validated before the pair overlaps divide by it.
+    unselected =ReadoutDensity(means=means, weights=[w for _, w, _ in kept], sigma=sigma)
     if post is None:
-        weights = np.array([abs(t.amplitude) ** 2 for t in joint.terms])
-        return ReadoutDensity(means=means, weights=weights, sigma=joint.sigma)
-    if post.dim != joint.system_dim:
-        raise DimensionError(
-            f"post-selection dim {post.dim} != system dim {joint.system_dim}"
-        )
-    c = np.array([t.amplitude * np.vdot(post.amps, t.state.amps) for t in joint.terms])
+        return unselected
+    if post.dim != psi.dim:
+        raise DimensionError(f"post-selection dim {post.dim} != system dim {psi.dim}")
+    c = np.array([np.vdot(post.amps, p) for _, _, p in kept])
     i, j = np.triu_indices(c.size)
-    overlap = np.exp(-((means[i] - means[j]) ** 2) / (8.0 * joint.sigma ** 2))
+    overlap = np.exp(-((means[i] - means[j]) ** 2) / (8.0 * sigma ** 2))
     density = ReadoutDensity(
         means=(means[i] + means[j]) / 2.0,
         weights=(2 - (i == j)) * np.real(c[i] * c[j].conj()) * overlap,
-        sigma=joint.sigma,
+        sigma=sigma,
     )
     if not density.success_prob >= MIN_SUCCESS_PROB:
         raise PostSelectionImpossible("post-selection state is orthogonal to all branches")
     return density
-

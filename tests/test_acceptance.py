@@ -26,7 +26,6 @@ from tsvf_sim import (
     brute_force_spin_commutator,
     classical_threshold,
     commute_on_state,
-    couple,
     deterministic_basis,
     log_robustness_ratio,
     random_state,
@@ -90,8 +89,7 @@ def test_criterion_03_first_order_convergence():
     start = perf_counter()
     errors = {}
     for ratio in (0.1, 0.01):
-        joint = couple(PLUS, SIGMA_Z, g=ratio, sigma=1.0)
-        density = readout_density(joint, post=ANOMALOUS_BACKWARD)
+        density = readout_density(PLUS, SIGMA_Z, g=ratio, sigma=1.0, post=ANOMALOUS_BACKWARD)
         errors[ratio] = abs(density.mean() / ratio - TAN_3PI8)
     shrink = errors[0.1] / errors[0.01]
     # O((g/sigma)^2) predicts a factor of 100 for a 10x drop in g/sigma

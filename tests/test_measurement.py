@@ -20,12 +20,12 @@ from tsvf_sim import (
     projector,
     random_hermitian,
     random_state,
+    readout_density,
     strong_measure,
     weak_estimate,
     weak_value,
 )
 from tsvf_sim.measurement import measure_outcomes
-from tsvf_sim.pointer import couple
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -110,16 +110,31 @@ def test_measure_outcomes_rejects_what_strong_measure_rejects():
 
 @pytest.mark.parametrize(("excess", "accepted"), [(3e-11, True), (1e-9, False)])
 def test_strong_and_weak_paths_share_one_normalization_tolerance(excess, accepted):
-    """measure_outcomes and couple expand psi the same way, so they accept the same states."""
+    """measure_outcomes and readout_density both expand psi by born_branches: same states pass."""
     psi = StateVector(PLUS.amps * (1.0 + excess))
     calls = (lambda: measure_outcomes(psi, SIGMA_Z, np.random.default_rng(42), 10),
-             lambda: couple(psi, SIGMA_Z, g=0.1, sigma=1.0))
+             lambda: readout_density(psi, SIGMA_Z, g=0.1, sigma=1.0))
     for call in calls:
         if accepted:
             call()
         else:
             with pytest.raises(InvariantError):
                 call()
+
+
+class _ZeroDraws:
+    """Generator stand-in whose uniform draws are all exactly 0.0, a value random() can return."""
+
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
+
+
+def test_zero_draw_never_picks_a_zero_weight_branch():
+    # |0> has Born weight 0 on the -1 branch, which comes first in ascending order.
+    assert measure_outcomes(KET0, SIGMA_Z, _ZeroDraws(), 3).tolist() == [1.0, 1.0, 1.0]
+    record = strong_measure(KET0, SIGMA_Z, _ZeroDraws())
+    assert record.outcome == 1.0 and record.probability == 1.0
+    assert np.allclose(record.collapsed.amps, KET0.amps, rtol=0.0, atol=1e-12)
 
 
 def test_two_state_rejects_orthogonal_pair():

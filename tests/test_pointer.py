@@ -15,10 +15,10 @@ from tsvf_sim import (
     HermitianOperator,
     InvariantError,
     PostSelectionImpossible,
+    ReadoutDensity,
     StateVector,
     TwoState,
     basis_state,
-    couple,
     random_hermitian,
     random_state,
     readout_density,
@@ -45,8 +45,25 @@ def test_gaussian_pointer_requires_positive_sigma():
 
 
 def test_couple_requires_positive_sigma():
+    for post in (None, PLUS):
+        with pytest.raises(InvariantError):
+            readout_density(PLUS, SIGMA_Z, g=1.0, sigma=0.0, post=post)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+def test_readout_density_rejects_nonpositive_sigma(sigma):
     with pytest.raises(InvariantError):
-        couple(PLUS, SIGMA_Z, g=1.0, sigma=0.0)
+        ReadoutDensity(means=[1.0], weights=[1.0], sigma=sigma)
+
+
+@pytest.mark.parametrize(("means", "weights"), [
+    pytest.param([1.0, -1.0], [1.0], id="length-mismatch"),
+    pytest.param([], [], id="empty"),
+    pytest.param([[1.0]], [[1.0]], id="two-dimensional"),
+])
+def test_readout_density_rejects_malformed_components(means, weights):
+    with pytest.raises(DimensionError):
+        ReadoutDensity(means=means, weights=weights, sigma=1.0)
 
 
 def test_gaussian_density_normalized():
@@ -59,20 +76,15 @@ def test_gaussian_density_normalized():
 
 
 def test_couple_eigenstate_single_term():
-    joint = couple(KET0, SIGMA_Z, g=1.0, sigma=0.1)
-    assert len(joint.terms) == 1
-    term = joint.terms[0]
-    assert term.eigenvalue == 1.0
-    assert np.isclose(abs(term.amplitude), 1.0, atol=1e-12)
-    assert np.isclose(joint.branch_means()[0], 1.0, atol=1e-12)
+    density = readout_density(KET0, SIGMA_Z, g=1.0, sigma=0.1)
+    assert density.means.tolist() == [1.0]
+    assert np.isclose(density.weights[0], 1.0, atol=1e-12)
 
 
 def test_couple_superposition_two_branches():
-    joint = couple(PLUS, SIGMA_Z, g=1.0, sigma=0.2)
-    assert len(joint.terms) == 2
-    assert np.allclose(sorted(joint.branch_means()), [-1.0, 1.0])
-    for term in joint.terms:
-        assert np.isclose(abs(term.amplitude), 1.0 / math.sqrt(2.0), atol=1e-12)
+    density = readout_density(PLUS, SIGMA_Z, g=1.0, sigma=0.2)
+    assert np.allclose(sorted(density.means), [-1.0, 1.0])
+    assert np.allclose(density.weights, [0.5, 0.5], atol=1e-12)
 
 
 def test_couple_weights_sum_to_one():
@@ -80,17 +92,16 @@ def test_couple_weights_sum_to_one():
     for _ in range(100):
         psi = random_state(4, rng)
         op = random_hermitian(4, rng)
-        joint = couple(psi, op, g=0.3, sigma=1.0)
-        total = sum(abs(t.amplitude) ** 2 for t in joint.terms)
-        assert np.isclose(total, 1.0, atol=1e-12)
+        density = readout_density(psi, op, g=0.3, sigma=1.0)
+        assert np.isclose(density.success_prob, 1.0, atol=1e-12)
 
 
 def test_couple_merges_degenerate_eigenvalues():
     op = HermitianOperator(np.diag([1.0, 1.0, -1.0]).astype(complex))
     psi = StateVector(np.ones(3, dtype=complex) / math.sqrt(3.0))
-    joint = couple(psi, op, g=1.0, sigma=0.5)
-    assert len(joint.terms) == 2
-    weights = {round(t.eigenvalue): abs(t.amplitude) ** 2 for t in joint.terms}
+    density = readout_density(psi, op, g=1.0, sigma=0.5)
+    assert density.means.size == 2
+    weights = dict(zip(np.round(density.means).tolist(), density.weights.tolist()))
     assert np.isclose(weights[1], 2.0 / 3.0, atol=1e-12)
     assert np.isclose(weights[-1], 1.0 / 3.0, atol=1e-12)
 
@@ -107,24 +118,24 @@ REBUILD_OPS = {
 
 @pytest.mark.parametrize("name", REBUILD_OPS)
 def test_couple_terms_rebuild_psi(name):
-    """sum_i amplitude_i |b_i> is psi itself: no branch loses its phase."""
+    """The Born projections p_i the coupling shifts add up to psi: no branch loses its phase."""
     op = REBUILD_OPS[name]
     rng = np.random.default_rng(38)
     for _ in range(20):
         psi = random_state(op.dim, rng)
-        joint = couple(psi, op, g=0.5, sigma=1.0)
-        rebuilt = sum(t.amplitude * t.state.amps for t in joint.terms)
+        rebuilt = sum(p for _, _, p in op.born_branches(psi))
         assert np.allclose(rebuilt, psi.amps, rtol=0.0, atol=1e-12)
 
 
 def test_couple_dimension_mismatch():
     with pytest.raises(DimensionError):
-        couple(basis_state(3, 0), SIGMA_Z, g=1.0, sigma=1.0)
+        readout_density(basis_state(3, 0), SIGMA_Z, g=1.0, sigma=1.0)
+    with pytest.raises(DimensionError):
+        readout_density(PLUS, SIGMA_Z, g=1.0, sigma=1.0, post=basis_state(3, 0))
 
 
 def test_readout_no_post_is_single_gaussian():
-    joint = couple(KET0, SIGMA_Z, g=2.0, sigma=0.3)
-    density = readout_density(joint)
+    density = readout_density(KET0, SIGMA_Z, g=2.0, sigma=0.3)
     q = np.linspace(-1, 5, 301)
     single = np.abs(GaussianPointer(0.3, 2.0).amplitude(q)) ** 2
     assert np.allclose(density.pdf(q), single, atol=1e-12)
@@ -136,29 +147,26 @@ def test_readout_no_post_mean_is_g_times_expectation():
     for _ in range(25):
         psi = random_state(3, rng)
         op = random_hermitian(3, rng)
-        joint = couple(psi, op, g=0.7, sigma=0.9)
-        assert np.isclose(readout_density(joint).mean(), 0.7 * op.expectation(psi),
-                          atol=1e-12)
+        density = readout_density(psi, op, g=0.7, sigma=0.9)
+        assert np.isclose(density.mean(), 0.7 * op.expectation(psi), atol=1e-12)
 
 
 def test_readout_symmetric_post_has_zero_mean():
-    joint = couple(PLUS, SIGMA_Z, g=0.01, sigma=1.0)
-    assert np.isclose(readout_density(joint, post=PLUS).mean(), 0.0, atol=1e-12)
+    density = readout_density(PLUS, SIGMA_Z, g=0.01, sigma=1.0, post=PLUS)
+    assert np.isclose(density.mean(), 0.0, atol=1e-12)
 
 
 def test_readout_anomalous_mean_near_weak_value():
     """The post-selected pointer mean lands on g times the (anomalous) weak value."""
     g = 0.01
-    joint = couple(PLUS, SIGMA_Z, g=g, sigma=1.0)
-    density = readout_density(joint, post=ANOMALOUS_POST)
+    density = readout_density(PLUS, SIGMA_Z, g=g, sigma=1.0, post=ANOMALOUS_POST)
     assert abs(density.mean() / g - TAN_3PI8) / TAN_3PI8 < 0.01
 
 
 def test_readout_weak_value_error_shrinks_quadratically():
     errors = []
     for ratio in (0.1, 0.03, 0.01):
-        joint = couple(PLUS, SIGMA_Z, g=ratio, sigma=1.0)
-        density = readout_density(joint, post=ANOMALOUS_POST)
+        density = readout_density(PLUS, SIGMA_Z, g=ratio, sigma=1.0, post=ANOMALOUS_POST)
         errors.append(abs(density.mean() / ratio - TAN_3PI8))
     assert errors[0] > errors[1] > errors[2]
     # O((g/sigma)^2): a 10x change in g/sigma moves the error by ~100x
@@ -168,29 +176,25 @@ def test_readout_weak_value_error_shrinks_quadratically():
 def test_readout_pdf_integrates_to_one():
     rng = np.random.default_rng(23)
     for post in (None, ANOMALOUS_POST):
-        joint = couple(random_state(2, rng), SIGMA_Z, g=0.4, sigma=0.8)
-        density = readout_density(joint, post=post)
+        density = readout_density(random_state(2, rng), SIGMA_Z, g=0.4, sigma=0.8, post=post)
         q = np.linspace(-12, 12, 40001)
         assert np.isclose(np.trapezoid(density.pdf(q), q), 1.0, atol=1e-9)
 
 
 def test_readout_mean_matches_quadrature():
-    joint = couple(PLUS, SIGMA_Z, g=0.25, sigma=0.6)
-    density = readout_density(joint, post=ANOMALOUS_POST)
+    density = readout_density(PLUS, SIGMA_Z, g=0.25, sigma=0.6, post=ANOMALOUS_POST)
     q = np.linspace(-10, 10, 80001)
     numeric = np.trapezoid(q * density.pdf(q), q)
     assert np.isclose(density.mean(), numeric, atol=1e-9)
 
 
-def _coherent_reference(joint, post, q):
-    """Unnormalized readout density built from the pointer wavefunctions."""
-    pointers = [GaussianPointer(joint.sigma, m) for m in joint.branch_means()]
+def _coherent_reference(psi, op, g, sigma, post, q):
+    """Unnormalized readout density built from the shifted pointer wavefunctions."""
+    terms = [(w, p, GaussianPointer(sigma, g * b.eigenvalue).amplitude(q))
+             for b, w, p in op.born_branches(psi)]
     if post is None:
-        return sum(abs(t.amplitude) ** 2 * np.abs(p.amplitude(q)) ** 2
-                   for t, p in zip(joint.terms, pointers))
-    amp = sum(t.amplitude * np.vdot(post.amps, t.state.amps) * p.amplitude(q)
-              for t, p in zip(joint.terms, pointers))
-    return np.abs(amp) ** 2
+        return sum(w * np.abs(phi) ** 2 for w, _, phi in terms)
+    return np.abs(sum(np.vdot(post.amps, p) * phi for _, p, phi in terms)) ** 2
 
 
 @pytest.mark.parametrize("ratio", [0.01, 1.0, 10.0])
@@ -203,12 +207,12 @@ def test_readout_mixture_matches_coherent_oracle(ratio):
     ops.append(HermitianOperator((degenerate + degenerate.conj().T) / 2.0))
     assert len(ops[-1].branches) == 2
     for op in ops:
-        joint = couple(random_state(op.dim, rng), op, g=ratio * sigma, sigma=sigma)
-        means = joint.branch_means()
+        psi, g = random_state(op.dim, rng), ratio * sigma
+        means = g * np.array([b.eigenvalue for b in op.branches])
         q = np.linspace(means.min() - 12 * sigma, means.max() + 12 * sigma, 20001)
         for post in (None, random_state(op.dim, rng)):
-            density = readout_density(joint, post)
-            reference = _coherent_reference(joint, post, q)
+            density = readout_density(psi, op, g, sigma, post)
+            reference = _coherent_reference(psi, op, g, sigma, post, q)
             total = np.trapezoid(reference, q)
             assert np.isclose(density.success_prob, total, rtol=1e-9, atol=0.0)
             expected = reference / total
@@ -218,8 +222,7 @@ def test_readout_mixture_matches_coherent_oracle(ratio):
 
 
 def test_sample_moments_match_signed_mixture():
-    joint = couple(PLUS, SIGMA_Z, g=1.0, sigma=1.0)
-    density = readout_density(joint, post=ANOMALOUS_POST)
+    density = readout_density(PLUS, SIGMA_Z, g=1.0, sigma=1.0, post=ANOMALOUS_POST)
     w, mu, s2 = density.weights, density.means, density.sigma ** 2
     assert np.count_nonzero(w < 0.0) == 1
     first = float(w @ mu / w.sum())
@@ -254,7 +257,7 @@ KS_DRAWS = 20_000
                  43, id="post-angle-minus-0.3"),
 ])
 def test_sample_distribution_matches_mixture_cdf(g, post, seed):
-    density = readout_density(couple(PLUS, SIGMA_Z, g=g, sigma=1.0), post=post)
+    density = readout_density(PLUS, SIGMA_Z, g=g, sigma=1.0, post=post)
     assert np.any(density.weights < 0.0) == (post is ANOMALOUS_POST)
     readings = np.sort(density.sample(np.random.default_rng(seed), size=KS_DRAWS))
     cdf = _mixture_cdf(density, readings)
@@ -273,7 +276,7 @@ def test_weak_estimate_near_orthogonal_post_stays_fast():
 
 
 def test_sample_memory_bounded_at_tiny_acceptance():
-    density = readout_density(couple(PLUS, SIGMA_Z, g=0.01, sigma=1.0), post=NEAR_ORTHOGONAL_POST)
+    density = readout_density(PLUS, SIGMA_Z, g=0.01, sigma=1.0, post=NEAR_ORTHOGONAL_POST)
     assert density.success_prob / np.maximum(density.weights, 0.0).sum() < 1e-4
     tracemalloc.start()
     try:
@@ -286,36 +289,31 @@ def test_sample_memory_bounded_at_tiny_acceptance():
 
 
 def test_readout_orthogonal_post_impossible():
-    joint = couple(KET0, SIGMA_Z, g=1.0, sigma=0.5)
     with pytest.raises(PostSelectionImpossible):
-        readout_density(joint, post=KET1)
+        readout_density(KET0, SIGMA_Z, g=1.0, sigma=0.5, post=KET1)
 
 
 def test_readout_success_prob_weak_limit():
     # for g -> 0 the success probability approaches |<post|psi>|^2
-    joint = couple(PLUS, SIGMA_Z, g=1e-6, sigma=1.0)
-    density = readout_density(joint, post=KET0)
+    density = readout_density(PLUS, SIGMA_Z, g=1e-6, sigma=1.0, post=KET0)
     assert np.isclose(density.success_prob, 0.5, atol=1e-9)
 
 
 def test_sample_single_narrow_gaussian_stays_close():
-    joint = couple(KET0, SIGMA_Z, g=5.0, sigma=0.1)
     rng = np.random.default_rng(24)
-    readings = readout_density(joint).sample(rng, size=1000)
+    readings = readout_density(KET0, SIGMA_Z, g=5.0, sigma=0.1).sample(rng, size=1000)
     assert np.all(np.abs(readings - 5.0) < 5 * 0.1)
 
 
 def test_sample_mean_clt_no_post():
-    joint = couple(PLUS, SIGMA_Z, g=0.01, sigma=1.0)
     rng = np.random.default_rng(25)
-    samples = readout_density(joint).sample(rng, size=1_000_000)
+    samples = readout_density(PLUS, SIGMA_Z, g=0.01, sigma=1.0).sample(rng, size=1_000_000)
     stderr = samples.std(ddof=1) / math.sqrt(samples.size)
     assert abs(samples.mean() - 0.0) < 4 * stderr
 
 
 def test_sample_reading_deterministic_for_fixed_seed():
-    joint = couple(PLUS, SIGMA_Z, g=0.5, sigma=1.0)
-    density = readout_density(joint, ANOMALOUS_POST)
+    density = readout_density(PLUS, SIGMA_Z, g=0.5, sigma=1.0, post=ANOMALOUS_POST)
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(42)
@@ -341,9 +339,8 @@ def test_sample_reading_signals_failed_post_selection():
 
 
 def test_sample_covers_far_branches_at_strong_coupling():
-    joint = couple(PLUS, SIGMA_Z, g=50.0, sigma=1.0)
     rng = np.random.default_rng(27)
-    readings = readout_density(joint).sample(rng, size=10_000)
+    readings = readout_density(PLUS, SIGMA_Z, g=50.0, sigma=1.0).sample(rng, size=10_000)
     near_plus = np.count_nonzero(np.abs(readings - 50.0) < 10.0)
     near_minus = np.count_nonzero(np.abs(readings + 50.0) < 10.0)
     assert near_plus + near_minus == readings.size
