@@ -16,9 +16,11 @@ import math
 ATOL_EXACT = 1e-12
 # Dense brute-force oracles are limited to Hilbert dimension 2^ORACLE_MAX_QUBITS.
 ORACLE_MAX_QUBITS = 14
-# Largest spin count for the integer spin oracle, which does about 2 N^2 2^N
-# dict updates: about 0.3 s and a 6 KiB allocation peak at N = 12 on a 2-core
-# Xeon, without numpy.
+# Largest spin count for the integer spin oracle. Cost no longer sets it: the
+# lane-parallel oracle takes about 6 ms and a 0.9 MiB allocation peak at
+# N = 12 on a 2-core Xeon, without numpy. It stays 12 because it is the
+# documented upper bound of the `commutator` experiment's `brute_max`, and
+# raising it would change which runs the CLI accepts.
 SPIN_ORACLE_MAX = 12
 
 

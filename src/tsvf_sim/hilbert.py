@@ -51,7 +51,7 @@ class StateVector:
 
     def require_normalized(self, what: str) -> None:
         """Raise InvariantError unless the norm is 1 within ATOL_EXACT."""
-        if abs(self.norm() - 1.0) > ATOL_EXACT:
+        if not abs(self.norm() - 1.0) <= ATOL_EXACT:
             raise InvariantError(f"{what} must be normalized")
 
     def normalize(self) -> "StateVector":

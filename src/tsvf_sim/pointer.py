@@ -73,6 +73,10 @@ class ReadoutDensity:
             object.__setattr__(self, name, _readonly(getattr(self, name), float))
         if self.means.ndim != 1 or self.means.size == 0 or self.means.shape != self.weights.shape:
             raise DimensionError("means and weights must be non-empty 1-d arrays of equal length")
+        # Rejection sampling proposes from the positive weights and keeps a
+        # proposal with probability f/f+, so both must be positive.
+        if not (self.weights.max() > 0.0 and self.success_prob > 0.0):
+            raise InvariantError("a readout density needs a positive weight and a positive weight sum")
 
     @property
     def success_prob(self) -> float:
@@ -143,7 +147,7 @@ def readout_density(
     kept = [(b.eigenvalue, w, p) for b, w, p in op.born_branches(psi) if w > NEGLIGIBLE_WEIGHT]
     means = np.array([g * a for a, _, _ in kept])
     # Built first, so sigma is validated before the pair overlaps divide by it.
-    unselected =ReadoutDensity(means=means, weights=[w for _, w, _ in kept], sigma=sigma)
+    unselected = ReadoutDensity(means=means, weights=[w for _, w, _ in kept], sigma=sigma)
     if post is None:
         return unselected
     if post.dim != psi.dim:
@@ -151,11 +155,7 @@ def readout_density(
     c = np.array([np.vdot(post.amps, p) for _, _, p in kept])
     i, j = np.triu_indices(c.size)
     overlap = np.exp(-((means[i] - means[j]) ** 2) / (8.0 * sigma ** 2))
-    density = ReadoutDensity(
-        means=(means[i] + means[j]) / 2.0,
-        weights=(2 - (i == j)) * np.real(c[i] * c[j].conj()) * overlap,
-        sigma=sigma,
-    )
-    if not density.success_prob >= MIN_SUCCESS_PROB:
+    weights = (2 - (i == j)) * np.real(c[i] * c[j].conj()) * overlap
+    if not weights.sum() >= MIN_SUCCESS_PROB:
         raise PostSelectionImpossible("post-selection state is orthogonal to all branches")
-    return density
+    return ReadoutDensity(means=(means[i] + means[j]) / 2.0, weights=weights, sigma=sigma)

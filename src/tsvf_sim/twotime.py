@@ -57,10 +57,10 @@ class RobustnessModel:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > ATOL_EXACT:
+        if not abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) <= ATOL_EXACT:
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1 within 1e-12")
-        if self.env_size < 1:
-            raise InvariantError("env_size must be at least 1")
+        if not isinstance(self.env_size, int) or self.env_size < 1:
+            raise InvariantError("env_size must be an integer of at least 1")
         if not 0.0 <= self.overlap < 1.0:
             raise InvariantError("overlap c must lie in [0, 1)")
         if not 0 <= self.n_collapsed < self.env_size:

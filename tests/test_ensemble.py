@@ -30,6 +30,7 @@ from tsvf_sim import (
     random_hermitian,
     random_state,
 )
+from tsvf_sim.cli import main as cli_main
 
 KET0 = basis_state(2, 0)
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
@@ -287,6 +288,74 @@ def test_spin_site_tables_equal_pauli_matrices():
     assert np.array_equal(_site_matrix(spins.Z_SITE), SIGMA_Z.entries)
 
 
+def _column_loop_reference(n):
+    """The spin oracle's result, one basis column at a time in a dict of ints.
+
+    For every basis state b, applies each site-product term of
+    X'Y'' - Y''X' - 2Z' to b alone, as a signed bit flip, and keeps max|entry|
+    over the column; reads the site tables from `spins` when called.
+    """
+    def site_sum(site):
+        flip, (sign0, sign1) = site
+        return [(flip << i, 1 << i, sign0, sign1) for i in range(n)]
+
+    x_sum, y_sum, z_sum = map(site_sum, (spins.X_SITE, spins.Y2_SITE, spins.Z_SITE))
+    z_max = worst = 0
+    for state in range(2 ** n):
+        column = {}
+        get = column.get
+        # X'Y''|b> applies Y'' first; Y''X'|b> applies X' first and is subtracted.
+        for first, second, scale in ((y_sum, x_sum, 1), (x_sum, y_sum, -1)):
+            for flip, bit, sign0, sign1 in first:
+                middle = state ^ flip
+                amp = scale * (sign1 if state & bit else sign0)
+                for flip2, bit2, sign2_0, sign2_1 in second:
+                    key = middle ^ flip2
+                    column[key] = get(key, 0) + (sign2_1 if middle & bit2 else sign2_0) * amp
+        z = 0
+        for flip, bit, sign0, sign1 in z_sum:
+            sign = sign1 if state & bit else sign0
+            key = state ^ flip
+            column[key] = get(key, 0) - 2 * sign
+            z += sign
+        z_max = max(z_max, abs(z))
+        worst = max(worst, max(map(abs, column.values())))
+    return z_max / (2 * n) / n, worst / (4 * n * n)
+
+
+def test_spin_commutator_equals_column_loop():
+    for n in range(1, 11):
+        assert brute_force_spin_commutator(n) == _column_loop_reference(n)
+
+
+@pytest.mark.parametrize(("name", "table"), [
+    ("Y2_SITE", (1, (1, 1))),
+    ("Z_SITE", (0, (1, 1))),
+    ("X_SITE", (1, (1, -1))),
+    ("Y2_SITE", (0, (1, -1))),
+])
+def test_spin_commutator_equals_column_loop_on_broken_tables(monkeypatch, name, table):
+    # A wrong site table breaks the identity, so its entries are read back
+    # from the lanes instead of cancelling to an all-zero sum.
+    monkeypatch.setattr(spins, name, table)
+    for n in range(1, 9):
+        expected = _column_loop_reference(n)
+        assert expected[1] > 0.0
+        assert brute_force_spin_commutator(n) == expected
+
+
+def test_commutator_run_checks_every_spin_count_up_to_the_limit(tmp_path):
+    out = tmp_path / "k.csv"
+    assert cli_main(["run", "--experiment", "commutator", "--param", "brute_max=12",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    brute = [row for row in rows if row[1] == "brute"]
+    assert [int(row[0]) for row in brute] == list(range(1, 13))
+    for n, _, scale, identity_error in brute:
+        assert float(identity_error) == 0.0
+        assert float(scale) == 1 / (2 * int(n))
+
+
 def test_spin_commutator_oracle_bounds():
     with pytest.raises(InvariantError):
         brute_force_spin_commutator(0)
@@ -296,7 +365,8 @@ def test_spin_commutator_oracle_bounds():
 
 def test_spin_commutator_memory_stays_below_dense_matrices():
     # Three dense 2^11 x 2^11 complex matrices and their products peak above
-    # 450 MiB; the integer oracle holds one sparse column of ints at a time.
+    # 450 MiB; the integer oracle holds one 4 KiB lane vector per row offset,
+    # a peak of about 0.4 MiB.
     tracemalloc.start()
     try:
         brute_force_spin_commutator(11)

@@ -66,6 +66,20 @@ def test_readout_density_rejects_malformed_components(means, weights):
         ReadoutDensity(means=means, weights=weights, sigma=1.0)
 
 
+@pytest.mark.parametrize(("means", "weights"), [
+    pytest.param([0.0], [-1.0], id="no-positive-weight"),
+    pytest.param([0.0, 1.0], [0.0, 0.0], id="all-zero"),
+    pytest.param([0.0, 1.0], [1.0, -2.0], id="negative-sum"),
+    pytest.param([0.0, 1.0], [1.0, -1.0], id="zero-sum"),
+    pytest.param([0.0], [math.nan], id="nan-weight"),
+])
+def test_readout_density_rejects_weights_it_cannot_sample(means, weights):
+    # Rejection sampling from such a mixture never accepts a proposal, so
+    # `sample` would never return.
+    with pytest.raises(InvariantError):
+        ReadoutDensity(means=means, weights=weights, sigma=1.0)
+
+
 def test_gaussian_density_normalized():
     p = GaussianPointer(sigma=0.7, mean=1.3)
     q = np.linspace(-10, 12, 20001)

@@ -11,6 +11,7 @@ from tsvf_sim import (
     NoConsistentHistory,
     OrthogonalCollapseForbidden,
     RobustnessModel,
+    StateVector,
     TooLargeForOracle,
     brute_force_ratio,
     classical_threshold,
@@ -34,6 +35,17 @@ def model(alpha=0.6, beta=0.8, env_size=8, overlap=0.9, n_collapsed=0,
 def test_model_validates_branch_weights():
     with pytest.raises(InvariantError):
         model(alpha=1.0, beta=1.0)
+
+
+@pytest.mark.parametrize("probe", [
+    pytest.param(lambda: StateVector([math.nan, 0.0]).require_normalized("state"),
+                 id="nan-state"),
+    pytest.param(lambda: model(alpha=math.nan, beta=1.0), id="nan-alpha"),
+    pytest.param(lambda: model(env_size=8.5), id="fractional-env_size"),
+])
+def test_library_checks_reject_nan_and_non_integers(probe):
+    with pytest.raises(InvariantError):
+        probe()
 
 
 def test_model_requires_core():
