@@ -26,17 +26,14 @@ _EXPORTS = {
         "PostSelectionImpossible", "TooLargeForOracle",
     ),
     "hilbert": (
-        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "EigenBranch", "HermitianOperator", "StateVector",
-        "basis_state", "identity", "inner", "projector", "random_hermitian", "random_state",
+        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "HermitianOperator", "StateVector", "basis_state",
+        "identity", "inner", "projector",
     ),
-    "pointer": ("GaussianPointer", "ReadoutDensity", "readout_density"),
-    "measurement": (
-        "MeasurementRecord", "TwoState", "WeakEstimate", "strong_measure", "weak_estimate",
-        "weak_value",
-    ),
+    "pointer": ("ReadoutDensity", "readout_density"),
+    "measurement": ("TwoState", "strong_measure", "weak_estimate", "weak_value"),
     "ensemble": (
-        "Decomposition", "EnsembleSpec", "average_operator_residual", "brute_force_average",
-        "commute_on_state", "decompose", "deterministic_basis",
+        "EnsembleSpec", "average_operator_residual", "brute_force_average", "commute_on_state",
+        "decompose", "deterministic_basis",
     ),
     "spins": ("average_spin_commutator", "brute_force_spin_commutator"),
     "twotime": (

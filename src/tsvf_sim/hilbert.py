@@ -57,8 +57,8 @@ class StateVector:
     def normalize(self) -> "StateVector":
         """Return the unit-norm version of this state."""
         n = self.norm()
-        if n < 1e-300:
-            raise InvariantError("cannot normalize a zero vector")
+        if not 1e-300 <= n < np.inf:  # NaN fails too
+            raise InvariantError("cannot normalize a zero or non-finite vector")
         return StateVector(self.amps / n)
 
 
@@ -165,15 +165,3 @@ def inner(a: StateVector, b: StateVector) -> complex:
     if a.dim != b.dim:
         raise DimensionError(f"inner product dims differ: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def random_state(dim: int, rng: np.random.Generator) -> StateVector:
-    """Haar-ish random normalized state (Gaussian amplitudes, normalized)."""
-    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(amps).normalize()
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
-    """Random Hermitian operator with standard Gaussian entries, symmetrized."""
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator((m + m.conj().T) / 2.0)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, InvariantError, NearOrthogonalPrePost, NoAcceptedTrials
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
-from .pointer import readout_density
+from .pointer import _inverse_cdf, readout_density
 
 # Overlaps at or below this are treated as orthogonal for weak values.
 MIN_OVERLAP = 1e-12
@@ -66,10 +66,7 @@ class WeakEstimate:
 
 def _pick_branches(expansion, u):
     """Index into op.born_branches(psi) for each uniform draw u in [0, 1), by inverse CDF."""
-    cum = np.cumsum([w for _, w, _ in expansion])
-    # side="right", so a draw on a cumulative weight never picks a zero-weight branch
-    k = np.searchsorted(cum, u * cum[-1], side="right")
-    return np.minimum(k, cum.size - 1)
+    return _inverse_cdf(np.cumsum([w for _, w, _ in expansion]), u)
 
 
 def strong_measure(

@@ -9,7 +9,6 @@ weights and projections), g and sigma fix every reading. `readout_density`
 builds the reading's density straight from that expansion, as a signed
 Gaussian mixture: its density, moments and post-selection probability are
 closed forms, and Monte Carlo readings are drawn from it exactly by rejection.
-`GaussianPointer` is the pointer wavefunction itself, for reference.
 """
 
 from __future__ import annotations
@@ -30,21 +29,14 @@ MIN_SUCCESS_PROB = 1e-300
 NEGLIGIBLE_WEIGHT = 1e-28
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianPointer:
-    """Gaussian pointer wavefunction with the given spread and center."""
+def _inverse_cdf(cum: np.ndarray, u):
+    """Index k of each uniform draw u in [0, 1) under the cumulative weights cum.
 
-    sigma: float
-    mean: float = 0.0
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise InvariantError("pointer sigma must be positive")
-
-    def amplitude(self, q):
-        """Wavefunction value phi(q); |phi|^2 integrates to 1."""
-        s2 = self.sigma ** 2
-        return (2.0 * np.pi * s2) ** -0.25 * np.exp(-((q - self.mean) ** 2) / (4.0 * s2))
+    cum is np.cumsum of non-negative weights with a positive total. side="right",
+    so a draw on a cumulative weight never picks a zero-weight index, and the
+    index is clipped in case u * cum[-1] rounds up to the total.
+    """
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +110,8 @@ class ReadoutDensity:
         while filled < n:
             # 10% over the expected need, so one block usually suffices
             block = int(min(cap, 1.1 * (n - filled) / acceptance + 8))
-            k = np.searchsorted(cum, rng.random(block) * cum[-1], side="right")
-            q = self.means[np.minimum(k, cum.size - 1)] + self.sigma * rng.standard_normal(block)
+            q = self.means[_inverse_cdf(cum, rng.random(block))]
+            q = q + self.sigma * rng.standard_normal(block)
             kernels = self._kernels(q)
             q = q[rng.random(block) * (kernels @ positive) < kernels @ self.weights]
             take = min(q.size, n - filled)

@@ -63,6 +63,8 @@ class RobustnessModel:
             raise InvariantError("env_size must be an integer of at least 1")
         if not 0.0 <= self.overlap < 1.0:
             raise InvariantError("overlap c must lie in [0, 1)")
+        if not isinstance(self.n_collapsed, int):
+            raise InvariantError("n_collapsed must be an integer")
         if not 0 <= self.n_collapsed < self.env_size:
             raise InvariantError(f"n_collapsed = {self.n_collapsed} must be at least 0 "
                                  f"and below env_size = {self.env_size}")

@@ -28,7 +28,6 @@ from tsvf_sim import (
     commute_on_state,
     deterministic_basis,
     log_robustness_ratio,
-    random_state,
     readout_density,
     robustness_ratio,
     select_by_final,
@@ -36,6 +35,7 @@ from tsvf_sim import (
 )
 from tsvf_sim.cli import main as cli_main
 from tsvf_sim.measurement import measure_outcomes
+from helpers import random_state
 
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 ANOMALOUS_BACKWARD = StateVector(

@@ -15,7 +15,8 @@ import pytest
 
 from tsvf_sim.ensemble import EnsembleSpec, average_operator_residual, brute_force_average, decompose
 from tsvf_sim.experiments import EXPERIMENTS, _sigma_z_moments, resolve_params
-from tsvf_sim.hilbert import SIGMA_Z, StateVector, random_state
+from tsvf_sim.hilbert import SIGMA_Z, StateVector
+from helpers import random_state
 
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 

@@ -27,10 +27,9 @@ from tsvf_sim import (
     deterministic_basis,
     inner,
     projector,
-    random_hermitian,
-    random_state,
 )
 from tsvf_sim.cli import main as cli_main
+from helpers import random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))

@@ -17,10 +17,9 @@ from tsvf_sim import (
     identity,
     inner,
     projector,
-    random_hermitian,
-    random_state,
 )
 from tsvf_sim.errors import fits_oracle
+from helpers import random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -41,6 +40,14 @@ def test_state_requires_positive_dim():
 def test_normalize_unit_norm():
     raw = StateVector(np.array([3.0, 4.0], dtype=complex))
     assert np.isclose(raw.normalize().norm(), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("amps", [[0.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]],
+                         ids=["zero", "nan", "inf"])
+def test_normalize_rejects_zero_and_non_finite_vectors(amps):
+    # Warnings are errors in this suite, so a numpy RuntimeWarning would fail too.
+    with pytest.raises(InvariantError, match="cannot normalize"):
+        StateVector(amps).normalize()
 
 
 def test_amps_are_read_only():

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, because this test process has long
 since imported numpy and every submodule.
 """
 
+import importlib
 import json
 import os
 import pkgutil
@@ -35,7 +36,7 @@ def test_every_export_resolves_in_a_fresh_interpreter():
         "missing = [n for n in tsvf_sim.__all__ if getattr(tsvf_sim, n, None) is None]\n"
         "print(len(tsvf_sim.__all__), len(set(tsvf_sim.__all__)), missing)\n"
     )
-    assert out.split(maxsplit=2) == ["48", "48", "[]\n"]
+    assert out.split(maxsplit=2) == ["41", "41", "[]\n"]
 
 
 def test_star_import_binds_exactly_all():
@@ -64,6 +65,27 @@ def test_unknown_attribute_raises_attribute_error():
         tsvf_sim.no_such_name
     with pytest.raises(AttributeError, match="no_such_name"):
         experiments.no_such_name
+
+
+@pytest.mark.parametrize("name", ["GaussianPointer", "random_state", "random_hermitian"])
+def test_test_only_helpers_are_not_in_the_package(name):
+    # They live in tests/helpers.py; no submodule defines them either.
+    with pytest.raises(AttributeError, match=name):
+        getattr(tsvf_sim, name)
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(f"tsvf_sim.{module}"), name), module
+
+
+@pytest.mark.parametrize(("module", "name"), [
+    ("hilbert", "EigenBranch"),
+    ("measurement", "WeakEstimate"),
+    ("measurement", "MeasurementRecord"),
+    ("ensemble", "Decomposition"),
+])
+def test_return_types_import_from_their_submodule(module, name):
+    assert name not in tsvf_sim.__all__
+    cls = getattr(importlib.import_module(f"tsvf_sim.{module}"), name)
+    assert isinstance(cls, type) and cls.__module__ == f"tsvf_sim.{module}"
 
 
 RUN_AND_REPORT = (

@@ -18,14 +18,14 @@ from tsvf_sim import (
     basis_state,
     identity,
     projector,
-    random_hermitian,
-    random_state,
     readout_density,
     strong_measure,
     weak_estimate,
     weak_value,
 )
 from tsvf_sim.measurement import measure_outcomes
+from tsvf_sim.pointer import _inverse_cdf
+from helpers import random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -135,6 +135,16 @@ def test_zero_draw_never_picks_a_zero_weight_branch():
     record = strong_measure(KET0, SIGMA_Z, _ZeroDraws())
     assert record.outcome == 1.0 and record.probability == 1.0
     assert np.allclose(record.collapsed.amps, KET0.amps, rtol=0.0, atol=1e-12)
+    # The shared inverse CDF at both ends of [0, 1), with zero weights first,
+    # between positive ones and last, and totals that are not 1.
+    below_one = np.nextafter(1.0, 0.0)
+    for weights in ([0.0, 1.0, 0.0], [0.0, 0.3, 0.0, 0.7, 0.0], [0.0, 0.1, 0.2, 0.0],
+                    [0.0, 1e-300, 0.0], [0.0, 0.0, 3.0, 5.0, 0.0, 0.0]):
+        positive = np.flatnonzero(weights)
+        cum = np.cumsum(weights)
+        assert _inverse_cdf(cum, 0.0) == positive[0]
+        assert _inverse_cdf(cum, below_one) == positive[-1]
+        assert _inverse_cdf(cum, np.array([0.0, below_one])).tolist() == [positive[0], positive[-1]]
 
 
 def test_two_state_rejects_orthogonal_pair():

@@ -11,7 +11,6 @@ from tsvf_sim import (
     SIGMA_X,
     SIGMA_Z,
     DimensionError,
-    GaussianPointer,
     HermitianOperator,
     InvariantError,
     PostSelectionImpossible,
@@ -19,11 +18,10 @@ from tsvf_sim import (
     StateVector,
     TwoState,
     basis_state,
-    random_hermitian,
-    random_state,
     readout_density,
     weak_estimate,
 )
+from helpers import GaussianPointer, random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)

@@ -42,6 +42,8 @@ def test_model_validates_branch_weights():
                  id="nan-state"),
     pytest.param(lambda: model(alpha=math.nan, beta=1.0), id="nan-alpha"),
     pytest.param(lambda: model(env_size=8.5), id="fractional-env_size"),
+    pytest.param(lambda: model(n_collapsed=1.5, gamma1=0.9, gamma2=0.9),
+                 id="fractional-n_collapsed"),
 ])
 def test_library_checks_reject_nan_and_non_integers(probe):
     with pytest.raises(InvariantError):
