@@ -1,8 +1,10 @@
 """Command-line entry point: `tsvf-sim run ...` and `tsvf-sim list`.
 
 One experiment per process. Configuration comes from flags, optionally merged
-over a key=value config file (flags win). Exit codes: 0 success, 2
-configuration error, 3 runtime or I/O error.
+over a key=value config file (flags win); the seed is parsed like an int
+parameter. `main` is the one place that maps errors to exit codes: 0 success,
+2 for a ConfigError (any input the package rejects, see errors.py), 3 for any
+other error and for a failed write.
 """
 
 from __future__ import annotations
@@ -15,9 +17,16 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .experiments import EXPERIMENTS, Experiment, ExperimentResult, resolve_params
+from .experiments import (
+    EXPERIMENTS,
+    Experiment,
+    ExperimentResult,
+    ParamSpec,
+    parse_param_value,
+    resolve_params,
+)
 
-MAX_SEED = 2 ** 64
+SEED = ParamSpec("seed", "int", 0, "unsigned 64-bit RNG seed", 0, 2 ** 64 - 1)
 # Rows formatted at a time: the cells of one chunk are the only per-cell
 # Python objects alive, so render memory is the text plus a fixed overhead.
 RENDER_CHUNK = 1 << 14
@@ -104,16 +113,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_seed(raw) -> int:
-    try:
-        seed = int(str(raw), 10)
-    except ValueError:
-        raise ConfigError(f"seed must be an integer, got {raw!r}") from None
-    if not 0 <= seed < MAX_SEED:
-        raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return seed
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsvf-sim",
@@ -122,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run one experiment and write its CSV")
     run_p.add_argument("--experiment", help="experiment name (see `tsvf-sim list`)")
-    run_p.add_argument("--seed", help="unsigned 64-bit RNG seed (default 0)")
+    run_p.add_argument("--seed", help=f"{SEED.help} (default {SEED.default})")
     run_p.add_argument(
         "--param",
         action="append",
@@ -189,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         exp = EXPERIMENTS[name]
 
         seed_raw = args.seed if args.seed is not None else file_seed
-        seed = _parse_seed(seed_raw) if seed_raw is not None else 0
+        seed = parse_param_value(SEED, seed_raw) if seed_raw is not None else SEED.default
         out = args.out or file_out or f"{name}.csv"
 
         overrides = dict(file_values)  # remaining file keys are parameters
@@ -206,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"tsvf-sim: error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # post-selection dead ends, oracle limits, ...
+    except Exception as exc:  # no trial passed post-selection, or a defect
         print(f"tsvf-sim: runtime error: {exc}", file=sys.stderr)
         return 3
 

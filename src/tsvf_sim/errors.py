@@ -1,11 +1,14 @@
 """Exception types shared across the package.
 
-Everything raised on bad input derives from ValueError, everything raised when
-a run cannot produce a result derives from RuntimeError, so callers can catch
-broadly without importing each class. The tolerance and the dense-oracle
-bounds that gate InvariantError and TooLargeForOracle live here too, so the
-closed-form modules, and the limit checks of runners that do use numpy, can
-use them without importing numpy.
+Every error raised on input the package rejects derives from ConfigError, a
+ValueError; every error raised when a valid run cannot produce a result
+derives from RuntimeError. The command line maps the classes to exit codes
+in one place: a ConfigError exits 2, anything else exits 3, the package's
+RuntimeErrors and a plain ValueError from a defect included.
+
+The tolerance and the dense-oracle bounds that gate InvariantError and
+TooLargeForOracle live here too, so the closed-form modules, and the limit
+checks of runners that do use numpy, can use them without importing numpy.
 """
 
 import math
@@ -34,11 +37,15 @@ def fits_oracle(dim: int, copies: int) -> bool:
     return dim == 1 or copies <= ORACLE_MAX_QUBITS / math.log2(dim)
 
 
-class DimensionError(ValueError):
+class ConfigError(ValueError):
+    """Input the package rejects: a malformed configuration or an invalid model."""
+
+
+class DimensionError(ConfigError):
     """Operands live in Hilbert spaces of incompatible dimension."""
 
 
-class InvariantError(ValueError):
+class InvariantError(ConfigError):
     """A constructed object violates one of its defining invariants."""
 
 
@@ -46,7 +53,7 @@ class PostSelectionImpossible(RuntimeError):
     """The post-selection state is orthogonal to every branch of the coupled state."""
 
 
-class NearOrthogonalPrePost(ValueError):
+class NearOrthogonalPrePost(ConfigError):
     """Pre- and post-selected states overlap below the configured threshold."""
 
 
@@ -54,17 +61,13 @@ class NoAcceptedTrials(RuntimeError):
     """Every Monte Carlo trial failed post-selection; no estimate exists."""
 
 
-class TooLargeForOracle(ValueError):
+class TooLargeForOracle(ConfigError):
     """The requested brute-force computation exceeds the dense-space bound."""
 
 
-class NoConsistentHistory(ValueError):
+class NoConsistentHistory(ConfigError):
     """The final boundary condition is orthogonal to every forward branch."""
 
 
-class OrthogonalCollapseForbidden(ValueError):
+class OrthogonalCollapseForbidden(ConfigError):
     """A collapse state orthogonal to the recorded branch would erase the record."""
-
-
-class ConfigError(ValueError):
-    """Malformed experiment configuration (unknown key, bad value, bad seed)."""

@@ -16,13 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import (
-    SPIN_ORACLE_MAX,
-    ConfigError,
-    InvariantError,
-    OrthogonalCollapseForbidden,
-    fits_oracle,
-)
+from .errors import SPIN_ORACLE_MAX, ConfigError, InvariantError, fits_oracle
 # core_decay has no caller here: perfbench/trace_child.py reads and rebinds it
 # until ROADMAP item 1 removes that rebinding.
 from .twotime import (
@@ -306,18 +300,15 @@ def _run_commutator(params: dict, seed: int) -> ExperimentResult:
 
 def _model_from(params: dict, env_size: int) -> RobustnessModel:
     amp = 1.0 / math.sqrt(2.0)
-    try:
-        return RobustnessModel(
-            alpha=amp,
-            beta=amp,
-            env_size=env_size,
-            overlap=params["c"],
-            n_collapsed=params["n"],
-            gamma1=params["gamma1"],
-            gamma2=params["gamma2"],
-        )
-    except (InvariantError, OrthogonalCollapseForbidden) as exc:
-        raise ConfigError(str(exc)) from None
+    return RobustnessModel(
+        alpha=amp,
+        beta=amp,
+        env_size=env_size,
+        overlap=params["c"],
+        n_collapsed=params["n"],
+        gamma1=params["gamma1"],
+        gamma2=params["gamma2"],
+    )
 
 
 def _run_robustness(params: dict, seed: int) -> ExperimentResult:
@@ -347,12 +338,9 @@ def _run_threshold(params: dict, seed: int) -> ExperimentResult:
     targets = params["targets"]
     needed, at, below = [], [], []
     for target in targets:
-        try:
-            size = classical_threshold(
-                params["n"], params["c"], params["gamma1"], params["gamma2"], target
-            )
-        except (InvariantError, OrthogonalCollapseForbidden) as exc:
-            raise ConfigError(str(exc)) from None
+        size = classical_threshold(
+            params["n"], params["c"], params["gamma1"], params["gamma2"], target
+        )
         needed.append(size)
         at.append(robustness_ratio(_model_from(params, size)))
         below.append(

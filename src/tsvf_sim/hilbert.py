@@ -88,6 +88,8 @@ class HermitianOperator:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionError("operator entries must form a square matrix")
+        if not np.isfinite(m).all():
+            raise InvariantError("operator entries must be finite")
         if not np.allclose(m, m.conj().T, atol=ATOL_EXACT, rtol=0.0):
             raise InvariantError("operator is not Hermitian within 1e-12")
         object.__setattr__(self, "entries", _readonly(m))

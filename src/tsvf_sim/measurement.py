@@ -16,7 +16,7 @@ from .errors import DimensionError, InvariantError, NearOrthogonalPrePost, NoAcc
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
 from .pointer import _inverse_cdf, readout_density
 
-# Overlaps at or below this are treated as orthogonal for weak values.
+# Pre/post overlaps at or below this are treated as orthogonal: no weak value exists.
 MIN_OVERLAP = 1e-12
 
 
@@ -36,8 +36,10 @@ class TwoState:
         self.forward.require_normalized("forward state")
         self.backward.require_normalized("backward state")
         ov = inner(self.backward, self.forward)
-        if abs(ov) == 0.0:
-            raise NearOrthogonalPrePost("forward and backward states are exactly orthogonal")
+        if not abs(ov) > MIN_OVERLAP:  # NaN fails too
+            raise NearOrthogonalPrePost(
+                f"|overlap| = {abs(ov):.3e} is at or below the threshold {MIN_OVERLAP:.3e}"
+            )
         object.__setattr__(self, "overlap", ov)
 
 
@@ -100,10 +102,6 @@ def measure_outcomes(
 
 def weak_value(ts: TwoState, op: HermitianOperator) -> complex:
     """Weak value <phi|A|psi> / <phi|psi> (complex in general)."""
-    if abs(ts.overlap) <= MIN_OVERLAP:
-        raise NearOrthogonalPrePost(
-            f"|overlap| = {abs(ts.overlap):.3e} is at or below the threshold {MIN_OVERLAP:.3e}"
-        )
     numerator = complex(np.vdot(ts.backward.amps, op.apply(ts.forward)))
     return numerator / ts.overlap
 

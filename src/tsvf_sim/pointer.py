@@ -59,12 +59,14 @@ class ReadoutDensity:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise InvariantError("pointer sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise InvariantError("pointer sigma must be finite and positive")
         for name in ("means", "weights"):
             object.__setattr__(self, name, _readonly(getattr(self, name), float))
         if self.means.ndim != 1 or self.means.size == 0 or self.means.shape != self.weights.shape:
             raise DimensionError("means and weights must be non-empty 1-d arrays of equal length")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.weights).all()):
+            raise InvariantError("readout means and weights must be finite")
         # Rejection sampling proposes from the positive weights and keeps a
         # proposal with probability f/f+, so both must be positive.
         if not (self.weights.max() > 0.0 and self.success_prob > 0.0):
@@ -136,6 +138,8 @@ def readout_density(
     post-selection its projection p gives c = <post|p>. Raises
     PostSelectionImpossible when `post` is orthogonal to every branch.
     """
+    if not np.isfinite(g):
+        raise InvariantError("coupling g must be finite")
     kept = [(b.eigenvalue, w, p) for b, w, p in op.born_branches(psi) if w > NEGLIGIBLE_WEIGHT]
     means = np.array([g * a for a, _, _ in kept])
     # Built first, so sigma is validated before the pair overlaps divide by it.

@@ -117,12 +117,12 @@ def robustness_ratio(model: RobustnessModel) -> float:
 
 def core_decay(n0: float, time_constant: float, t: float) -> float:
     """Remaining intact record size N(t) = N0 exp(-t/T)."""
-    if n0 < 0.0:
-        raise InvariantError("initial record size must be non-negative")
-    if time_constant <= 0.0:
-        raise InvariantError("decay time constant must be positive")
-    if t < 0.0:
-        raise InvariantError("time must be non-negative")
+    if not 0.0 <= n0 < math.inf:  # NaN fails too, here and below
+        raise InvariantError("initial record size must be finite and non-negative")
+    if not 0.0 < time_constant < math.inf:
+        raise InvariantError("decay time constant must be finite and positive")
+    if not 0.0 <= t < math.inf:
+        raise InvariantError("time must be finite and non-negative")
     return _decay_curve(n0, time_constant, (t,))[0]
 
 
@@ -166,8 +166,8 @@ def classical_threshold(
     float staircase of the log ratio is near c = 1. Arguments are validated as
     a RobustnessModel with a single definite branch.
     """
-    if ratio_target <= 0.0:
-        raise InvariantError("ratio_target must be positive")
+    if not 0.0 < ratio_target < math.inf:
+        raise InvariantError("ratio_target must be finite and positive")
     model = RobustnessModel(
         alpha=1.0,
         beta=0.0,

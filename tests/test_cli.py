@@ -1,5 +1,6 @@
 """Tests for the command-line experiment runner and its CSV contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -326,6 +327,23 @@ def test_invalid_seed_exits_2(seed):
     assert run_cli("run", "--experiment", "decay", "--seed", seed) == 2
 
 
+@pytest.mark.parametrize(("seed", "kept"), [
+    ("1e3", "1000"), ("12.0", "12"), ("18446744073709551615", "18446744073709551615"),
+])
+def test_seed_is_parsed_like_an_int_parameter(tmp_path, seed, kept):
+    out = tmp_path / "d.csv"
+    assert run_cli("run", "--experiment", "decay", "--seed", seed, "--out", str(out)) == 0
+    assert f" seed={kept} " in out.read_text().splitlines()[0]
+
+
+def test_invalid_seed_in_a_config_file_exits_2(tmp_path, capsys):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "d.csv"
+    cfg.write_text("experiment = decay\nseed = 12.5\n")
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("tsvf-sim: error: parameter 'seed'")
+    assert not out.exists()
+
+
 def test_seed_defaults_to_zero(tmp_path):
     out = tmp_path / "d.csv"
     run_cli("run", "--experiment", "decay", "--out", str(out))
@@ -385,13 +403,35 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_runtime_failure_exits_3(capsys):
-    # post_angle = pi/4 makes the backward state orthogonal to |+>
-    code = run_cli("run", "--experiment", "weakvalue",
-                   "--param", f"post_angle={math.pi / 4}",
-                   "--param", "trials=10")
+def test_runtime_failure_exits_3(tmp_path, capsys):
+    # A valid configuration whose one trial fails post-selection (NoAcceptedTrials).
+    out = tmp_path / "w.csv"
+    code = run_cli("run", "--experiment", "weakvalue", "--seed", "0",
+                   "--param", "trials=1", "--param", "post_angle=0", "--out", str(out))
     assert code == 3
-    assert "runtime error" in capsys.readouterr().err
+    assert "runtime error: 0 of 1 trials passed post-selection" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_orthogonal_pre_and_post_states_exit_2(tmp_path, capsys):
+    # post_angle = pi/4 makes the backward state orthogonal to |+>: no weak value exists.
+    out = tmp_path / "w.csv"
+    code = run_cli("run", "--experiment", "weakvalue", "--param", f"post_angle={math.pi / 4}",
+                   "--param", "trials=10", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("tsvf-sim: error: |overlap| = ")
+    assert not out.exists()
+
+
+def test_plain_value_error_from_a_defect_exits_3(monkeypatch, capsys):
+    # Only a ConfigError means bad input; a plain ValueError is a defect.
+    def runner(params, seed):
+        return math.sqrt(-1.0)
+
+    monkeypatch.setitem(EXPERIMENTS, "decay", dataclasses.replace(EXPERIMENTS["decay"],
+                                                                  runner=runner))
+    assert run_cli("run", "--experiment", "decay") == 3
+    assert "runtime error: math domain error" in capsys.readouterr().err
 
 
 def test_commutator_rows_ordered_by_spin_count(tmp_path):

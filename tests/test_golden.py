@@ -1,22 +1,30 @@
-"""Byte-level goldens: every experiment at a fixed seed and small parameters.
+"""Byte-level goldens: every experiment at a fixed seed and small parameters,
+and a matrix of edge configurations.
 
 Reruns of the same code (criterion 10) cannot catch a refactor that changes
-output; these files can. A change that alters an output on purpose
-regenerates the affected goldens deliberately and says so in CHANGES.md:
+output; these files can. Each golden CSV holds one experiment's output. Each
+line of golden/matrix.tsv holds one edge configuration's argument list (with
+no --out), its exit code, the sha256 and byte length of its CSV ("-" when
+none is written), its printed summary and the first line of its stderr ("-"
+when either is empty). A change that alters an output on purpose regenerates
+the affected files deliberately and says so in CHANGES.md:
 
-    PYTHONPATH=src python3 tests/test_golden.py [EXPERIMENT ...]
+    PYTHONPATH=src python3 tests/test_golden.py [EXPERIMENT | matrix ...]
 
-rewrites only the named experiments' files, or all of them when none is
-named, and prints each changed cell (line, column name, old and new value)
-or "unchanged"; an unknown name exits non-zero before any file is written.
+rewrites only the named experiments' files (and the matrix for `matrix`), or
+all of them when none is named, and prints each changed cell (line, column
+name, old and new value) or "unchanged"; an unknown name exits non-zero
+before any file is written.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -35,6 +43,41 @@ PARAMS = {
     "threshold": [],
     "decay": [],
 }
+MATRIX = GOLDEN_DIR / "matrix.tsv"
+MATRIX_FIELDS = ("argv", "exit", "sha256", "bytes", "summary", "stderr")
+SAMPLED = [
+    *(f"weakvalue --param {params}" for params in [
+        "post_angle=3 --param g_over_sigma=1000",
+        "sigma=0.25 --param g_over_sigma=0.5 --param trials=5000",
+        "sigma=1e-100",
+        "g_over_sigma=1e-9 --param trials=100",
+        "trials=1 --param post_angle=0",
+    ]),
+    *(f"born --param alpha2={a2}" for a2 in ["0", "1", "0.5", "1e-17"]),
+]
+MATRIX_ARGV = [
+    *(f"run --seed {seed} --experiment {config}" for config in SAMPLED
+      for seed in ["0", "7", "31337"]),
+    # One accepted trial, so its standard error is inf.
+    "run --seed 2 --experiment weakvalue --param trials=1 --param post_angle=0",
+    # Orthogonal pre- and post-selected states: no weak value exists.
+    "run --experiment weakvalue --param post_angle=0.7853981633974483",
+    "run --experiment weakvalue --param g_over_sigma=1e-300 --param sigma=1e-100",
+    *(f"run --seed {seed} --experiment born --param trials=10"
+      for seed in ["1e3", "12.0", "18446744073709551615",
+                   "12.5", "-1", "18446744073709551616", "xyz"]),
+    "run --experiment robustness --param env_sizes=13,1e100",
+    "run --experiment robustness --param n=3 --param env_sizes=8,10,12 --param gamma2=0.7",
+    "run --experiment robustness --param n=1 --param gamma1=0",
+    "run --experiment threshold --param targets=1e300",
+    "run --experiment threshold --param n=1 --param gamma1=0",
+    "run --experiment convergence --param Ns=1,100000000000000000000",
+    "run --experiment commutator --param brute_max=1 --param closed_Ns=1,2,3",
+    # Around cli.RENDER_CHUNK = 16384 rows.
+    *(f"run --experiment decay --param steps={steps}" for steps in ["16384", "16385", "32769"]),
+    "run --experiment decay --param t_max=1e300",
+    "run --experiment decay --param time_constant=1e-300",
+]
 
 
 def _args(name: str, out: Path, params: list[str]) -> list[str]:
@@ -61,6 +104,44 @@ def _run_in_child(name: str, out: Path, params: list[str], **blas_threads) -> by
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return out.read_bytes()
+
+
+def _matrix_line(argv: str, out: Path) -> str:
+    """Run `tsvf-sim <argv> --out <out>` in process and describe it as one matrix line."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv.split(), "--out", str(out)])
+    data = out.read_bytes() if out.exists() else None
+    summary = [line.removeprefix("summary: ") for line in stdout.getvalue().splitlines()
+               if line.startswith("summary: ")]
+    return "\t".join([
+        argv,
+        str(code),
+        hashlib.sha256(data).hexdigest() if data is not None else "-",
+        str(len(data)) if data is not None else "-",
+        summary[0] if summary else "-",
+        stderr.getvalue().partition("\n")[0] or "-",
+    ])
+
+
+def _matrix_cells(text: str) -> dict[str, dict[str, str]]:
+    """Each matrix line's fields by name, keyed by its argument list."""
+    lines = [line.split("\t") for line in text.splitlines() if not line.startswith("#")]
+    return {fields[0]: dict(zip(MATRIX_FIELDS, fields)) for fields in lines}
+
+
+def changed_matrix_cells(old: str, new: str) -> list[str]:
+    """One 'argv, field: old -> new' entry per matrix cell that differs."""
+    before, after = _matrix_cells(old), _matrix_cells(new)
+    changes = []
+    for argv in dict.fromkeys([*before, *after]):
+        was, now = before.get(argv, {}), after.get(argv, {})
+        for name in MATRIX_FIELDS[1:]:
+            if was.get(name) != now.get(name):
+                changes.append(f"{argv}, {name}: {was.get(name, '(absent)')} -> "
+                               f"{now.get(name, '(absent)')}")
+    return changes
 
 
 def _cells(text: str) -> list[dict[str, str]]:
@@ -108,6 +189,17 @@ def test_output_matches_golden(tmp_path, name):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", MATRIX_ARGV)
+def test_edge_configuration_matches_matrix(tmp_path, argv):
+    expected = _matrix_cells(MATRIX.read_text()).get(argv, {})
+    actual = dict(zip(MATRIX_FIELDS, _matrix_line(argv, tmp_path / "m.csv").split("\t")))
+    assert actual == expected
+
+
+def test_matrix_lists_exactly_its_configurations():
+    assert list(_matrix_cells(MATRIX.read_text())) == MATRIX_ARGV
+
+
 # This process loaded numpy long ago, with its default BLAS threads; a fresh
 # `tsvf-sim run` loads it on one BLAS thread.
 @pytest.mark.parametrize("name", ["born", "weakvalue", "convergence", "commutator", "robustness"])
@@ -124,12 +216,29 @@ def test_user_blas_thread_count_does_not_change_the_output(tmp_path):
                          OPENBLAS_NUM_THREADS="2") == default
 
 
+def _write_matrix() -> None:
+    old = MATRIX.read_text() if MATRIX.exists() else ""
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "m.csv"
+        lines = [_matrix_line(argv, out) for argv in MATRIX_ARGV]
+    new = "\n".join(["# " + "\t".join(MATRIX_FIELDS), *lines]) + "\n"
+    MATRIX.write_text(new)
+    changes = changed_matrix_cells(old, new)
+    print(f"matrix: {len(changes)} changed cell(s)" if new != old else "matrix: unchanged")
+    for change in changes:
+        print(f"  {change}")
+
+
 if __name__ == "__main__":
-    names = sys.argv[1:] or list(PARAMS)
-    unknown = [name for name in names if name not in PARAMS]
+    names = sys.argv[1:] or [*PARAMS, "matrix"]
+    unknown = [name for name in names if name not in PARAMS and name != "matrix"]
     if unknown:
-        sys.exit(f"unknown experiment(s) {', '.join(unknown)}; choose from {', '.join(PARAMS)}")
+        sys.exit(f"unknown name(s) {', '.join(unknown)}; choose from "
+                 f"{', '.join(PARAMS)} or matrix")
     for experiment in names:
+        if experiment == "matrix":
+            _write_matrix()
+            continue
         path = GOLDEN_DIR / f"{experiment}.csv"
         old = path.read_text() if path.exists() else ""
         if _run(experiment, path) != 0:

@@ -208,10 +208,10 @@ def test_weak_value_projector_sum_rule():
 
 
 def test_weak_value_rejects_tiny_overlap():
+    # The pair is rejected when it is built, so no weak value is ever asked of it.
     nearly = StateVector(np.array([1e-13, 1.0], dtype=complex)).normalize()
-    ts = TwoState(forward=KET0, backward=nearly)
     with pytest.raises(NearOrthogonalPrePost):
-        weak_value(ts, SIGMA_Z)
+        TwoState(forward=KET0, backward=nearly)
 
 
 def test_weak_estimate_strong_coupling_clusters_on_selected_branch():

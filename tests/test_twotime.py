@@ -7,23 +7,30 @@ import numpy as np
 import pytest
 
 from tsvf_sim import (
+    SIGMA_Z,
+    HermitianOperator,
     InvariantError,
     NoConsistentHistory,
     OrthogonalCollapseForbidden,
+    ReadoutDensity,
     RobustnessModel,
     StateVector,
     TooLargeForOracle,
+    TwoState,
     brute_force_ratio,
     classical_threshold,
     core_decay,
     full_state,
     log_robustness_ratio,
+    readout_density,
     robustness_ratio,
     select_by_final,
+    weak_estimate,
 )
 from tsvf_sim.twotime import CLASSICAL_RATIO_THRESHOLD
 
 HALF = 1.0 / math.sqrt(2.0)
+PLUS = StateVector([HALF, HALF])
 
 
 def model(alpha=0.6, beta=0.8, env_size=8, overlap=0.9, n_collapsed=0,
@@ -37,6 +44,10 @@ def test_model_validates_branch_weights():
         model(alpha=1.0, beta=1.0)
 
 
+def _weak_estimate(g):
+    return weak_estimate(TwoState(PLUS, PLUS), SIGMA_Z, g, 1.0, 10, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("probe", [
     pytest.param(lambda: StateVector([math.nan, 0.0]).require_normalized("state"),
                  id="nan-state"),
@@ -44,8 +55,24 @@ def test_model_validates_branch_weights():
     pytest.param(lambda: model(env_size=8.5), id="fractional-env_size"),
     pytest.param(lambda: model(n_collapsed=1.5, gamma1=0.9, gamma2=0.9),
                  id="fractional-n_collapsed"),
+    pytest.param(lambda: core_decay(math.nan, 1.0, 1.0), id="nan-n0"),
+    pytest.param(lambda: core_decay(1.0, 1.0, math.nan), id="nan-t"),
+    pytest.param(lambda: core_decay(1.0, math.inf, 1.0), id="inf-time_constant"),
+    pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 1.0, math.nan), id="nan-target"),
+    pytest.param(lambda: HermitianOperator([[math.inf, 0.0], [0.0, 1.0]]), id="inf-entry"),
+    pytest.param(lambda: ReadoutDensity(means=[math.inf], weights=[1.0], sigma=1.0),
+                 id="inf-mean"),
+    pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[math.inf], sigma=1.0),
+                 id="inf-weight"),
+    pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=math.inf),
+                 id="inf-sigma"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.nan, sigma=1.0), id="nan-g"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.inf, sigma=1.0), id="inf-g"),
+    pytest.param(lambda: _weak_estimate(math.nan), id="weak_estimate-nan-g"),
+    pytest.param(lambda: _weak_estimate(math.inf), id="weak_estimate-inf-g"),
 ])
 def test_library_checks_reject_nan_and_non_integers(probe):
+    # Warnings are errors in this suite, so a numpy RuntimeWarning fails too.
     with pytest.raises(InvariantError):
         probe()
 
