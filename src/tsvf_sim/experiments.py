@@ -254,23 +254,13 @@ def _run_weakvalue(params: dict, seed: int) -> ExperimentResult:
     )
 
 
-def _sigma_z_moments(a0: complex, a1: complex) -> tuple[float, float]:
-    """One-copy mean and uncertainty of sigma_z on the normalized a0|0> + a1|1>.
-
-    abar = |a0|^2 - |a1|^2, and delta^2 = 1 - abar^2 because sigma_z^2 = I.
-    """
-    abar = abs(a0) ** 2 - abs(a1) ** 2
-    return abar, math.sqrt(1.0 - abar * abar)
-
-
 def _run_convergence(params: dict, seed: int) -> ExperimentResult:
     sizes = params["Ns"]
     logs_n = [math.log10(float(n)) for n in sizes]
     _require(len(set(logs_n)) >= 2,
              "parameter 'Ns' needs two sizes whose float log10 differ to fit a slope")
     # sigma_z on |+> = (|0> + |1>)/sqrt(2): abar = 0 and delta = 1 exactly.
-    plus = 1.0 / math.sqrt(2.0)
-    abar, delta = _sigma_z_moments(plus, plus)
+    abar, delta = 0.0, 1.0
     averages = [ensemble_average(((n, abar, delta),)) for n in sizes]
     residuals = [residual for _, residual in averages]
     slope = _slope(logs_n, [math.log10(r) for r in residuals])

@@ -27,6 +27,10 @@ SAMPLE_BLOCK_CELLS = 2 ** 18
 MIN_SUCCESS_PROB = 1e-300
 # Branches with Born weight at or below this are dropped from a readout density.
 NEGLIGIBLE_WEIGHT = 1e-28
+# A readout density keeps sigma in [1/SCALE_MAX, SCALE_MAX] and every |mean| at
+# most SCALE_MAX * min(sigma, 1), so the squared distances between readings
+# and means, and those squares over sigma^2, stay finite floats.
+SCALE_MAX = 1e150
 
 
 def _inverse_cdf(cum: np.ndarray, u):
@@ -59,14 +63,17 @@ class ReadoutDensity:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < np.inf:
-            raise InvariantError("pointer sigma must be finite and positive")
+        if not 1.0 / SCALE_MAX <= self.sigma <= SCALE_MAX:
+            raise InvariantError(f"pointer sigma must lie in [{1.0 / SCALE_MAX}, {SCALE_MAX}]")
         for name in ("means", "weights"):
             object.__setattr__(self, name, _readonly(getattr(self, name), float))
         if self.means.ndim != 1 or self.means.size == 0 or self.means.shape != self.weights.shape:
             raise DimensionError("means and weights must be non-empty 1-d arrays of equal length")
-        if not (np.isfinite(self.means).all() and np.isfinite(self.weights).all()):
-            raise InvariantError("readout means and weights must be finite")
+        if not np.abs(self.means).max() <= SCALE_MAX * min(self.sigma, 1.0):
+            raise InvariantError(f"every |mean| must be at most {SCALE_MAX} "
+                                 f"and at most {SCALE_MAX} sigma")
+        if not np.isfinite(self.weights).all():
+            raise InvariantError("readout weights must be finite")
         # Rejection sampling proposes from the positive weights and keeps a
         # proposal with probability f/f+, so both must be positive.
         if not (self.weights.max() > 0.0 and self.success_prob > 0.0):

@@ -12,7 +12,7 @@ distinguishability rests on the remaining overlap c^(N-n). The robustness
 ratio Pr(right)/Pr(wrong) is then gamma1^(2n) / (c^(2(N-n)) gamma2^(2n)),
 which grows exponentially in N - n; a record is treated as effectively
 classical once the ratio clears a configurable threshold (default 1e6).
-Ratios are evaluated in the log domain so N up to 1e9 is safe.
+Ratios are evaluated in the log domain, so any N that fits in a float is safe.
 
 The module also holds the ensemble reduction behind the 1/sqrt(N) law:
 averaging a one-copy observable over a product ensemble leaves mean
@@ -27,6 +27,7 @@ not import numpy; the dense branch states that check it live in `branches`.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
@@ -87,13 +88,16 @@ class RobustnessModel:
 
 
 def log_robustness_ratio(model: RobustnessModel) -> float:
-    """Natural log of the robustness ratio, safe for env_size up to 1e9."""
+    """Natural log of the robustness ratio, for any record whose counts fit in a float."""
     n = model.n_collapsed
     if model.overlap == 0.0 or (n >= 1 and model.gamma2 == 0.0):
         return float("inf")
-    log_ratio = -2.0 * model.remaining * math.log(model.overlap)
-    if n >= 1:
-        log_ratio += 2.0 * (n * math.log(model.gamma1) - n * math.log(model.gamma2))
+    try:
+        log_ratio = model.remaining * (-2.0 * math.log(model.overlap))
+        if n >= 1:
+            log_ratio += 2.0 * (n * math.log(model.gamma1) - n * math.log(model.gamma2))
+    except OverflowError:
+        raise InvariantError("env_size and n_collapsed must fit in a float") from None
     return log_ratio
 
 
@@ -159,12 +163,13 @@ def classical_threshold(
 ) -> int:
     """Smallest record size N for which the robustness ratio reaches the target.
 
-    Starts from the closed form N = n + ceil((ln target - ln ratio(n + 1)) /
-    (-2 ln c)) + 1, floored at n + 1. The float log ratio is non-decreasing in
-    N, so a bracket doubled outward from that candidate and a bisection inside
-    it find the exact smallest N in O(log N) evaluations, however flat the
-    float staircase of the log ratio is near c = 1. Arguments are validated as
-    a RobustnessModel with a single definite branch.
+    The float log ratio is non-decreasing in N, so doubling N - n from 1 until
+    the target is reached, then bisecting the last doubling, finds the exact
+    smallest N in O(log N) evaluations of `log_robustness_ratio`, however flat
+    its float staircase is near c = 1. N - n is capped at the largest float;
+    if even that record falls short, the needed size overflows a float and
+    InvariantError is raised. Arguments are validated as a RobustnessModel
+    with a single definite branch.
     """
     if not 0.0 < ratio_target < math.inf:
         raise InvariantError("ratio_target must be finite and positive")
@@ -182,22 +187,13 @@ def classical_threshold(
         return log_robustness_ratio(replace(model, env_size=env_size)) >= log_target
 
     log_target = math.log(ratio_target)
-    first = log_robustness_ratio(model)
-    if first == math.inf:
-        return n_collapsed + 1  # ratio is +inf for any remaining record
-    raw = (log_target - first) / (-2.0 * math.log(overlap)) + 1.0
-    if not math.isfinite(raw):
-        raise InvariantError("the record size needed overflows a float")
-    high = n_collapsed + max(1, math.ceil(raw))
-    low = high - 1
+    limit = n_collapsed + int(sys.float_info.max)
     # The answer lies in (low, high] once low fails (or is n) and high reaches.
-    step = 1
-    while low > n_collapsed and reaches(low):
-        low, high = max(n_collapsed, low - step), low
-        step *= 2
+    low, high = n_collapsed, n_collapsed + 1
     while not reaches(high):
-        low, high = high, high + step
-        step *= 2
+        if high == limit:
+            raise InvariantError("the record size needed overflows a float")
+        low, high = high, min(2 * high - n_collapsed, limit)
     while high - low > 1:
         mid = (low + high) // 2
         if reaches(mid):

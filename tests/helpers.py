@@ -1,15 +1,21 @@
-"""Random states and operators, and the Gaussian pointer wavefunction, for the tests.
+"""Random states and operators, the Gaussian pointer wavefunction, and the
+environment of a child interpreter, for the tests.
 
-Nothing in `tsvf_sim` needs these: the tests draw random inputs from them and
-check the library's readout densities against the pointer wavefunction.
+Nothing in `tsvf_sim` needs these: the tests draw random inputs from them,
+check the library's readout densities against the pointer wavefunction, and
+run the package in fresh interpreters.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+import tsvf_sim
+from tsvf_sim.cli import BLAS_THREAD_VARS
 from tsvf_sim.errors import InvariantError
 from tsvf_sim.hilbert import HermitianOperator, StateVector
 
@@ -41,3 +47,13 @@ class GaussianPointer:
         """Wavefunction value phi(q); |phi|^2 integrates to 1."""
         s2 = self.sigma ** 2
         return (2.0 * np.pi * s2) ** -0.25 * np.exp(-((q - self.mean) ** 2) / (4.0 * s2))
+
+
+def child_env(**blas_threads) -> dict[str, str]:
+    """Environment for a child interpreter that imports this tsvf_sim.
+
+    The BLAS thread variables are only those given, not this process's.
+    """
+    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return dict(env, PYTHONPATH=os.pathsep.join(filter(None, path)), **blas_threads)

@@ -8,32 +8,21 @@ import subprocess
 import sys
 import time
 from array import array
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tsvf_sim
 from tsvf_sim.cli import BLAS_THREAD_VARS, main
 from tsvf_sim.errors import ConfigError
 from tsvf_sim.experiments import EXPERIMENTS, resolve_params
 from tsvf_sim.twotime import core_decay
+from helpers import child_env
 
 
 def run_cli(*args):
     return main(list(args))
-
-
-def _child_env(**blas_threads):
-    """Environment for a child interpreter that imports this tsvf_sim.
-
-    The BLAS thread variables are only those given, not this process's.
-    """
-    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    return dict(env, PYTHONPATH=os.pathsep.join(filter(None, path)), **blas_threads)
 
 
 def test_module_form_writes_csv(tmp_path):
@@ -41,7 +30,7 @@ def test_module_form_writes_csv(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "tsvf_sim.cli", "run", "--experiment", "commutator",
          "--param", "brute_max=3", "--out", str(out)],
-        env=_child_env(), capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("# meta experiment=commutator")
@@ -68,7 +57,7 @@ def test_cli_run_uses_one_blas_thread_unless_the_user_sets_a_count(tmp_path, use
     proc = subprocess.run(
         [sys.executable, "-c", THREAD_COUNT, "run", "--experiment", "born",
          "--param", "trials=10", "--out", str(tmp_path / "b.csv")],
-        env=_child_env(**user_set), capture_output=True, text=True, timeout=60,
+        env=child_env(**user_set), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(threads)
@@ -110,7 +99,7 @@ def test_main_sets_one_blas_thread_only_for_its_runner(tmp_path, user_set, exper
     for param in params:
         argv += ["--param", param]
     proc = subprocess.run([sys.executable, "-c", ENVIRON_AROUND_MAIN, json.dumps(argv)],
-                          env=_child_env(**user_set), capture_output=True, text=True,
+                          env=child_env(**user_set), capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     code, seen, unchanged = json.loads(proc.stdout.splitlines()[-1])
@@ -310,7 +299,7 @@ def test_closed_form_run_never_imports_numpy_random(tmp_path):
         f"assert main(['run', '--experiment', 'decay', '--out', {str(out)!r}]) == 0\n"
         "sys.exit(int('numpy.random' in sys.modules))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     if proc.returncode == 9:
         pytest.skip("this numpy imports numpy.random with numpy")

@@ -1,9 +1,10 @@
-"""Tests for the `convergence` experiment's residuals and one-copy moments.
+"""Tests for the `convergence` experiment's residuals.
 
-The runner computes sigma_z on |+> from exact algebra, with no numpy. Its
-residuals are checked against an exact 1/sqrt(N) in decimal arithmetic, the
-library's `average_operator_residual`, and the full product-space oracle
-`brute_force_average`; its one-copy moments against `decompose`.
+The runner takes sigma_z's one-copy moments on |+> (mean 0, uncertainty 1)
+as exact constants, with no numpy. Its residuals are checked against an
+exact 1/sqrt(N) in decimal arithmetic, the library's
+`average_operator_residual`, and the full product-space oracle
+`brute_force_average`.
 """
 
 import math
@@ -13,10 +14,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from tsvf_sim.ensemble import EnsembleSpec, average_operator_residual, brute_force_average, decompose
-from tsvf_sim.experiments import EXPERIMENTS, _sigma_z_moments, resolve_params
+from tsvf_sim.ensemble import EnsembleSpec, average_operator_residual, brute_force_average
+from tsvf_sim.experiments import EXPERIMENTS, resolve_params
 from tsvf_sim.hilbert import SIGMA_Z, StateVector
-from helpers import random_state
 
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 
@@ -66,19 +66,3 @@ def test_residual_matches_the_product_space_oracle():
         abar, reference = brute_force_average(SIGMA_Z, EnsembleSpec(((PLUS, n),)))
         assert abs(abar) <= 1e-12
         assert abs(residual - reference) <= 1e-12, n
-
-
-def test_sigma_z_moments_match_decompose():
-    # On |+> abar is 0, where delta^2 = 1 - abar^2 cannot be told from other
-    # signs of abar^2; states with abar far from 0 can.
-    rng = np.random.default_rng(7)
-    states = [random_state(2, rng) for _ in range(200)]
-    states += [StateVector(np.array([math.cos(t), math.sin(t)], dtype=complex))
-               for t in np.linspace(0.0, math.pi / 2, 17)]
-    for psi in [PLUS, *states]:
-        abar, delta = _sigma_z_moments(*psi.amps)
-        dec = decompose(SIGMA_Z, psi)
-        assert abs(abar - dec.abar) <= 1e-12
-        assert abs(delta - dec.delta) <= 1e-7
-        assert abs(delta ** 2 - dec.delta ** 2) <= 1e-12
-    assert _sigma_z_moments(*PLUS.amps) == (0.0, 1.0)

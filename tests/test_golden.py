@@ -21,7 +21,6 @@ import contextlib
 import hashlib
 import io
 import itertools
-import os
 import subprocess
 import sys
 import tempfile
@@ -29,8 +28,8 @@ from pathlib import Path
 
 import pytest
 
-import tsvf_sim
-from tsvf_sim.cli import BLAS_THREAD_VARS, main
+from tsvf_sim.cli import main
+from helpers import child_env
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEED = "31337"
@@ -71,6 +70,11 @@ MATRIX_ARGV = [
     "run --experiment robustness --param n=1 --param gamma1=0",
     "run --experiment threshold --param targets=1e300",
     "run --experiment threshold --param n=1 --param gamma1=0",
+    # The record needed exceeds 2^1023 qubits but still fits in a float.
+    "run --experiment threshold --param n=16e288 --param c=0.9999999999999999"
+    " --param gamma1=1e-300 --param gamma2=0.9 --param targets=1e6",
+    # n ln(gamma1) overflows to -inf, so no record size reaches the target.
+    "run --experiment threshold --param n=1e307 --param gamma1=1e-300 --param gamma2=0.5",
     "run --experiment convergence --param Ns=1,100000000000000000000",
     "run --experiment commutator --param brute_max=1 --param closed_Ns=1,2,3",
     # Around cli.RENDER_CHUNK = 16384 rows.
@@ -97,11 +101,9 @@ def _run_in_child(name: str, out: Path, params: list[str], **blas_threads) -> by
 
     The BLAS thread variables are only those given, not this process's.
     """
-    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(blas_threads, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-m", "tsvf_sim.cli", *_args(name, out, params)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=child_env(**blas_threads), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     return out.read_bytes()
 

@@ -6,25 +6,22 @@ since imported numpy and every submodule.
 
 import importlib
 import json
-import os
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import tsvf_sim
 from tsvf_sim import experiments
+from helpers import child_env
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tsvf_sim.__path__))
 
 
 def _child(script: str, *args: str) -> str:
     """Run `script` in a fresh interpreter that imports this tsvf_sim; return stdout."""
-    path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

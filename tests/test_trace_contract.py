@@ -12,11 +12,12 @@ deletes `trace_child.py`.
 """
 
 import json
-import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+from helpers import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 ARGS = ["run", "--experiment", "weakvalue", "--param", "trials=2000"]
@@ -24,10 +25,8 @@ WEAK_PATH_SPANS = ("measurement.weak_estimate", "pointer.readout_density", "poin
 
 
 def _run(tmp_path, prefix, out):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])))
     proc = subprocess.run([sys.executable, *prefix, *ARGS, "--out", str(out)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return out.read_bytes()
 

@@ -1,6 +1,7 @@
 """Tests for the amplified-record model: branches, final boundaries, collapse."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from tsvf_sim import (
     SIGMA_Z,
+    DimensionError,
+    EnsembleSpec,
     HermitianOperator,
     InvariantError,
     NoConsistentHistory,
@@ -17,8 +20,13 @@ from tsvf_sim import (
     StateVector,
     TooLargeForOracle,
     TwoState,
+    average_operator_residual,
+    average_spin_commutator,
+    basis_state,
+    brute_force_average,
     brute_force_ratio,
     classical_threshold,
+    commute_on_state,
     core_decay,
     full_state,
     log_robustness_ratio,
@@ -48,32 +56,66 @@ def _weak_estimate(g):
     return weak_estimate(TwoState(PLUS, PLUS), SIGMA_Z, g, 1.0, 10, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("probe", [
+KET3 = basis_state(3, 0)
+IDENTITY3 = HermitianOperator(np.eye(3))
+
+
+@pytest.mark.parametrize(("probe", "error"), [
     pytest.param(lambda: StateVector([math.nan, 0.0]).require_normalized("state"),
-                 id="nan-state"),
-    pytest.param(lambda: model(alpha=math.nan, beta=1.0), id="nan-alpha"),
-    pytest.param(lambda: model(env_size=8.5), id="fractional-env_size"),
+                 InvariantError, id="nan-state"),
+    pytest.param(lambda: model(alpha=math.nan, beta=1.0), InvariantError, id="nan-alpha"),
+    pytest.param(lambda: model(env_size=8.5), InvariantError, id="fractional-env_size"),
     pytest.param(lambda: model(n_collapsed=1.5, gamma1=0.9, gamma2=0.9),
-                 id="fractional-n_collapsed"),
-    pytest.param(lambda: core_decay(math.nan, 1.0, 1.0), id="nan-n0"),
-    pytest.param(lambda: core_decay(1.0, 1.0, math.nan), id="nan-t"),
-    pytest.param(lambda: core_decay(1.0, math.inf, 1.0), id="inf-time_constant"),
-    pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 1.0, math.nan), id="nan-target"),
-    pytest.param(lambda: HermitianOperator([[math.inf, 0.0], [0.0, 1.0]]), id="inf-entry"),
+                 InvariantError, id="fractional-n_collapsed"),
+    pytest.param(lambda: log_robustness_ratio(model(alpha=1.0, beta=0.0, env_size=10 ** 400)),
+                 InvariantError, id="env_size-beyond-floats"),
+    pytest.param(lambda: core_decay(math.nan, 1.0, 1.0), InvariantError, id="nan-n0"),
+    pytest.param(lambda: core_decay(1.0, 1.0, math.nan), InvariantError, id="nan-t"),
+    pytest.param(lambda: core_decay(1.0, math.inf, 1.0), InvariantError, id="inf-time_constant"),
+    pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 1.0, math.nan),
+                 InvariantError, id="nan-target"),
+    pytest.param(lambda: HermitianOperator([[math.inf, 0.0], [0.0, 1.0]]),
+                 InvariantError, id="inf-entry"),
     pytest.param(lambda: ReadoutDensity(means=[math.inf], weights=[1.0], sigma=1.0),
-                 id="inf-mean"),
+                 InvariantError, id="inf-mean"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[math.inf], sigma=1.0),
-                 id="inf-weight"),
+                 InvariantError, id="inf-weight"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=math.inf),
-                 id="inf-sigma"),
-    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.nan, sigma=1.0), id="nan-g"),
-    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.inf, sigma=1.0), id="inf-g"),
-    pytest.param(lambda: _weak_estimate(math.nan), id="weak_estimate-nan-g"),
-    pytest.param(lambda: _weak_estimate(math.inf), id="weak_estimate-inf-g"),
+                 InvariantError, id="inf-sigma"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.nan, sigma=1.0),
+                 InvariantError, id="nan-g"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.inf, sigma=1.0),
+                 InvariantError, id="inf-g"),
+    pytest.param(lambda: _weak_estimate(math.nan), InvariantError, id="weak_estimate-nan-g"),
+    pytest.param(lambda: _weak_estimate(math.inf), InvariantError, id="weak_estimate-inf-g"),
+    # Finite pointer scales whose squares or quotients would overflow.
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1e300, sigma=1.0, post=PLUS),
+                 InvariantError, id="huge-g-post"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1e300, sigma=1.0),
+                 InvariantError, id="huge-g"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1.0, sigma=1e-300, post=PLUS),
+                 InvariantError, id="tiny-sigma-post"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1.0, sigma=1e200, post=PLUS),
+                 InvariantError, id="huge-sigma-post"),
+    pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1e300).pdf(0.0),
+                 InvariantError, id="huge-sigma-pdf"),
+    # One case for each validator that no other test reaches in process.
+    pytest.param(lambda: EnsembleSpec(()), InvariantError, id="empty-ensemble"),
+    pytest.param(lambda: commute_on_state(SIGMA_Z, IDENTITY3, PLUS),
+                 DimensionError, id="commute_on_state-dims"),
+    pytest.param(lambda: average_operator_residual(IDENTITY3, EnsembleSpec(((PLUS, 2),))),
+                 DimensionError, id="average_operator_residual-dims"),
+    pytest.param(lambda: brute_force_average(IDENTITY3, EnsembleSpec(((PLUS, 2),))),
+                 DimensionError, id="brute_force_average-dims"),
+    pytest.param(lambda: HermitianOperator([[1.0, 0.0]]), DimensionError, id="non-square"),
+    pytest.param(lambda: SIGMA_Z.apply(KET3), DimensionError, id="apply-dims"),
+    pytest.param(lambda: basis_state(2, 2), DimensionError, id="basis-index"),
+    pytest.param(lambda: TwoState(PLUS, KET3), DimensionError, id="two-state-dims"),
+    pytest.param(lambda: average_spin_commutator(0), InvariantError, id="zero-spins"),
 ])
-def test_library_checks_reject_nan_and_non_integers(probe):
+def test_library_checks_reject_nan_and_non_integers(probe, error):
     # Warnings are errors in this suite, so a numpy RuntimeWarning fails too.
-    with pytest.raises(InvariantError):
+    with pytest.raises(error):
         probe()
 
 
@@ -445,3 +487,25 @@ def test_classical_threshold_rejects_record_size_beyond_floats():
     # n * ln(gamma1) overflows to -inf, so no finite record size is found.
     with pytest.raises(InvariantError):
         classical_threshold(10 ** 307, 0.9, 1e-300, 0.5, 1e6)
+    # The log ratio stays finite but below the target all the way to the cap.
+    args = (10 ** 300, 0.9999999999999999, 1e-300, 0.9)
+    cap = 10 ** 300 + int(sys.float_info.max)
+    assert -math.inf < _log_ratio(*args, cap) < math.log(1e6)
+    with pytest.raises(InvariantError, match="overflows a float"):
+        classical_threshold(*args, 1e6)
+
+
+def test_log_ratio_stays_finite_beyond_two_to_the_1023():
+    # -2 * remaining alone would overflow there; scaling ln c by -2 first does not.
+    size = 2 ** 1023 + 5
+    log_ratio = log_robustness_ratio(model(alpha=1.0, beta=0.0, env_size=size))
+    assert log_ratio == float(size) * (-2.0 * math.log(0.9))
+    assert log_ratio == pytest.approx(1.894e307, rel=1e-3)
+
+
+def test_classical_threshold_finds_a_record_beyond_two_to_the_1023():
+    n = int(16e288)
+    args = (n, 0.9999999999999999, 1e-300, 0.9)
+    size = classical_threshold(*args, 1e6)
+    assert size - n == pytest.approx(9.95e307, rel=1e-3)
+    assert _log_ratio(*args, size - 1) < math.log(1e6) <= _log_ratio(*args, size)
