@@ -1,7 +1,8 @@
 """Finite-dimensional complex Hilbert space primitives.
 
 States, Hermitian operators with their eigenbranches, projectors and inner
-products, with validation at construction time.
+products, with validation at construction time. Eigenbranches and the Born
+expansion of a state are handed out as aligned arrays, not per-branch objects.
 
 Conventions used package-wide: hbar = 1; tensor products are ``np.kron`` of
 amplitude vectors, row-major, i.e. the left factor varies slowest, so
@@ -11,6 +12,7 @@ inner products are conjugate-linear in the first argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,7 +49,8 @@ class StateVector:
         return self.amps.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # math.hypot, unlike np.linalg.norm, does not overflow squaring amplitudes above 1e154.
+        return math.hypot(*np.abs(self.amps).tolist())
 
     def require_normalized(self, what: str) -> None:
         """Raise InvariantError unless the norm is 1 within ATOL_EXACT."""
@@ -60,22 +63,6 @@ class StateVector:
         if not 1e-300 <= n < np.inf:  # NaN fails too
             raise InvariantError("cannot normalize a zero or non-finite vector")
         return StateVector(self.amps / n)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenBranch:
-    """One (possibly degenerate) eigenvalue with an orthonormal subspace basis."""
-
-    eigenvalue: float
-    vectors: np.ndarray  # shape (dim, multiplicity), columns orthonormal
-
-    @property
-    def multiplicity(self) -> int:
-        return self.vectors.shape[1]
-
-    def project(self, amps: np.ndarray) -> np.ndarray:
-        """Apply the subspace projector to an amplitude vector."""
-        return self.vectors @ (self.vectors.conj().T @ amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,32 +96,35 @@ class HermitianOperator:
         return float(np.real(np.vdot(psi.amps, self.apply(psi))))
 
     @cached_property
-    def branches(self) -> tuple[EigenBranch, ...]:
-        """Eigenvalues ascending, degenerate values merged into one branch."""
+    def branches(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(eigenvalues ascending, degenerate ones merged; their frozen eigenvector blocks).
+
+        bases[k] has shape (dim, multiplicity of eigenvalues[k]), columns orthonormal.
+        """
         w, v = np.linalg.eigh(self.entries)
         tol = ATOL_EIG * max(1.0, float(np.max(np.abs(w))))
-        groups: list[EigenBranch] = []
+        values, bases = [], []
         start = 0
         for k in range(1, len(w) + 1):
             if k == len(w) or w[k] - w[start] > tol:
-                vecs = v[:, start:k]
-                groups.append(EigenBranch(float(np.mean(w[start:k])), _readonly(vecs)))
+                values.append(float(np.mean(w[start:k])))
+                bases.append(_readonly(v[:, start:k]))
                 start = k
-        return tuple(groups)
+        return _readonly(values, float), tuple(bases)
 
-    def born_branches(self, psi: StateVector) -> tuple[tuple[EigenBranch, float, np.ndarray], ...]:
-        """Expand psi over the eigenbranches: (branch, Born weight, projection) each.
+    def born_branches(self, psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Aligned arrays (eigenvalues (k,), Born weights Re<p|p> (k,), projections p (k, dim)).
 
-        The weight is Re<p|p> of the projection p. The weights pass through
-        the eigensolver, so they must sum to 1 within ATOL_EIG.
+        The weights pass through the eigensolver, so they must sum to 1 within ATOL_EIG.
         """
         if psi.dim != self.dim:
             raise DimensionError(f"state dim {psi.dim} != operator dim {self.dim}")
-        projections = [b.project(psi.amps) for b in self.branches]
-        weights = [float(np.real(np.vdot(p, p))) for p in projections]
+        eigenvalues, bases = self.branches
+        projections = np.array([b @ (b.conj().T @ psi.amps) for b in bases])
+        weights = np.array([np.vdot(p, p).real for p in projections])
         if not abs(np.sum(weights) - 1.0) <= ATOL_EIG:
             raise InvariantError("branch probabilities do not sum to 1; is psi normalized?")
-        return tuple(zip(self.branches, weights, projections))
+        return eigenvalues, weights, projections
 
 
 def basis_state(dim: int, index: int) -> StateVector:

@@ -66,11 +66,6 @@ class WeakEstimate:
         object.__setattr__(self, "samples", _readonly(self.samples, float))
 
 
-def _pick_branches(expansion, u):
-    """Index into op.born_branches(psi) for each uniform draw u in [0, 1), by inverse CDF."""
-    return _inverse_cdf(np.cumsum([w for _, w, _ in expansion]), u)
-
-
 def strong_measure(
     psi: StateVector, op: HermitianOperator, rng: np.random.Generator
 ) -> MeasurementRecord:
@@ -79,11 +74,11 @@ def strong_measure(
     Degenerate eigenvalues form a single outcome whose projector covers the
     whole eigenspace, so measuring the identity returns psi unchanged.
     """
-    expansion = op.born_branches(psi)
-    branch, p, projection = expansion[int(_pick_branches(expansion, rng.random()))]
-    return MeasurementRecord(
-        outcome=branch.eigenvalue, collapsed=StateVector(projection).normalize(), probability=p
-    )
+    eigenvalues, weights, projections = op.born_branches(psi)
+    k = int(_inverse_cdf(np.cumsum(weights), rng.random()))
+    return MeasurementRecord(outcome=float(eigenvalues[k]),
+                             collapsed=StateVector(projections[k]).normalize(),
+                             probability=float(weights[k]))
 
 
 def measure_outcomes(
@@ -91,13 +86,13 @@ def measure_outcomes(
 ) -> np.ndarray:
     """Outcomes of `size` independent projective measurements of op on psi.
 
-    Draws one rng.random(size) batch, which the Generator fills with the same
-    doubles as `size` successive rng.random() calls, so the result equals
-    [strong_measure(psi, op, rng).outcome for _ in range(size)] exactly.
+    Picks an eigenvalue of the Born expansion op.born_branches(psi) for each
+    draw of one rng.random(size) batch, which the Generator fills with the
+    same doubles as `size` successive rng.random() calls, so the result
+    equals [strong_measure(psi, op, rng).outcome for _ in range(size)] exactly.
     """
-    expansion = op.born_branches(psi)
-    eigenvalues = np.array([b.eigenvalue for b, _, _ in expansion])
-    return eigenvalues[_pick_branches(expansion, rng.random(size))]
+    eigenvalues, weights, _ = op.born_branches(psi)
+    return eigenvalues[_inverse_cdf(np.cumsum(weights), rng.random(size))]
 
 
 def weak_value(ts: TwoState, op: HermitianOperator) -> complex:

@@ -89,15 +89,24 @@ class ReadoutDensity:
         return np.exp(-((q[..., None] - self.means) ** 2) / (2.0 * self.sigma ** 2))
 
     def pdf(self, q):
-        """Normalized density value(s) at q."""
+        """Normalized density value(s) at finite reading(s) q; +-inf beyond the float range."""
         q = np.asarray(q, dtype=float)
-        norm = np.sqrt(2.0 * np.pi) * self.sigma * self.success_prob
-        out = self._kernels(q) @ self.weights / norm
+        if not np.isfinite(q).all():
+            raise InvariantError("readings q must be finite")
+        norm = np.sqrt(2.0 * np.pi) * self.sigma
+        # A far reading's square overflows to a zero kernel. Dividing by the
+        # weight sum before sigma keeps their product from underflowing to 0.
+        with np.errstate(over="ignore"):
+            out = self._kernels(q) @ self.weights / self.success_prob / norm
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
-        """Exact first moment of the density (no quadrature, no sampling noise)."""
-        return float(self.weights @ self.means / self.success_prob)
+        """Exact first moment (no quadrature, no sampling noise); +-inf beyond the float range."""
+        # Weights and their sum split into mantissa and power of two: no partial sum overflows.
+        e = np.frexp(np.abs(self.weights).max())[1]
+        m, f = np.frexp(self.success_prob)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.ldexp(self.weights, -e) @ self.means / m, e - f))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` readings exactly, by rejection from the positive part of the mixture.
@@ -138,27 +147,28 @@ def readout_density(
 ) -> ReadoutDensity:
     """Readout density after impulsively coupling psi to op, optionally post-selected on `post`.
 
-    Expands psi over the eigenbranches of op (HermitianOperator.born_branches),
-    the same expansion a projective measurement samples, so a degenerate
-    eigenvalue is a single branch. Each branch with Born weight w above
-    NEGLIGIBLE_WEIGHT is one component centred at g times its eigenvalue; with
-    post-selection its projection p gives c = <post|p>. Raises
-    PostSelectionImpossible when `post` is orthogonal to every branch.
+    Reads the aligned arrays of op.born_branches(psi), the expansion a
+    projective measurement samples, so a degenerate eigenvalue is one branch.
+    Each branch whose Born weight is above NEGLIGIBLE_WEIGHT is one component
+    centred at g times its eigenvalue; with post-selection its projection p
+    gives c = <post|p>. Raises PostSelectionImpossible when `post` is
+    orthogonal to every branch.
     """
     if not np.isfinite(g):
         raise InvariantError("coupling g must be finite")
-    kept = [(b.eigenvalue, w, p) for b, w, p in op.born_branches(psi) if w > NEGLIGIBLE_WEIGHT]
-    means = np.array([g * a for a, _, _ in kept])
+    eigenvalues, weights, projections = op.born_branches(psi)
+    kept = weights > NEGLIGIBLE_WEIGHT
+    means = np.array([g * a for a in eigenvalues[kept].tolist()])
     # Built first, so sigma is validated before the pair overlaps divide by it.
-    unselected = ReadoutDensity(means=means, weights=[w for _, w, _ in kept], sigma=sigma)
+    unselected = ReadoutDensity(means=means, weights=weights[kept], sigma=sigma)
     if post is None:
         return unselected
     if post.dim != psi.dim:
         raise DimensionError(f"post-selection dim {post.dim} != system dim {psi.dim}")
-    c = np.array([np.vdot(post.amps, p) for _, _, p in kept])
+    c = np.array([np.vdot(post.amps, p) for p in projections[kept]])
     i, j = np.triu_indices(c.size)
     overlap = np.exp(-((means[i] - means[j]) ** 2) / (8.0 * sigma ** 2))
-    weights = (2 - (i == j)) * np.real(c[i] * c[j].conj()) * overlap
-    if not weights.sum() >= MIN_SUCCESS_PROB:
+    pair_weights = (2 - (i == j)) * np.real(c[i] * c[j].conj()) * overlap
+    if not pair_weights.sum() >= MIN_SUCCESS_PROB:
         raise PostSelectionImpossible("post-selection state is orthogonal to all branches")
-    return ReadoutDensity(means=(means[i] + means[j]) / 2.0, weights=weights, sigma=sigma)
+    return ReadoutDensity(means=(means[i] + means[j]) / 2.0, weights=pair_weights, sigma=sigma)

@@ -58,7 +58,8 @@ class RobustnessModel:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if not abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) <= ATOL_EXACT:
+        a, b = abs(self.alpha), abs(self.beta)  # a * a overflows to inf, a ** 2 raises
+        if not abs(a * a + b * b - 1.0) <= ATOL_EXACT:
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1 within 1e-12")
         if not isinstance(self.env_size, int) or self.env_size < 1:
             raise InvariantError("env_size must be an integer of at least 1")
@@ -88,17 +89,22 @@ class RobustnessModel:
 
 
 def log_robustness_ratio(model: RobustnessModel) -> float:
-    """Natural log of the robustness ratio, for any record whose counts fit in a float."""
+    """Natural log of the robustness ratio, +-inf beyond the float range; counts fit a float."""
     n = model.n_collapsed
     if model.overlap == 0.0 or (n >= 1 and model.gamma2 == 0.0):
         return float("inf")
     try:
-        log_ratio = model.remaining * (-2.0 * math.log(model.overlap))
-        if n >= 1:
-            log_ratio += 2.0 * (n * math.log(model.gamma1) - n * math.log(model.gamma2))
+        # When some term overflows to +inf and another to -inf, the terms are
+        # summed again scaled by 2^-12, where none overflows and the sum is not NaN.
+        for scale in (1.0, 2.0 ** -12):
+            log_ratio = model.remaining * (-2.0 * math.log(model.overlap) * scale)
+            if n >= 1:
+                log_ratio += 2.0 * (n * (math.log(model.gamma1) * scale)
+                                    - n * (math.log(model.gamma2) * scale))
+            if not math.isnan(log_ratio):
+                return log_ratio / scale
     except OverflowError:
         raise InvariantError("env_size and n_collapsed must fit in a float") from None
-    return log_ratio
 
 
 def robustness_ratio(model: RobustnessModel) -> float:
@@ -106,15 +112,13 @@ def robustness_ratio(model: RobustnessModel) -> float:
 
     Closed form gamma1^(2n) / (c^(2(N-n)) gamma2^(2n)); +inf when the wrong
     branch is perfectly distinguishable (c = 0, or gamma2 = 0 with n >= 1) or on
-    overflow. This models the reading as encoded in the N-qubit record; the
-    ideal uncollapsed case with the bare orthogonal pointer reconstructs
-    perfectly instead (see branches.select_by_final and the n = 0 oracle).
+    overflow, 0.0 on underflow. This models the reading as encoded in the
+    N-qubit record; the ideal uncollapsed case with the bare orthogonal pointer
+    reconstructs perfectly instead (see branches.select_by_final and the n = 0
+    oracle).
     """
-    log_ratio = log_robustness_ratio(model)
-    if math.isinf(log_ratio):
-        return float("inf")
     try:
-        return math.exp(log_ratio)
+        return math.exp(log_robustness_ratio(model))
     except OverflowError:
         return float("inf")
 

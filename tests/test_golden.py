@@ -81,6 +81,10 @@ MATRIX_ARGV = [
     *(f"run --experiment decay --param steps={steps}" for steps in ["16384", "16385", "32769"]),
     "run --experiment decay --param t_max=1e300",
     "run --experiment decay --param time_constant=1e-300",
+    # The +1 branch has Born weight 1e-300: the sampler keeps it, readout_density
+    # would drop it.
+    *(f"run --seed {seed} --experiment born --param alpha2=1e-300 --param trials=1000"
+      for seed in ["0", "7", "31337"]),
 ]
 
 

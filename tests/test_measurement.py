@@ -61,8 +61,9 @@ def test_strong_measure_probability_matches_born_weight():
         psi = random_state(4, rng)
         op = random_hermitian(4, rng)
         record = strong_measure(psi, op, rng)
-        branch = min(op.branches, key=lambda b: abs(b.eigenvalue - record.outcome))
-        weight = float(np.linalg.norm(branch.project(psi.amps)) ** 2)
+        eigenvalues, bases = op.branches
+        basis = bases[int(np.argmin(np.abs(eigenvalues - record.outcome)))]
+        weight = float(np.linalg.norm(basis @ (basis.conj().T @ psi.amps)) ** 2)
         assert np.isclose(record.probability, weight, atol=1e-12)
 
 
@@ -202,7 +203,7 @@ def test_weak_value_projector_sum_rule():
     rng = np.random.default_rng(42)
     op = random_hermitian(4, rng)
     ts = TwoState(forward=random_state(4, rng), backward=random_state(4, rng))
-    vectors = [StateVector(v) for b in op.branches for v in b.vectors.T]
+    vectors = [StateVector(v) for b in op.branches[1] for v in b.T]
     total = sum(weak_value(ts, projector(v)) for v in vectors)
     assert np.isclose(total, 1.0, atol=1e-12)
 

@@ -135,7 +135,7 @@ def test_couple_terms_rebuild_psi(name):
     rng = np.random.default_rng(38)
     for _ in range(20):
         psi = random_state(op.dim, rng)
-        rebuilt = sum(p for _, _, p in op.born_branches(psi))
+        rebuilt = op.born_branches(psi)[2].sum(axis=0)
         assert np.allclose(rebuilt, psi.amps, rtol=0.0, atol=1e-12)
 
 
@@ -193,6 +193,20 @@ def test_readout_pdf_integrates_to_one():
         assert np.isclose(np.trapezoid(density.pdf(q), q), 1.0, atol=1e-9)
 
 
+def test_pdf_is_finite_far_out_and_for_a_tiny_weight_sum():
+    # Warnings are errors here: the far reading's square overflows to a zero
+    # kernel, and sigma times the weight sum would underflow to a zero norm.
+    assert ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0).pdf(1e200) == 0.0
+    tiny = ReadoutDensity(means=[0.0], weights=[1e-300], sigma=1e-150).pdf(0.0)
+    assert math.isclose(tiny, 1.0 / (math.sqrt(2.0 * math.pi) * 1e-150), rel_tol=1e-15)
+
+
+def test_mean_of_huge_weights_and_means_does_not_overflow():
+    assert ReadoutDensity(means=[1e150], weights=[1e300], sigma=1.0).mean() == 1e150
+    two = ReadoutDensity(means=[1e150, 5e149], weights=[1e300, 3e300], sigma=1.0)
+    assert math.isclose(two.mean(), 6.25e149, rel_tol=1e-15)
+
+
 def test_readout_mean_matches_quadrature():
     density = readout_density(PLUS, SIGMA_Z, g=0.25, sigma=0.6, post=ANOMALOUS_POST)
     q = np.linspace(-10, 10, 80001)
@@ -202,8 +216,8 @@ def test_readout_mean_matches_quadrature():
 
 def _coherent_reference(psi, op, g, sigma, post, q):
     """Unnormalized readout density built from the shifted pointer wavefunctions."""
-    terms = [(w, p, GaussianPointer(sigma, g * b.eigenvalue).amplitude(q))
-             for b, w, p in op.born_branches(psi)]
+    terms = [(w, p, GaussianPointer(sigma, g * a).amplitude(q))
+             for a, w, p in zip(*op.born_branches(psi))]
     if post is None:
         return sum(w * np.abs(phi) ** 2 for w, _, phi in terms)
     return np.abs(sum(np.vdot(post.amps, p) * phi for _, p, phi in terms)) ** 2
@@ -217,10 +231,10 @@ def test_readout_mixture_matches_coherent_oracle(ratio):
     basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     degenerate = basis @ np.diag([1.0, 1.0, -0.5]) @ basis.conj().T
     ops.append(HermitianOperator((degenerate + degenerate.conj().T) / 2.0))
-    assert len(ops[-1].branches) == 2
+    assert len(ops[-1].branches[0]) == 2
     for op in ops:
         psi, g = random_state(op.dim, rng), ratio * sigma
-        means = g * np.array([b.eigenvalue for b in op.branches])
+        means = g * op.branches[0]
         q = np.linspace(means.min() - 12 * sigma, means.max() + 12 * sigma, 20001)
         for post in (None, random_state(op.dim, rng)):
             density = readout_density(psi, op, g, sigma, post)

@@ -99,6 +99,10 @@ IDENTITY3 = HermitianOperator(np.eye(3))
                  InvariantError, id="huge-sigma-post"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1e300).pdf(0.0),
                  InvariantError, id="huge-sigma-pdf"),
+    pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0).pdf([0.0, math.nan]),
+                 InvariantError, id="nan-reading"),
+    pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0).pdf(math.inf),
+                 InvariantError, id="inf-reading"),
     # One case for each validator that no other test reaches in process.
     pytest.param(lambda: EnsembleSpec(()), InvariantError, id="empty-ensemble"),
     pytest.param(lambda: commute_on_state(SIGMA_Z, IDENTITY3, PLUS),
@@ -321,6 +325,34 @@ def test_robustness_ratio_log_domain_large_records():
                  n_collapsed=0)
     assert robustness_ratio(huge) == float("inf")  # overflow maps to +inf
     assert log_robustness_ratio(huge) >= math.log(CLASSICAL_RATIO_THRESHOLD)
+
+
+@pytest.mark.parametrize(("gamma2", "expected"), [
+    # Record term +inf, collapse term -inf: the true log ratio is about -9.2e308.
+    (0.9, -math.inf),
+    # n ln(gamma1) - n ln(gamma2) is itself -inf - (-inf); the true log ratio
+    # is about 2 (-2.3e308 + 4.6e307), below the float range too.
+    (1e-299, -math.inf),
+])
+def test_log_ratio_of_opposite_infinite_terms_is_not_nan(gamma2, expected):
+    m = model(alpha=1.0, beta=0.0, env_size=10 ** 306 + 10 ** 308, overlap=0.1,
+              n_collapsed=10 ** 306 if gamma2 == 0.9 else 10 ** 308 - 10 ** 307,
+              gamma1=1e-300, gamma2=gamma2)
+    assert log_robustness_ratio(m) == expected
+    assert robustness_ratio(m) == 0.0
+
+
+def test_log_ratio_of_opposite_infinite_terms_can_be_finite():
+    # n ln(gamma1) and n ln(gamma2) both overflow to -inf, but gamma1 = gamma2,
+    # so only the single remaining record qubit counts: ratio 1 / c^2.
+    m = model(alpha=1.0, beta=0.0, env_size=10 ** 307 + 1, overlap=0.9,
+              n_collapsed=10 ** 307, gamma1=1e-300, gamma2=1e-300)
+    assert log_robustness_ratio(m) == -2.0 * math.log(0.9)
+    # A record term of +inf against a collapse term of -inf whose sum fits.
+    m = model(alpha=1.0, beta=0.0, env_size=2 * 10 ** 307 + 10 ** 308, overlap=0.1,
+              n_collapsed=10 ** 308, gamma1=1e-300, gamma2=1e-300)
+    assert math.isclose(log_robustness_ratio(m), 2 * 10 ** 307 * -2.0 * math.log(0.1),
+                        rel_tol=1e-15)
 
 
 def test_robustness_ratio_monotonicity_grid():
