@@ -102,10 +102,13 @@ class ReadoutDensity:
 
     def mean(self) -> float:
         """Exact first moment (no quadrature, no sampling noise); +-inf beyond the float range."""
-        # Weights and their sum split into mantissa and power of two: no partial sum overflows.
-        e = np.frexp(np.abs(self.weights).max())[1]
-        m, f = np.frexp(self.success_prob)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(self.weights @ self.means / self.success_prob)
+            if np.isfinite(mean):
+                return mean
+            # A partial sum overflowed: split off powers of two, so none does.
+            e = np.frexp(np.abs(self.weights).max())[1]
+            m, f = np.frexp(self.success_prob)
             return float(np.ldexp(np.ldexp(self.weights, -e) @ self.means / m, e - f))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -93,29 +93,25 @@ def log_robustness_ratio(model: RobustnessModel) -> float:
     n = model.n_collapsed
     if model.overlap == 0.0 or (n >= 1 and model.gamma2 == 0.0):
         return float("inf")
+    s = 2.0 ** -12  # exact, as no scaled log is subnormal, and no scaled term overflows
     try:
-        # When some term overflows to +inf and another to -inf, the terms are
-        # summed again scaled by 2^-12, where none overflows and the sum is not NaN.
-        for scale in (1.0, 2.0 ** -12):
-            log_ratio = model.remaining * (-2.0 * math.log(model.overlap) * scale)
-            if n >= 1:
-                log_ratio += 2.0 * (n * (math.log(model.gamma1) * scale)
-                                    - n * (math.log(model.gamma2) * scale))
-            if not math.isnan(log_ratio):
-                return log_ratio / scale
+        log_ratio = model.remaining * (-2.0 * math.log(model.overlap) * s)
+        if n >= 1:
+            log_ratio += 2.0 * (n * (math.log(model.gamma1) * s)
+                                - n * (math.log(model.gamma2) * s))
     except OverflowError:
         raise InvariantError("env_size and n_collapsed must fit in a float") from None
+    return log_ratio / s
 
 
 def robustness_ratio(model: RobustnessModel) -> float:
     """Pr(right reading) / Pr(wrong reading) for the collapsed record.
 
-    Closed form gamma1^(2n) / (c^(2(N-n)) gamma2^(2n)); +inf when the wrong
-    branch is perfectly distinguishable (c = 0, or gamma2 = 0 with n >= 1) or on
-    overflow, 0.0 on underflow. This models the reading as encoded in the
-    N-qubit record; the ideal uncollapsed case with the bare orthogonal pointer
-    reconstructs perfectly instead (see branches.select_by_final and the n = 0
-    oracle).
+    Closed form gamma1^(2n) / (c^(2(N-n)) gamma2^(2n)); +inf when the wrong branch is
+    perfectly distinguishable (c = 0, or gamma2 = 0 with n >= 1) or on overflow, 0.0 on
+    underflow. This models the reading as encoded in the N-qubit record; the ideal
+    uncollapsed case with the bare orthogonal pointer reconstructs perfectly instead
+    (see branches.select_by_final and the n = 0 oracle).
     """
     try:
         return math.exp(log_robustness_ratio(model))

@@ -133,7 +133,11 @@ def _robustness_calls(alpha, beta, env_size, overlap, n_collapsed, gamma1, gamma
     # Documented infinities: a log ratio beyond the float range, and a ratio
     # that overflows to +inf or underflows to 0.0.
     assert not math.isnan(log_ratio)
-    assert ratio == math.exp(log_ratio) if abs(log_ratio) < 700 else ratio in (0.0, math.inf)
+    try:
+        expected = math.exp(log_ratio)
+    except OverflowError:
+        expected = math.inf
+    assert ratio == expected
     return []
 
 
@@ -174,6 +178,9 @@ CALLS = {
 @example(("density", ([0.0], [1e-300], 1e-150, 0.0, 1)))
 # The record term overflows to +inf and the collapse term to -inf.
 @example(("robustness", (1.0, 0.0, 10 ** 306 + 10 ** 308, 0.1, 10 ** 306, 1e-300, 0.9)))
+# Only the gamma1 collapse term overflows, to -inf; the log ratio is finite.
+@example(("robustness", (1.0, 0.0, 10 ** 308 + 5 * 10 ** 307, math.exp(-1), 10 ** 308,
+                         math.exp(-1.9), math.exp(-1.79))))
 def test_library_calls_return_finite_output_or_raise_package_errors(call):
     name, args = call
     try:

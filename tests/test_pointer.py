@@ -205,6 +205,9 @@ def test_mean_of_huge_weights_and_means_does_not_overflow():
     assert ReadoutDensity(means=[1e150], weights=[1e300], sigma=1.0).mean() == 1e150
     two = ReadoutDensity(means=[1e150, 5e149], weights=[1e300, 3e300], sigma=1.0)
     assert math.isclose(two.mean(), 6.25e149, rel_tol=1e-15)
+    # Cancelling huge weights leave a tiny net weight that must not underflow.
+    assert ReadoutDensity(means=[0.0, 0.0, 1.0], weights=[1e300, -1e300, 1e-30],
+                          sigma=1.0).mean() == 1.0
 
 
 def test_readout_mean_matches_quadrature():

@@ -353,6 +353,12 @@ def test_log_ratio_of_opposite_infinite_terms_can_be_finite():
               n_collapsed=10 ** 308, gamma1=1e-300, gamma2=1e-300)
     assert math.isclose(log_robustness_ratio(m), 2 * 10 ** 307 * -2.0 * math.log(0.1),
                         rel_tol=1e-15)
+    # Only n ln(gamma1) overflows, to -inf; the true log ratio is about
+    # 2 (5e307 - 1.9e308 + 1.79e308) = 7.8e307, so the ratio itself is +inf.
+    m = model(alpha=1.0, beta=0.0, env_size=10 ** 308 + 5 * 10 ** 307, overlap=math.exp(-1),
+              n_collapsed=10 ** 308, gamma1=math.exp(-1.9), gamma2=math.exp(-1.79))
+    assert math.isclose(log_robustness_ratio(m), 7.8e307, rel_tol=1e-12)
+    assert robustness_ratio(m) == math.inf
 
 
 def test_robustness_ratio_monotonicity_grid():
