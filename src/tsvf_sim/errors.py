@@ -6,9 +6,9 @@ derives from RuntimeError. The command line maps the classes to exit codes
 in one place: a ConfigError exits 2, anything else exits 3, the package's
 RuntimeErrors and a plain ValueError from a defect included.
 
-The tolerance and the dense-oracle bounds that gate InvariantError and
-TooLargeForOracle live here too, so the closed-form modules, and the limit
-checks of runners that do use numpy, can use them without importing numpy.
+The tolerance, the dense-oracle bounds and the single-value domains that gate
+InvariantError and TooLargeForOracle live here too, so the closed-form
+modules and the parameter parser can use them without importing numpy.
 """
 
 import math
@@ -25,6 +25,16 @@ ORACLE_MAX_QUBITS = 14
 # documented upper bound of the `commutator` experiment's `brute_max`, and
 # raising it would change which runs the CLI accepts.
 SPIN_ORACLE_MAX = 12
+# A readout density keeps sigma in SIGMA_DOMAIN and every |mean| at most
+# SCALE_MAX * min(sigma, 1), so the squared distances between readings and
+# means, and those squares over sigma^2, stay finite floats.
+SCALE_MAX = 1e150
+# Inclusive domains (low, high) of single values. Each is read both by the
+# parameter that sets the value and by the library check that guards it.
+SIGMA_DOMAIN = (1.0 / SCALE_MAX, SCALE_MAX)
+NON_NEGATIVE = (0.0, math.inf)
+# The smallest float above 0: a finite float is at least it exactly when it is above 0.
+POSITIVE = (math.ulp(0.0), math.inf)
 
 
 def fits_oracle(dim: int, copies: int) -> bool:
@@ -35,6 +45,13 @@ def fits_oracle(dim: int, copies: int) -> bool:
     least one away from 2^ORACLE_MAX_QUBITS, far beyond the rounding error.
     """
     return dim == 1 or copies <= ORACLE_MAX_QUBITS / math.log2(dim)
+
+
+def require_in(name: str, value, domain: tuple) -> None:
+    """Raise InvariantError unless value is finite and lies in the inclusive domain."""
+    low, high = domain
+    if not (low <= value <= high and -math.inf < value < math.inf):  # NaN fails too
+        raise InvariantError(f"{name} must be finite and lie in [{low!r}, {high!r}]")
 
 
 class ConfigError(ValueError):
@@ -58,7 +75,8 @@ class NearOrthogonalPrePost(ConfigError):
 
 
 class NoAcceptedTrials(RuntimeError):
-    """Every Monte Carlo trial failed post-selection; no estimate exists."""
+    """No Monte Carlo draw is accepted: every trial failed post-selection, or a
+    sampler's acceptance is too low for it to give any reading."""
 
 
 class TooLargeForOracle(ConfigError):

@@ -16,10 +16,21 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import SPIN_ORACLE_MAX, ConfigError, InvariantError, fits_oracle
+from .errors import (
+    NON_NEGATIVE,
+    POSITIVE,
+    SIGMA_DOMAIN,
+    SPIN_ORACLE_MAX,
+    ConfigError,
+    InvariantError,
+    fits_oracle,
+)
 # core_decay has no caller here: perfbench/trace_child.py reads and rebinds it
 # until ROADMAP item 1 removes that rebinding.
 from .twotime import (
+    COLLAPSED_DOMAIN,
+    GAMMA1_DOMAIN,
+    OVERLAP_DOMAIN,
     RobustnessModel,
     _decay_curve,
     classical_threshold,
@@ -60,13 +71,12 @@ MAX_ROWS = 10 ** 7
 # Deep in the strong regime: branches 2000 sigma apart, and a reading g*a + sigma*z
 # still resolves sigma-scale detail to about 1e-13 sigma in a double.
 MAX_G_OVER_SIGMA = 1e3
-# Pointer spreads whose squares and ratios stay far inside the float range.
-MIN_SIGMA, MAX_SIGMA = 1e-100, 1e100
+# mean_over_g and stderr_over_g scale as 1 / (g_over_sigma sqrt(accepted)), so a
+# smaller ratio can overflow them to inf while many trials pass post-selection.
+MIN_G_OVER_SIGMA = 1e-300
 # Record sizes for which the slope fit's centred squares stay below about
 # 1e200, far inside the float range.
 MAX_ENV_SIZE = 1e100
-# The smallest float above 0: a finite float is >= POSITIVE exactly when it is > 0.
-POSITIVE = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
@@ -368,6 +378,17 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
     )
 
 
+def _record_params(n_default: int) -> tuple[ParamSpec, ...]:
+    """The record model's c, n, gamma1 and gamma2, in the domains RobustnessModel checks."""
+    return (
+        ParamSpec("c", "float", 0.9, "per-qubit record overlap", *OVERLAP_DOMAIN),
+        ParamSpec("n", "int", n_default, "collapsed qubit count", *COLLAPSED_DOMAIN),
+        ParamSpec("gamma1", "float", 0.9, "collapse overlap for the right branch", *GAMMA1_DOMAIN),
+        ParamSpec("gamma2", "float", 0.9, "collapse overlap for the wrong branch",
+                  *OVERLAP_DOMAIN),
+    )
+
+
 EXPERIMENTS: dict[str, Experiment] = {
     e.name: e
     for e in (
@@ -386,8 +407,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             description="Weakly coupled, post-selected pointer readings and their mean shift",
             params=(
                 ParamSpec("g_over_sigma", "float", 0.01, "coupling strength over pointer spread",
-                          POSITIVE, MAX_G_OVER_SIGMA),
-                ParamSpec("sigma", "float", 1.0, "pointer spread", MIN_SIGMA, MAX_SIGMA),
+                          MIN_G_OVER_SIGMA, MAX_G_OVER_SIGMA),
+                ParamSpec("sigma", "float", 1.0, "pointer spread", *SIGMA_DOMAIN),
                 ParamSpec("trials", "int", 200000, "Monte Carlo trials before post-selection",
                           1, MAX_ROWS),
                 ParamSpec("post_angle", "float", math.pi / 8.0,
@@ -417,10 +438,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="robustness",
             description="Backward-reconstruction robustness ratio versus record size",
             params=(
-                ParamSpec("c", "float", 0.9, "per-qubit record overlap"),
-                ParamSpec("n", "int", 5, "collapsed qubit count"),
-                ParamSpec("gamma1", "float", 0.9, "collapse overlap for the right branch"),
-                ParamSpec("gamma2", "float", 0.9, "collapse overlap for the wrong branch"),
+                *_record_params(n_default=5),
                 ParamSpec("env_sizes", "int_list", [8, 10, 12, 16, 20], "record sizes N",
                           1, MAX_ENV_SIZE),
             ),
@@ -430,11 +448,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="threshold",
             description="Record size needed for a classically robust reading",
             params=(
-                ParamSpec("c", "float", 0.9, "per-qubit record overlap"),
-                ParamSpec("n", "int", 0, "collapsed qubit count"),
-                ParamSpec("gamma1", "float", 0.9, "collapse overlap for the right branch"),
-                ParamSpec("gamma2", "float", 0.9, "collapse overlap for the wrong branch"),
-                ParamSpec("targets", "float_list", [1e3, 1e6, 1e9], "ratio targets", POSITIVE),
+                *_record_params(n_default=0),
+                ParamSpec("targets", "float_list", [1e3, 1e6, 1e9], "ratio targets", *POSITIVE),
             ),
             runner=_run_threshold,
         ),
@@ -442,9 +457,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             name="decay",
             description="Exponential decay of the intact record core",
             params=(
-                ParamSpec("n0", "float", 1e6, "initial record size", 0.0),
-                ParamSpec("time_constant", "float", 1.0, "e-folding time T", POSITIVE),
-                ParamSpec("t_max", "float", 10.0, "last sampled time", 0.0),
+                ParamSpec("n0", "float", 1e6, "initial record size", *NON_NEGATIVE),
+                ParamSpec("time_constant", "float", 1.0, "e-folding time T", *POSITIVE),
+                ParamSpec("t_max", "float", 10.0, "last sampled time", *NON_NEGATIVE),
                 ParamSpec("steps", "int", 101, "number of samples in [0, t_max]", 2, MAX_ROWS),
             ),
             runner=_run_decay,

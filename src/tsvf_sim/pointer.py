@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvariantError, PostSelectionImpossible
+from .errors import (
+    SCALE_MAX,
+    SIGMA_DOMAIN,
+    DimensionError,
+    InvariantError,
+    NoAcceptedTrials,
+    PostSelectionImpossible,
+    require_in,
+)
 from .hilbert import HermitianOperator, StateVector, _readonly
 
 # One block of sampling proposals holds at most this many kernel values
@@ -27,10 +35,9 @@ SAMPLE_BLOCK_CELLS = 2 ** 18
 MIN_SUCCESS_PROB = 1e-300
 # Branches with Born weight at or below this are dropped from a readout density.
 NEGLIGIBLE_WEIGHT = 1e-28
-# A readout density keeps sigma in [1/SCALE_MAX, SCALE_MAX] and every |mean| at
-# most SCALE_MAX * min(sigma, 1), so the squared distances between readings
-# and means, and those squares over sigma^2, stay finite floats.
-SCALE_MAX = 1e150
+# Rejection needs about 1/acceptance proposals per reading, so below this
+# acceptance a sample would take more than about 10^12 proposals per reading.
+MIN_ACCEPTANCE = 1e-12
 
 
 def _inverse_cdf(cum: np.ndarray, u):
@@ -63,8 +70,7 @@ class ReadoutDensity:
     sigma: float
 
     def __post_init__(self):
-        if not 1.0 / SCALE_MAX <= self.sigma <= SCALE_MAX:
-            raise InvariantError(f"pointer sigma must lie in [{1.0 / SCALE_MAX}, {SCALE_MAX}]")
+        require_in("pointer sigma", self.sigma, SIGMA_DOMAIN)
         for name in ("means", "weights"):
             object.__setattr__(self, name, _readonly(getattr(self, name), float))
         if self.means.ndim != 1 or self.means.size == 0 or self.means.shape != self.weights.shape:
@@ -119,12 +125,17 @@ class ReadoutDensity:
         f+ is the mixture of the positive weights alone. Proposals come in blocks
         sized from the expected acceptance and capped at SAMPLE_BLOCK_CELLS
         kernel values, so memory does not grow with `size` or 1/acceptance.
-        Deterministic for a fixed rng seed.
+        Raises NoAcceptedTrials when the acceptance, success_prob over the
+        positive weights' sum, is below MIN_ACCEPTANCE. Deterministic for a
+        fixed rng seed.
         """
         n = int(size)
         positive = np.maximum(self.weights, 0.0)
         cum = np.cumsum(positive)
         acceptance = self.success_prob / cum[-1]
+        if not acceptance >= MIN_ACCEPTANCE:
+            raise NoAcceptedTrials(f"sampling acceptance {acceptance:.3e} is below "
+                                   f"{MIN_ACCEPTANCE:g}: the weights nearly cancel")
         cap = max(SAMPLE_BLOCK_CELLS // self.means.size, 1)
         out = np.empty(n)
         filled = 0

@@ -32,9 +32,22 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .errors import ATOL_EXACT, InvariantError, OrthogonalCollapseForbidden
+from .errors import (
+    ATOL_EXACT,
+    NON_NEGATIVE,
+    POSITIVE,
+    InvariantError,
+    OrthogonalCollapseForbidden,
+    require_in,
+)
 
 CLASSICAL_RATIO_THRESHOLD = 1e6
+# Inclusive domains of the record model's single values, read by the model and
+# by the robustness and threshold parameters alike. The overlaps c and gamma2
+# stay below 1, so the wrong branch's record always differs from the right one.
+COLLAPSED_DOMAIN = (0, math.inf)
+OVERLAP_DOMAIN = (0.0, math.nextafter(1.0, 0.0))
+GAMMA1_DOMAIN = (0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +56,11 @@ class RobustnessModel:
 
     alpha, beta weight branches I and II (|alpha|^2 + |beta|^2 = 1); env_size
     is the number N of record qubits; overlap is the per-qubit record overlap
-    c in [0, 1); n_collapsed is how many qubits later collapse; gamma1/gamma2
-    are the collapse overlaps shared by every collapsed qubit, with gamma1 in
-    (0, 1] and gamma2 in [0, 1). They are checked only when n_collapsed >= 1;
-    with nothing collapsed they take no part in the model.
+    c in OVERLAP_DOMAIN; n_collapsed, below env_size, is how many qubits later
+    collapse; gamma1 (GAMMA1_DOMAIN) and gamma2 (OVERLAP_DOMAIN) are the
+    collapse overlaps shared by every collapsed qubit. Every range is checked
+    whatever n_collapsed is; gamma1 = 0 is rejected only when a qubit collapses.
+    With nothing collapsed the gammas take no part in the model.
     """
 
     alpha: complex
@@ -61,26 +75,20 @@ class RobustnessModel:
         a, b = abs(self.alpha), abs(self.beta)  # a * a overflows to inf, a ** 2 raises
         if not abs(a * a + b * b - 1.0) <= ATOL_EXACT:
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1 within 1e-12")
-        if not isinstance(self.env_size, int) or self.env_size < 1:
-            raise InvariantError("env_size must be an integer of at least 1")
-        if not 0.0 <= self.overlap < 1.0:
-            raise InvariantError("overlap c must lie in [0, 1)")
-        if not isinstance(self.n_collapsed, int):
-            raise InvariantError("n_collapsed must be an integer")
-        if not 0 <= self.n_collapsed < self.env_size:
-            raise InvariantError(f"n_collapsed = {self.n_collapsed} must be at least 0 "
-                                 f"and below env_size = {self.env_size}")
+        if not (isinstance(self.env_size, int) and isinstance(self.n_collapsed, int)):
+            raise InvariantError("env_size and n_collapsed must be integers")
         object.__setattr__(self, "gamma1", float(self.gamma1))
         object.__setattr__(self, "gamma2", float(self.gamma2))
-        if self.n_collapsed >= 1:
-            if self.gamma1 == 0.0:
-                raise OrthogonalCollapseForbidden(
-                    "gamma1 = 0 would make a collapse orthogonal to the recorded branch"
-                )
-            if not 0.0 < self.gamma1 <= 1.0:
-                raise InvariantError("gamma1 must lie in (0, 1]")
-            if not 0.0 <= self.gamma2 < 1.0:
-                raise InvariantError("gamma2 must lie in [0, 1)")
+        for name, domain in (("n_collapsed", COLLAPSED_DOMAIN), ("overlap", OVERLAP_DOMAIN),
+                             ("gamma1", GAMMA1_DOMAIN), ("gamma2", OVERLAP_DOMAIN)):
+            require_in(name, getattr(self, name), domain)
+        if not self.n_collapsed < self.env_size:  # so env_size >= 1
+            raise InvariantError(f"n_collapsed = {self.n_collapsed} must be below "
+                                 f"env_size = {self.env_size}")
+        if self.n_collapsed >= 1 and self.gamma1 == 0.0:
+            raise OrthogonalCollapseForbidden(
+                "gamma1 = 0 would make a collapse orthogonal to the recorded branch"
+            )
 
     @property
     def remaining(self) -> int:
@@ -121,12 +129,9 @@ def robustness_ratio(model: RobustnessModel) -> float:
 
 def core_decay(n0: float, time_constant: float, t: float) -> float:
     """Remaining intact record size N(t) = N0 exp(-t/T)."""
-    if not 0.0 <= n0 < math.inf:  # NaN fails too, here and below
-        raise InvariantError("initial record size must be finite and non-negative")
-    if not 0.0 < time_constant < math.inf:
-        raise InvariantError("decay time constant must be finite and positive")
-    if not 0.0 <= t < math.inf:
-        raise InvariantError("time must be finite and non-negative")
+    require_in("initial record size", n0, NON_NEGATIVE)
+    require_in("decay time constant", time_constant, POSITIVE)
+    require_in("time", t, NON_NEGATIVE)
     return _decay_curve(n0, time_constant, (t,))[0]
 
 
@@ -171,8 +176,7 @@ def classical_threshold(
     InvariantError is raised. Arguments are validated as a RobustnessModel
     with a single definite branch.
     """
-    if not 0.0 < ratio_target < math.inf:
-        raise InvariantError("ratio_target must be finite and positive")
+    require_in("ratio_target", ratio_target, POSITIVE)
     model = RobustnessModel(
         alpha=1.0,
         beta=0.0,

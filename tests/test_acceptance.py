@@ -206,7 +206,7 @@ def test_criterion_08_two_time_selection():
 
 def test_criterion_09_classical_threshold():
     start = perf_counter()
-    threshold = classical_threshold(0, 0.9, 1.0, 1.0, 10 ** 6)
+    threshold = classical_threshold(0, 0.9, 1.0, 0.0, 10 ** 6)
     half = 1.0 / math.sqrt(2.0)
 
     def ratio_at(env_size):

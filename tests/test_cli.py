@@ -4,10 +4,12 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsvf_sim.cli import BLAS_THREAD_VARS, main
-from tsvf_sim.errors import ConfigError
-from tsvf_sim.experiments import EXPERIMENTS, resolve_params
-from tsvf_sim.twotime import core_decay
+from tsvf_sim.errors import ConfigError, InvariantError
+from tsvf_sim.experiments import EXPERIMENTS, MAX_ENV_SIZE, resolve_params
+from tsvf_sim.pointer import ReadoutDensity
+from tsvf_sim.twotime import RobustnessModel, classical_threshold, core_decay
 from helpers import child_env
 
 
@@ -557,6 +560,55 @@ def test_each_declared_bound_is_inclusive_and_the_next_value_is_rejected(
     assert value == ([bound] if spec.kind.endswith("_list") else bound)
     with pytest.raises(ConfigError, match=f"parameter '{spec.name}' must lie in"):
         resolve_params(exp, {spec.name: _outside(spec, bound, direction)})
+
+
+def _model(**fields):
+    return RobustnessModel(**{"alpha": 1.0, "beta": 0.0, "env_size": 8, "overlap": 0.9,
+                              "n_collapsed": 0, "gamma1": 0.9, "gamma2": 0.9, **fields})
+
+
+# Each parameter whose domain a library check also guards, with that check as
+# a call on one value. MAX_ENV_SIZE is a cap of the run alone.
+LIBRARY_CHECKED = [
+    ("weakvalue", "sigma", lambda v: ReadoutDensity(means=[0.0], weights=[1.0], sigma=v)),
+    *((experiment, name, check) for experiment in ("robustness", "threshold")
+      for name, check in [("c", lambda v: _model(overlap=v)),
+                          ("n", lambda v: _model(n_collapsed=v)),
+                          ("gamma1", lambda v: _model(gamma1=v)),
+                          ("gamma2", lambda v: _model(gamma2=v))]),
+    ("robustness", "env_sizes", lambda v: _model(env_size=v)),
+    ("threshold", "targets", lambda v: classical_threshold(0, 0.9, 1.0, 0.0, v)),
+    ("decay", "n0", lambda v: core_decay(v, 1.0, 1.0)),
+    ("decay", "time_constant", lambda v: core_decay(1.0, v, 1.0)),
+    ("decay", "t_max", lambda v: core_decay(1.0, 1.0, v)),
+]
+
+
+@pytest.mark.parametrize(("experiment", "name", "check"), LIBRARY_CHECKED,
+                         ids=[f"{e}-{n}" for e, n, _ in LIBRARY_CHECKED])
+def test_library_checks_the_same_bounds_as_the_parameter(experiment, name, check):
+    spec = next(p for p in EXPERIMENTS[experiment].params if p.name == name)
+    kind = int if spec.kind.startswith("int") else float
+    bounds = [(bound, direction) for bound, direction in ((spec.low, -1), (spec.high, 1))
+              if math.isfinite(bound) and bound != MAX_ENV_SIZE]
+    assert bounds
+    for bound, direction in bounds:
+        check(kind(bound))
+        with pytest.raises(InvariantError):
+            check(kind(_outside(spec, bound, direction)))
+
+
+def test_readme_limits_show_each_range_that_list_prints(capsys):
+    assert run_cli("list") == 0
+    ranges = re.findall(r"--param (\w+)=<\w+> in (\[.*?\])", capsys.readouterr().out)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    limits = readme.split("\n### Limits\n", 1)[1].split("\n### ", 1)[0]
+    rows = [line for line in limits.splitlines() if line.startswith("| `")]
+    missing = [(name, text) for name, text in ranges
+               if not any(f"`{name}`" in row and text in row for row in rows)]
+    declared = [p for e in EXPERIMENTS.values() for p in e.params
+                if math.isfinite(p.low) or math.isfinite(p.high)]
+    assert len(ranges) == len(declared) and not missing
 
 
 def test_every_default_lies_in_its_declared_range():

@@ -85,6 +85,18 @@ MATRIX_ARGV = [
     # would drop it.
     *(f"run --seed {seed} --experiment born --param alpha2=1e-300 --param trials=1000"
       for seed in ["0", "7", "31337"]),
+    # The ends of the pointer spread's domain, errors.SIGMA_DOMAIN.
+    "run --experiment weakvalue --param sigma=1e-150",
+    "run --experiment weakvalue --param sigma=1e150",
+    # Parsed, then rejected by the readout density's mean bound |g a| <= 1e150.
+    "run --experiment weakvalue --param sigma=1e150 --param g_over_sigma=1000",
+    # Below MIN_G_OVER_SIGMA: 127 trials pass, but mean_over_g would overflow to -inf.
+    "run --seed 0 --experiment weakvalue --param sigma=1e100 --param g_over_sigma=5e-324"
+    " --param trials=1000",
+    # The record model's domains are checked while parsing, whatever n is.
+    *(f"run --experiment {experiment} --param {params}"
+      for experiment in ["robustness", "threshold"]
+      for params in ["n=0 --param gamma1=5", "n=0 --param gamma2=1.5", "c=1", "c=-0.1", "n=-1"]),
 ]
 
 

@@ -120,6 +120,15 @@ NUMPY_FREE_RUNS = [
                  id="born-alpha2-out-of-range"),
     pytest.param(["run", "--experiment", "weakvalue", "--param", "sigma=1e300"], 2,
                  id="weakvalue-sigma-out-of-range"),
+    pytest.param(["run", "--experiment", "weakvalue", "--param", "sigma=9.999999999999999e-151"],
+                 2, id="weakvalue-sigma-below-its-domain"),
+    # The record model's ranges are parameter ranges too, whatever n is.
+    pytest.param(["run", "--experiment", "robustness", "--param", "c=1"], 2,
+                 id="robustness-c-out-of-range"),
+    pytest.param(["run", "--experiment", "robustness", "--param", "n=0", "--param", "gamma1=5"],
+                 2, id="robustness-gamma1-out-of-range"),
+    pytest.param(["run", "--experiment", "threshold", "--param", "gamma2=1"], 2,
+                 id="threshold-gamma2-out-of-range"),
     # robustness never loads numpy: its oracle is pure Python, at every size.
     pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=13,20,57"], 0,
                  id="robustness-no-oracle-size"),

@@ -3,8 +3,8 @@ returns finite output (or the +-inf its docstring names), or raises a
 `tsvf_sim.errors` type.
 
 Arguments come from a fixed vocabulary of ordinary, edge and non-finite
-floats: zeros, +-1e+-150 (the pointer's scale limits), +-1e+-300, subnormals,
-+-inf and nan. Every warning is raised as an error, so a leaked numpy
+floats: zeros, +-1e+-300, subnormals, +-inf, nan, and each bound of the
+pointer-sigma and record-overlap domains with its neighbour just outside. Every warning is raised as an error, so a leaked numpy
 RuntimeWarning fails the property, and every `ReadoutDensity.sample` call
 runs under a wall-clock alarm, so a sampler that never returns fails instead
 of stalling the suite.
@@ -19,10 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsvf_sim import errors
+from tsvf_sim.errors import SCALE_MAX, SIGMA_DOMAIN
 from tsvf_sim.hilbert import SIGMA_Z, HermitianOperator, StateVector
 from tsvf_sim.measurement import TwoState, weak_value
 from tsvf_sim.pointer import ReadoutDensity, readout_density
 from tsvf_sim.twotime import (
+    GAMMA1_DOMAIN,
+    OVERLAP_DOMAIN,
     RobustnessModel,
     classical_threshold,
     core_decay,
@@ -30,8 +33,11 @@ from tsvf_sim.twotime import (
     robustness_ratio,
 )
 
-FLOATS = [0.0, -0.0, 0.5, 1.0, -1.0, 0.9, 1e150, -1e150, 1e-150, 1e300, -1e300, 1e-300,
-          -1e-300, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan]
+FLOATS = [0.0, -0.0, 0.5, 1.0, -1.0, 0.9, -SCALE_MAX, 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+          -5e-324, 1e-310, math.inf, -math.inf, math.nan]
+FLOATS += [edge for low, high in (SIGMA_DOMAIN, OVERLAP_DOMAIN, GAMMA1_DOMAIN)
+           for edge in (low, math.nextafter(low, -math.inf), high, math.nextafter(high, math.inf))
+           if edge not in FLOATS]
 COUNTS = [0, 1, 2, 8, 10 ** 6, 10 ** 300, 10 ** 306, 10 ** 306 + 10 ** 308, 10 ** 400]
 PACKAGE_ERRORS = tuple(cls for cls in vars(errors).values()
                        if isinstance(cls, type) and issubclass(cls, Exception)
@@ -175,7 +181,12 @@ CALLS = {
 # A reading so far out that its squared distance overflows.
 @example(("density", ([0.0], [1.0], 1.0, 1e200, 1)))
 # sigma times the weight sum underflows to 0.
-@example(("density", ([0.0], [1e-300], 1e-150, 0.0, 1)))
+@example(("density", ([0.0], [1e-300], SIGMA_DOMAIN[0], 0.0, 1)))
+# Acceptance 2.2e-16, below pointer.MIN_ACCEPTANCE: rejection would need
+# about 4.5e15 proposals per reading.
+@example(("density", ([0.0, 0.0], [1.0, -1.0 + 2 ** -52], 1.0, 0.0, 1)))
+# Acceptance 1e-310, at which the block size 1.1 n / acceptance would overflow.
+@example(("density", ([0.0, 0.0, 0.0], [1.0, -1.0, 1e-310], 1.0, 0.0, 1)))
 # The record term overflows to +inf and the collapse term to -inf.
 @example(("robustness", (1.0, 0.0, 10 ** 306 + 10 ** 308, 0.1, 10 ** 306, 1e-300, 0.9)))
 # Only the gamma1 collapse term overflows, to -inf; the log ratio is finite.

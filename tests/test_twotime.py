@@ -72,7 +72,7 @@ IDENTITY3 = HermitianOperator(np.eye(3))
     pytest.param(lambda: core_decay(math.nan, 1.0, 1.0), InvariantError, id="nan-n0"),
     pytest.param(lambda: core_decay(1.0, 1.0, math.nan), InvariantError, id="nan-t"),
     pytest.param(lambda: core_decay(1.0, math.inf, 1.0), InvariantError, id="inf-time_constant"),
-    pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 1.0, math.nan),
+    pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 0.0, math.nan),
                  InvariantError, id="nan-target"),
     pytest.param(lambda: HermitianOperator([[math.inf, 0.0], [0.0, 1.0]]),
                  InvariantError, id="inf-entry"),
@@ -438,7 +438,7 @@ def test_core_decay_validates_inputs():
 
 
 def test_classical_threshold_reference_case():
-    n = classical_threshold(0, 0.9, 1.0, 1.0, 10 ** 6)
+    n = classical_threshold(0, 0.9, 1.0, 0.0, 10 ** 6)
     assert n == 66
     below = robustness_ratio(model(env_size=65, overlap=0.9))
     at = robustness_ratio(model(env_size=66, overlap=0.9))
@@ -446,14 +446,14 @@ def test_classical_threshold_reference_case():
 
 
 def test_classical_threshold_trivial_target():
-    assert classical_threshold(0, 0.9, 1.0, 1.0, 1.0) == 1
+    assert classical_threshold(0, 0.9, 1.0, 0.0, 1.0) == 1
     assert classical_threshold(4, 0.9, 0.9, 0.5, 1.0) == 5
 
 
 def test_classical_threshold_diverges_as_overlap_grows():
-    loose = classical_threshold(0, 0.9, 1.0, 1.0, 10 ** 6)
-    tight = classical_threshold(0, 0.99, 1.0, 1.0, 10 ** 6)
-    tighter = classical_threshold(0, 0.999, 1.0, 1.0, 10 ** 6)
+    loose = classical_threshold(0, 0.9, 1.0, 0.0, 10 ** 6)
+    tight = classical_threshold(0, 0.99, 1.0, 0.0, 10 ** 6)
+    tighter = classical_threshold(0, 0.999, 1.0, 0.0, 10 ** 6)
     assert loose < tight < tighter
 
 
