@@ -4,7 +4,9 @@ One experiment per process. Configuration comes from flags, optionally merged
 over a key=value config file (flags win); the seed is parsed like an int
 parameter. `main` is the one place that maps errors to exit codes: 0 success,
 2 for a ConfigError (any input the package rejects, see errors.py), 3 for any
-other error and for a failed write.
+other error and for a failed write. The CSV is written chunk by chunk to a
+temporary file beside the output, which then replaces it, so a failed run
+leaves no partial file and an existing output keeps its old bytes.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .experiments import (
 )
 
 SEED = ParamSpec("seed", "int", 0, "unsigned 64-bit RNG seed", 0, 2 ** 64 - 1)
-# Rows formatted at a time: the cells of one chunk are the only per-cell
-# Python objects alive, so render memory is the text plus a fixed overhead.
-RENDER_CHUNK = 1 << 14
+# Rows formatted and written at a time: the cells and text of one chunk are
+# all of the table a run holds while writing, so its memory stays fixed
+# whatever the row count.
+RENDER_CHUNK = 1 << 11
 # OpenBLAS takes its thread count from the first of these that is set, read
 # once when numpy loads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -51,48 +54,69 @@ def _summary_text(summary: dict) -> str:
 def _cells(column) -> list[str]:
     """Format one column slice; every cell gets the text `_fmt` would give it.
 
-    A list is formatted cell by cell. Any other column is typed (a numpy
-    array or an `array('d')`): its `tolist()` holds only Python floats or only
-    Python ints, whose `repr` is the text `_fmt` gives them.
+    A list is formatted cell by cell. A range holds only Python ints, and any
+    other slice is typed (a numpy array or an `array('d')`): its `tolist()`
+    holds only Python floats or only Python ints. The `repr` of these is the
+    text `_fmt` gives them.
     """
     if isinstance(column, list):
         return list(map(_fmt, column))
-    return list(map(repr, column.tolist()))
+    return list(map(repr, column if isinstance(column, range) else column.tolist()))
 
 
-def _row_chunks(columns):
-    """Yield the CSV data rows as text, RENDER_CHUNK rows at a time.
-
-    A chunk is one flat list in which every cell is followed by a comma, or
-    by a newline at the end of its row. Each column's cells are put in with
-    one strided slice assignment, so no per-row tuple or string is made, and
-    the list is joined once.
-    """
-    width = 2 * len(columns)
-    n_rows = len(columns[0])
-    for start in range(0, n_rows, RENDER_CHUNK):
-        stop = min(start + RENDER_CHUNK, n_rows)
-        cells = [","] * (width * (stop - start))
-        cells[width - 1::width] = ["\n"] * (stop - start)
-        for j, column in enumerate(columns):
-            cells[2 * j::width] = _cells(column[start:stop])
-        yield "".join(cells)
-
-
-def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResult) -> str:
-    """Render one experiment's output: meta + summary comment lines, then CSV.
+def csv_chunks(exp: Experiment, seed: int, params: dict, result: ExperimentResult):
+    """Yield one experiment's output as text: meta + summary comment lines and
+    the header, then the data rows RENDER_CHUNK at a time.
 
     The meta line embeds the resolved configuration (experiment, seed, every
     parameter), so a result file is self-describing and re-runnable. The
     output path is deliberately not part of it: the same configuration written
     to two different paths stays byte-identical.
+
+    A chunk of rows is one flat list in which every cell is followed by a
+    comma, or by a newline at the end of its row. Each column's cells are put
+    in with one strided slice assignment, so no per-row tuple or string is
+    made, and the list is joined once.
     """
     meta = [f"experiment={exp.name}", f"seed={seed}"]
     meta.extend(f"{p.name}={_fmt(params[p.name])}" for p in exp.params)
-    lines = ["# meta " + " ".join(meta)]
-    lines.append("# summary " + _summary_text(result.summary))
-    lines.append(",".join(result.header))
-    return "".join(["\n".join(lines), "\n", *_row_chunks(result.columns)])
+    yield "\n".join(["# meta " + " ".join(meta), "# summary " + _summary_text(result.summary),
+                     ",".join(result.header), ""])
+    width = 2 * len(result.header)
+    for columns in result.chunks(RENDER_CHUNK):
+        rows = len(columns[0])
+        cells = [","] * (width * rows)
+        cells[width - 1::width] = ["\n"] * rows
+        for j, column in enumerate(columns):
+            cells[2 * j::width] = _cells(column)
+        yield "".join(cells)
+
+
+def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResult) -> str:
+    """The whole text that `csv_chunks` yields."""
+    return "".join(csv_chunks(exp, seed, params, result))
+
+
+def _write_replacing(out: str, chunks) -> None:
+    """Write the text chunks to a new file beside `out`, then rename it to `out`.
+
+    As with open(out, "w"), a symbolic link is followed and the file it names
+    is replaced, and the new file gets an existing output's mode, else 0o666
+    less the umask. If a chunk or a write fails, the new file is removed and
+    `out` is left as it was.
+    """
+    path = Path(os.path.realpath(out))
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w") as f:
+            if path.exists():
+                os.chmod(tmp, path.stat().st_mode & 0o7777)
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -201,7 +225,6 @@ def main(argv: list[str] | None = None) -> int:
 
         with _one_blas_thread():
             result = exp.runner(params, seed)
-        text = render_csv(exp, seed, params, result)
     except ConfigError as exc:
         print(f"tsvf-sim: error: {exc}", file=sys.stderr)
         return 2
@@ -210,9 +233,12 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        print(f"tsvf-sim: cannot write {out}: {exc}", file=sys.stderr)
+        _write_replacing(out, csv_chunks(exp, seed, params, result))
+    except OSError as exc:  # the temporary name is random, so it is left out
+        print(f"tsvf-sim: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a defect while rendering
+        print(f"tsvf-sim: runtime error: {exc}", file=sys.stderr)
         return 3
 
     print(f"wrote {out}")

@@ -48,9 +48,14 @@ def fits_oracle(dim: int, copies: int) -> bool:
 
 
 def require_in(name: str, value, domain: tuple) -> None:
-    """Raise InvariantError unless value is finite and lies in the inclusive domain."""
+    """Raise InvariantError unless value is a finite float, or an int that fits one,
+    and lies in the inclusive domain."""
     low, high = domain
-    if not (low <= value <= high and -math.inf < value < math.inf):  # NaN fails too
+    try:
+        finite = math.isfinite(value)  # NaN is not
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not (finite and low <= value <= high):
         raise InvariantError(f"{name} must be finite and lie in [{low!r}, {high!r}]")
 
 

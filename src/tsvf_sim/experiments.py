@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
@@ -64,9 +64,12 @@ def __getattr__(name: str):
     return value
 
 
-# A run holds its columns and its whole CSV text in memory until the file is
-# written; at 10^7 rows it peaks at about 0.45 GiB RSS (born), 0.75 GiB
-# (weakvalue, every trial accepted) and 0.9 GiB (decay).
+# Rows a run may ask for. born and decay make and write their rows a chunk
+# at a time, so their memory does not grow with rows; weakvalue holds one
+# float per accepted trial. So the cap bounds time, most of it formatting
+# floats with repr: at 10^7 rows a born run takes about 5 s (37 MiB peak
+# RSS), a decay run about 19 s (16 MiB), and a weakvalue run that accepts
+# every trial about 15 s (0.19 GiB), on a 2-core Xeon.
 MAX_ROWS = 10 ** 7
 # Deep in the strong regime: branches 2000 sigma apart, and a reading g*a + sigma*z
 # still resolves sigma-scale detail to about 1e-13 sigma in a double.
@@ -106,35 +109,48 @@ class Experiment:
 
 @dataclass
 class ExperimentResult:
-    """One run's table, stored by column, and its summary record.
+    """One run's table of `n_rows` rows under `header`, and its summary record.
 
-    `columns[i]` holds every cell under `header[i]`, top to bottom. Large
-    columns are typed: numpy int64 or float64 arrays for sampled columns, and
-    `array('d')` for the decay table, which is built without numpy. Small
-    mixed columns are lists, which keep Python ints of any size and ""
-    blanks. The CSV renderer formats each column as a whole, so no per-row
-    tuple exists.
+    `chunks(size)` yields the table top to bottom, at most `size` rows at a
+    time, as a tuple with one slice per column. Each call starts again at
+    the first row, so a large table is made a chunk at a time and never held
+    whole. Large slices are typed: numpy int64 or float64 arrays for sampled
+    columns, `array('d')` for the decay table, which is built without numpy,
+    and ranges for row indices. Small mixed columns are lists, which keep
+    Python ints of any size and "" blanks. The CSV renderer formats each
+    slice as a whole, so no per-row tuple exists.
     """
 
     header: tuple[str, ...]
-    columns: tuple[Sequence, ...]
-    summary: dict = field(default_factory=dict)
+    n_rows: int
+    chunks: Callable[[int], Iterator[tuple[Sequence, ...]]]
+    summary: dict
 
-    def __post_init__(self):
-        if not self.header or len(self.columns) != len(self.header):
+    @classmethod
+    def from_columns(cls, header: tuple[str, ...], columns: tuple[Sequence, ...],
+                     summary: dict) -> "ExperimentResult":
+        """A table held whole: `columns[i]` holds every cell under `header[i]`."""
+        if not header or len(columns) != len(header):
             raise InvariantError(
-                f"a result needs one column per header name: {len(self.header)} names, "
-                f"{len(self.columns)} columns"
+                f"a result needs one column per header name: {len(header)} names, "
+                f"{len(columns)} columns"
             )
-        lengths = {len(column) for column in self.columns}
+        lengths = {len(column) for column in columns}
         if len(lengths) != 1:
             raise InvariantError(f"result columns differ in length: {sorted(lengths)}")
+        n_rows = lengths.pop()
+
+        def chunks(size: int):
+            for start in range(0, n_rows, size):
+                yield tuple(column[start:start + size] for column in columns)
+
+        return cls(header, n_rows, chunks, summary)
 
     # Only perfbench/trace_child.py reads this, as len(result.rows) for its row
     # count; it goes when the in-program report of ROADMAP item 1 replaces it.
     @property
     def rows(self) -> range:
-        return range(len(self.columns[0]))
+        return range(self.n_rows)
 
 
 def _require(condition: bool, message: str):
@@ -218,14 +234,28 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
 
     from .hilbert import SIGMA_Z, StateVector
     from .measurement import measure_outcomes
+    from .pointer import SAMPLE_BLOCK_CELLS
 
     psi = StateVector(np.array([math.sqrt(a2), math.sqrt(1.0 - a2)], dtype=complex))
-    rng = np.random.default_rng(seed)
-    outcomes = np.rint(measure_outcomes(psi, SIGMA_Z, rng, trials)).astype(int)
-    freq = int(np.count_nonzero(outcomes == 1)) / trials
+
+    # Every call draws the outcomes again from the seed. The Generator fills
+    # rng.random(k) sequentially, so chunks of any size give the same
+    # outcomes as one rng.random(trials) batch.
+    def chunks(size: int):
+        rng = np.random.default_rng(seed)
+        for start in range(0, trials, size):
+            stop = min(start + size, trials)
+            outcomes = measure_outcomes(psi, SIGMA_Z, rng, stop - start)
+            yield range(start, stop), np.rint(outcomes).astype(int)
+
+    # A counting pass for the summary, which the CSV writes before any row.
+    plus = sum(int(np.count_nonzero(outcomes == 1))
+               for _, outcomes in chunks(SAMPLE_BLOCK_CELLS))
+    freq = plus / trials
     return ExperimentResult(
         header=("trial", "outcome"),
-        columns=(np.arange(trials), outcomes),
+        n_rows=trials,
+        chunks=chunks,
         summary={
             "frequency_plus": freq,
             "expected": a2,
@@ -250,9 +280,9 @@ def _run_weakvalue(params: dict, seed: int) -> ExperimentResult:
     ts = TwoState(forward, backward)
     value = weak_value(ts, SIGMA_Z)
     est = _module.weak_estimate(ts, SIGMA_Z, g, sigma, trials, np.random.default_rng(seed))
-    return ExperimentResult(
+    return ExperimentResult.from_columns(
         header=("index", "reading"),
-        columns=(np.arange(est.samples.size), est.samples),
+        columns=(range(est.samples.size), est.samples),
         summary={
             "weak_value_re": value.real,
             "weak_value_im": value.imag,
@@ -274,7 +304,7 @@ def _run_convergence(params: dict, seed: int) -> ExperimentResult:
     averages = [ensemble_average(((n, abar, delta),)) for n in sizes]
     residuals = [residual for _, residual in averages]
     slope = _slope(logs_n, [math.log10(r) for r in residuals])
-    return ExperimentResult(
+    return ExperimentResult.from_columns(
         header=("N", "residual"),
         columns=(list(sizes), residuals),
         summary={"slope": slope, "expected_slope": -0.5, "abar": averages[-1][0]},
@@ -285,7 +315,7 @@ def _run_commutator(params: dict, seed: int) -> ExperimentResult:
     brute_max, closed_ns = params["brute_max"], params["closed_Ns"]
     brute = [_module.brute_force_spin_commutator(n) for n in range(1, brute_max + 1)]
     errors = [err for _, err in brute]
-    return ExperimentResult(
+    return ExperimentResult.from_columns(
         header=("spins", "method", "scale", "identity_error"),
         columns=(
             [*range(1, brute_max + 1), *closed_ns],
@@ -324,7 +354,7 @@ def _run_robustness(params: dict, seed: int) -> ExperimentResult:
         for model in models
     ]
     fitted = _slope(xs, logs) if all(map(math.isfinite, logs)) else ""
-    return ExperimentResult(
+    return ExperimentResult.from_columns(
         header=("env_size", "n_collapsed", "log_ratio", "ratio", "brute_ratio"),
         columns=(list(sizes), [params["n"]] * len(sizes), logs, ratios, oracles),
         summary={
@@ -346,7 +376,7 @@ def _run_threshold(params: dict, seed: int) -> ExperimentResult:
         below.append(
             robustness_ratio(_model_from(params, size - 1)) if size - 1 > params["n"] else ""
         )
-    return ExperimentResult(
+    return ExperimentResult.from_columns(
         header=("target", "env_size_needed", "ratio_at_threshold", "ratio_below"),
         columns=(list(targets), needed, at, below),
         summary={
@@ -363,18 +393,25 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
     # i / (steps - 1) * t_max when the step underflows to 0, plus the start
     # 0.0 (which turns -0.0 into 0.0); the last point is t_max itself.
     step = t_max / (steps - 1)
-    if step:
-        times = [i * step for i in range(steps - 1)]
-    else:
-        times = [i / (steps - 1) * t_max + 0.0 for i in range(steps - 1)]
-    times.append(t_max)
-    times = array("d", times)
-    # core_decay's curve; its arguments were checked once, while parsing.
-    remaining = _decay_curve(n0, tau, times)
+
+    def chunks(size: int):
+        for start in range(0, steps, size):
+            indices = range(start, min(start + size, steps - 1))
+            if step:
+                times = array("d", [i * step for i in indices])
+            else:
+                times = array("d", [i / (steps - 1) * t_max + 0.0 for i in indices])
+            if start + size >= steps:
+                times.append(t_max)
+            # core_decay's curve; its arguments were checked once, while parsing.
+            yield times, _decay_curve(n0, tau, times)
+
     return ExperimentResult(
         header=("t", "remaining"),
-        columns=(times, remaining),
-        summary={"n0": n0, "time_constant": tau, "final_remaining": remaining[-1]},
+        n_rows=steps,
+        chunks=chunks,
+        summary={"n0": n0, "time_constant": tau,
+                 "final_remaining": _decay_curve(n0, tau, (t_max,))[0]},
     )
 
 

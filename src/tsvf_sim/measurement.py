@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, InvariantError, NearOrthogonalPrePost, NoAcceptedTrials
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
-from .pointer import _inverse_cdf, readout_density
+from .pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf, readout_density
 
 # Pre/post overlaps at or below this are treated as orthogonal: no weak value exists.
 MIN_OVERLAP = 1e-12
@@ -63,7 +63,13 @@ class WeakEstimate:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _readonly(self.samples, float))
+        # weak_estimate hands over its own fresh array, already frozen. Any
+        # other array is copied, so a caller's array is never frozen behind
+        # its back.
+        s = self.samples
+        if not (isinstance(s, np.ndarray) and s.dtype == float and s.flags.owndata
+                and not s.flags.writeable):
+            object.__setattr__(self, "samples", _readonly(s, float))
 
 
 def strong_measure(
@@ -115,20 +121,23 @@ def weak_estimate(
     pointer. The post-selection probability comes from the readout density of
     the coupled state, so it includes the coupling disturbance exactly rather
     than to first order. The coupled state and readout density are identical
-    across trials, so the draws are vectorized: one Bernoulli array for
-    post-selection, then one exact batch of readings for the accepted trials.
-    Results are deterministic for a fixed rng seed.
+    across trials, so the draws are vectorized: Bernoulli draws for
+    post-selection, SAMPLE_BLOCK_CELLS at a time (the same doubles as one
+    rng.random(trials) array), then one exact batch of readings for the
+    accepted trials. Results are deterministic for a fixed rng seed.
     """
     if trials < 1:
         raise InvariantError("trials must be at least 1")
     density = readout_density(ts.forward, op, g, sigma, post=ts.backward)
-    accepted = int(np.count_nonzero(rng.random(trials) < density.success_prob))
+    blocks = [SAMPLE_BLOCK_CELLS] * (trials // SAMPLE_BLOCK_CELLS) + [trials % SAMPLE_BLOCK_CELLS]
+    accepted = sum(int(np.count_nonzero(rng.random(k) < density.success_prob)) for k in blocks)
     if accepted == 0:
         raise NoAcceptedTrials(
             f"0 of {trials} trials passed post-selection "
             f"(success probability {density.success_prob:.3e})"
         )
     samples = density.sample(rng, size=accepted)
+    samples.setflags(write=False)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(accepted)) if accepted > 1 else float("inf")
     return WeakEstimate(

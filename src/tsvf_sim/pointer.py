@@ -28,9 +28,10 @@ from .errors import (
 )
 from .hilbert import HermitianOperator, StateVector, _readonly
 
-# One block of sampling proposals holds at most this many kernel values
-# (proposals x mixture components), about 2 MiB per float array.
-SAMPLE_BLOCK_CELLS = 2 ** 18
+# One block of random draws holds at most this many values: for the sampler,
+# kernel values (proposals x mixture components). At 128 KiB per float array,
+# a block's arrays stay small beside numpy's own import.
+SAMPLE_BLOCK_CELLS = 2 ** 14
 # Below this, a post-selection state is treated as orthogonal to all branches.
 MIN_SUCCESS_PROB = 1e-300
 # Branches with Born weight at or below this are dropped from a readout density.
@@ -81,9 +82,13 @@ class ReadoutDensity:
         if not np.isfinite(self.weights).all():
             raise InvariantError("readout weights must be finite")
         # Rejection sampling proposes from the positive weights and keeps a
-        # proposal with probability f/f+, so both must be positive.
-        if not (self.weights.max() > 0.0 and self.success_prob > 0.0):
-            raise InvariantError("a readout density needs a positive weight and a positive weight sum")
+        # proposal with probability f/f+, so both sums must be positive, and
+        # finite: finite weights can still sum past the float range.
+        with np.errstate(over="ignore"):
+            total, positive = self.weights.sum(), np.maximum(self.weights, 0.0).sum()
+        if not (total > 0.0 and positive < np.inf):
+            raise InvariantError("a readout density needs a positive weight sum, "
+                                 "and a finite sum of its positive weights")
 
     @property
     def success_prob(self) -> float:

@@ -77,11 +77,11 @@ class RobustnessModel:
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1 within 1e-12")
         if not (isinstance(self.env_size, int) and isinstance(self.n_collapsed, int)):
             raise InvariantError("env_size and n_collapsed must be integers")
-        object.__setattr__(self, "gamma1", float(self.gamma1))
-        object.__setattr__(self, "gamma2", float(self.gamma2))
         for name, domain in (("n_collapsed", COLLAPSED_DOMAIN), ("overlap", OVERLAP_DOMAIN),
                              ("gamma1", GAMMA1_DOMAIN), ("gamma2", OVERLAP_DOMAIN)):
             require_in(name, getattr(self, name), domain)
+        object.__setattr__(self, "gamma1", float(self.gamma1))
+        object.__setattr__(self, "gamma2", float(self.gamma2))
         if not self.n_collapsed < self.env_size:  # so env_size >= 1
             raise InvariantError(f"n_collapsed = {self.n_collapsed} must be below "
                                  f"env_size = {self.env_size}")

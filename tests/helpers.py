@@ -1,13 +1,14 @@
-"""Random states and operators, the Gaussian pointer wavefunction, and the
-environment of a child interpreter, for the tests.
+"""Random states and operators, the Gaussian pointer wavefunction, a run's
+whole columns, and the environment of a child interpreter, for the tests.
 
 Nothing in `tsvf_sim` needs these: the tests draw random inputs from them,
-check the library's readout densities against the pointer wavefunction, and
-run the package in fresh interpreters.
+check the library's readout densities against the pointer wavefunction, read
+a run's table, and run the package in fresh interpreters.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import tsvf_sim
-from tsvf_sim.cli import BLAS_THREAD_VARS
+from tsvf_sim.cli import BLAS_THREAD_VARS, RENDER_CHUNK
 from tsvf_sim.errors import InvariantError
 from tsvf_sim.hilbert import HermitianOperator, StateVector
 
@@ -57,3 +58,10 @@ def child_env(**blas_threads) -> dict[str, str]:
     path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     return dict(env, PYTHONPATH=os.pathsep.join(filter(None, path)), **blas_threads)
+
+
+def result_columns(result) -> tuple[list, ...]:
+    """Every cell of each column of a run's table, top to bottom, gathered
+    from the chunks the CSV renderer reads."""
+    slices = zip(*result.chunks(RENDER_CHUNK))
+    return tuple(list(itertools.chain.from_iterable(column)) for column in slices)

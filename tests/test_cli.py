@@ -21,7 +21,7 @@ from tsvf_sim.errors import ConfigError, InvariantError
 from tsvf_sim.experiments import EXPERIMENTS, MAX_ENV_SIZE, resolve_params
 from tsvf_sim.pointer import ReadoutDensity
 from tsvf_sim.twotime import RobustnessModel, classical_threshold, core_decay
-from helpers import child_env
+from helpers import child_env, result_columns
 
 
 def run_cli(*args):
@@ -395,6 +395,80 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_output_that_is_a_directory_exits_3_and_leaves_no_temporary_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run_cli("run", "--experiment", "decay", "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith(f"tsvf-sim: cannot write {out}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_render_failure_exits_3_and_leaves_the_output_as_it_was(tmp_path, monkeypatch, capsys,
+                                                                 existing):
+    out = tmp_path / "d.csv"
+    if existing:
+        out.write_text("old bytes\n")
+    decay = EXPERIMENTS["decay"]
+
+    def runner(params, seed):
+        result = decay.runner(params, seed)
+
+        def chunks(size):
+            yield next(result.chunks(size))
+            raise RuntimeError("render failed")
+
+        return dataclasses.replace(result, chunks=chunks)
+
+    monkeypatch.setitem(EXPERIMENTS, "decay", dataclasses.replace(decay, runner=runner))
+    code = run_cli("run", "--experiment", "decay", "--param", "steps=10000", "--out", str(out))
+    assert code == 3
+    assert capsys.readouterr().err == "tsvf-sim: runtime error: render failed\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["d.csv"] if existing else [])
+    assert not existing or out.read_text() == "old bytes\n"
+
+
+def test_csv_replaces_the_output_as_open_for_writing_would(tmp_path):
+    # A new file gets 0o666 less the umask, an existing one keeps its mode,
+    # and a symbolic link is followed.
+    new, old, link = tmp_path / "new.csv", tmp_path / "old.csv", tmp_path / "link.csv"
+    old.write_text("old bytes\n")
+    old.chmod(0o640)
+    link.symlink_to(old.name)
+    for out in (new, link):
+        assert run_cli("run", "--experiment", "decay", "--out", str(out)) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert new.stat().st_mode & 0o7777 == 0o666 & ~umask
+    assert old.stat().st_mode & 0o7777 == 0o640
+    assert link.is_symlink() and old.read_bytes() == new.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "old.csv"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, its unit on Linux")
+def test_streamed_runs_peak_the_same_at_ten_thousand_and_a_million_rows(tmp_path):
+    # born and decay make and write their rows a chunk at a time, so a
+    # hundred times more rows may not raise a run's peak RSS. Each child
+    # reports its own peak as it exits.
+    report = ("import resource, sys; from tsvf_sim.cli import main; code = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+    runs = {
+        (name, rows): subprocess.Popen(
+            [sys.executable, "-c", report, "run", "--experiment", name, "--param",
+             f"{key}={rows}", "--out", str(tmp_path / f"{name}-{rows}.csv")],
+            env=child_env(), stdout=subprocess.PIPE, text=True)
+        for name, key in (("born", "trials"), ("decay", "steps"))
+        for rows in (10 ** 4, 10 ** 6)
+    }
+    peaks = {}
+    for run, proc in runs.items():
+        stdout, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        peaks[run] = int(stdout.split()[-1]) / 1024
+    for name in ("born", "decay"):
+        assert abs(peaks[name, 10 ** 6] - peaks[name, 10 ** 4]) < 2.0, peaks
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # A valid configuration whose one trial fails post-selection (NoAcceptedTrials).
     out = tmp_path / "w.csv"
@@ -506,7 +580,7 @@ def test_decay_rows_match_closed_form(tmp_path):
 def test_decay_remaining_equals_core_decay_loop(overrides):
     exp = EXPERIMENTS["decay"]
     params = resolve_params(exp, overrides)
-    times, remaining = exp.runner(params, 0).columns
+    times, remaining = (array("d", column) for column in result_columns(exp.runner(params, 0)))
     expected = array("d", [core_decay(params["n0"], params["time_constant"], t) for t in times])
     assert remaining.tobytes() == expected.tobytes()
 
@@ -528,7 +602,7 @@ EDGE_T_MAX = [0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308]
 def test_decay_times_equal_linspace_bit_for_bit(t_max, steps):
     exp = EXPERIMENTS["decay"]
     params = resolve_params(exp, {"t_max": repr(t_max), "steps": str(steps)})
-    times = exp.runner(params, 0).columns[0]
+    times = array("d", result_columns(exp.runner(params, 0))[0])
     # linspace computes its last point as (steps - 1) * step, which may
     # overflow, before it overwrites that point with t_max itself.
     with np.errstate(over="ignore"):

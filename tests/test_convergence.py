@@ -17,6 +17,7 @@ import pytest
 from tsvf_sim.ensemble import EnsembleSpec, average_operator_residual, brute_force_average
 from tsvf_sim.experiments import EXPERIMENTS, resolve_params
 from tsvf_sim.hilbert import SIGMA_Z, StateVector
+from helpers import result_columns
 
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 
@@ -24,8 +25,9 @@ PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 def _run(sizes):
     exp = EXPERIMENTS["convergence"]
     result = exp.runner(resolve_params(exp, {"Ns": ",".join(map(str, sizes))}), 0)
-    assert result.columns[0] == list(sizes)
-    return result.columns[1], result.summary
+    sizes_column, residuals = result_columns(result)
+    assert sizes_column == list(sizes)
+    return residuals, result.summary
 
 
 def _sizes():

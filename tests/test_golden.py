@@ -77,7 +77,7 @@ MATRIX_ARGV = [
     "run --experiment threshold --param n=1e307 --param gamma1=1e-300 --param gamma2=0.5",
     "run --experiment convergence --param Ns=1,100000000000000000000",
     "run --experiment commutator --param brute_max=1 --param closed_Ns=1,2,3",
-    # Around cli.RENDER_CHUNK = 16384 rows.
+    # Around cli.RENDER_CHUNK = 2048 rows, and around 16384, its earlier value.
     *(f"run --experiment decay --param steps={steps}" for steps in ["16384", "16385", "32769"]),
     "run --experiment decay --param t_max=1e300",
     "run --experiment decay --param time_constant=1e-300",
@@ -97,6 +97,10 @@ MATRIX_ARGV = [
     *(f"run --experiment {experiment} --param {params}"
       for experiment in ["robustness", "threshold"]
       for params in ["n=0 --param gamma1=5", "n=0 --param gamma2=1.5", "c=1", "c=-0.1", "n=-1"]),
+    *(f"run --experiment decay --param steps={steps}" for steps in ["2047", "2048", "4097"]),
+    # About 10^4 accepted readings: the sampler draws several blocks of
+    # pointer.SAMPLE_BLOCK_CELLS kernel values.
+    "run --seed 5 --experiment weakvalue --param trials=20000",
 ]
 
 

@@ -187,6 +187,11 @@ CALLS = {
 @example(("density", ([0.0, 0.0], [1.0, -1.0 + 2 ** -52], 1.0, 0.0, 1)))
 # Acceptance 1e-310, at which the block size 1.1 n / acceptance would overflow.
 @example(("density", ([0.0, 0.0, 0.0], [1.0, -1.0, 1e-310], 1.0, 0.0, 1)))
+# Finite weights whose sum overflows to inf.
+@example(("density", ([0.0, 0.0], [1e308, 1e308], 1.0, 0.0, 1)))
+# Ints too large for a float, in a domain with an infinite end and in one without.
+@example(("decay", (10 ** 400, 1.0, 1.0)))
+@example(("robustness", (1.0, 0.0, 8, 0.5, 1, 10 ** 400, 0.5)))
 # The record term overflows to +inf and the collapse term to -inf.
 @example(("robustness", (1.0, 0.0, 10 ** 306 + 10 ** 308, 0.1, 10 ** 306, 1e-300, 0.9)))
 # Only the gamma1 collapse term overflows, to -inf; the log ratio is finite.

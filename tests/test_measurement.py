@@ -23,8 +23,8 @@ from tsvf_sim import (
     weak_estimate,
     weak_value,
 )
-from tsvf_sim.measurement import measure_outcomes
-from tsvf_sim.pointer import _inverse_cdf
+from tsvf_sim.measurement import WeakEstimate, measure_outcomes
+from tsvf_sim.pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf
 from helpers import random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
@@ -266,6 +266,28 @@ def test_weak_estimate_deterministic_for_fixed_seed():
     assert runs[0].mean == runs[1].mean
     assert runs[0].accepted == runs[1].accepted
     assert np.array_equal(runs[0].samples, runs[1].samples)
+
+
+def test_weak_estimate_equals_one_post_selection_batch_then_one_sample():
+    # Post-selection draws come SAMPLE_BLOCK_CELLS at a time; the reference
+    # draws them in one rng.random(trials) batch.
+    trials = 3 * SAMPLE_BLOCK_CELLS + 5
+    est = weak_estimate(ANOMALOUS, SIGMA_Z, 0.01, 1.0, trials, np.random.default_rng(52))
+    density = readout_density(ANOMALOUS.forward, SIGMA_Z, 0.01, 1.0, post=ANOMALOUS.backward)
+    rng = np.random.default_rng(52)
+    accepted = int(np.count_nonzero(rng.random(trials) < density.success_prob))
+    assert est.accepted == accepted
+    assert np.array_equal(est.samples, density.sample(rng, accepted))
+
+
+def test_weak_estimate_freezes_its_own_samples_but_never_a_callers():
+    est = weak_estimate(ANOMALOUS, SIGMA_Z, 0.01, 1.0, 1_000, np.random.default_rng(53))
+    assert not est.samples.flags.writeable
+    mine = np.array([1.0, 2.0])
+    kept = WeakEstimate(mean=1.5, stderr=0.5, acceptance_rate=1.0, accepted=2, samples=mine)
+    assert mine.flags.writeable and not kept.samples.flags.writeable
+    mine[0] = 7.0
+    assert kept.samples.tolist() == [1.0, 2.0]
 
 
 def test_weak_estimate_no_accepted_trials():

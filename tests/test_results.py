@@ -1,11 +1,11 @@
-"""Tests for the columnar ExperimentResult and the column-wise CSV renderer."""
+"""Tests for the chunked ExperimentResult and the column-wise CSV renderer."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tsvf_sim.cli import RENDER_CHUNK, _fmt, render_csv
+from tsvf_sim.cli import RENDER_CHUNK, _fmt, csv_chunks, render_csv
 from tsvf_sim.errors import InvariantError
 from tsvf_sim.experiments import EXPERIMENTS, ExperimentResult, resolve_params
 
@@ -23,20 +23,22 @@ def _data_lines(result):
 
 def test_result_needs_one_column_per_header_name():
     with pytest.raises(InvariantError, match="one column per header name"):
-        ExperimentResult(header=("a", "b"), columns=([1, 2],))
+        ExperimentResult.from_columns(header=("a", "b"), columns=([1, 2],), summary={})
     with pytest.raises(InvariantError, match="one column per header name"):
-        ExperimentResult(header=("a",), columns=([1], [2]))
+        ExperimentResult.from_columns(header=("a",), columns=([1], [2]), summary={})
     with pytest.raises(InvariantError, match="one column per header name"):
-        ExperimentResult(header=(), columns=())
+        ExperimentResult.from_columns(header=(), columns=(), summary={})
 
 
 def test_result_columns_must_have_equal_length():
     with pytest.raises(InvariantError, match="differ in length"):
-        ExperimentResult(header=("a", "b"), columns=(np.arange(3), [1.0, 2.0]))
+        ExperimentResult.from_columns(header=("a", "b"), columns=(np.arange(3), [1.0, 2.0]),
+                                      summary={})
 
 
 def test_result_rows_counts_rows():
-    result = ExperimentResult(header=("a", "b"), columns=(np.arange(3), ["x", "y", ""]))
+    result = ExperimentResult.from_columns(header=("a", "b"),
+                                           columns=(np.arange(3), ["x", "y", ""]), summary={})
     assert len(result.rows) == 3
 
 
@@ -46,23 +48,27 @@ def test_column_wise_render_equals_row_wise_fmt(n_rows):
     shifted = [MIXED[(3 * i + 1) % len(MIXED)] for i in range(n_rows)]
     ints = np.arange(n_rows) * (2 ** 40) - 2 ** 62
     floats = np.resize(np.array([-0.0, 5e-324, np.inf, -np.inf, 1e16, 1e-5, 0.1]), n_rows)
-    columns = (mixed, ints, shifted, floats)
-    result = ExperimentResult(header=("m", "i", "s", "f"), columns=columns)
+    columns = (mixed, ints, shifted, floats, range(n_rows))
+    result = ExperimentResult.from_columns(header=("m", "i", "s", "f", "r"), columns=columns,
+                                           summary={})
     expected = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
     assert _data_lines(result) == expected
 
 
 def test_born_million_trial_render_memory_is_bounded():
     exp = EXPERIMENTS["born"]
+    exp.runner(resolve_params(exp, {"trials": "1"}), 7)  # imports numpy and the sampler
     params = resolve_params(exp, {"trials": "1000000"})
-    result = exp.runner(params, 7)
     tracemalloc.start()
     try:
-        text = render_csv(exp, 7, params, result)
+        result = exp.runner(params, 7)
+        lines = sum(chunk.count("\n") for chunk in csv_chunks(exp, 7, params, result))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n") == 3 + 1_000_000
-    # Measured 18.2 MiB: the chunk strings and the joined text (9.1 MiB each)
-    # plus one chunk of cells. A per-row renderer peaks above 80 MiB.
-    assert peak < 24 * 2 ** 20
+    assert lines == 3 + 1_000_000
+    # Measured 0.63 MiB, set by the counting pass's blocks of 16384 draws;
+    # the streamed render holds one chunk of draws and cells at a time.
+    # Joining the whole text instead peaked at 18.2 MiB, and a per-row
+    # renderer above 80 MiB.
+    assert peak < 2 ** 20

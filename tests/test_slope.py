@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tsvf_sim.experiments import EXPERIMENTS, _slope, resolve_params
+from helpers import result_columns
 
 
 def _exact_slope(xs, ys):
@@ -57,12 +58,13 @@ def test_slope_of_a_line_is_exact_and_needs_two_distinct_xs():
 
 
 def _polyfit_slope(name, result):
+    columns = result_columns(result)
     if name == "robustness":
-        xs, ys = np.array(result.columns[0], dtype=float), result.columns[2]
+        xs, ys = np.array(columns[0], dtype=float), columns[2]
         fitted = result.summary["fitted_log_slope"]
     else:
-        xs = np.log10([float(n) for n in result.columns[0]])
-        ys = np.log10(result.columns[1])
+        xs = np.log10([float(n) for n in columns[0]])
+        ys = np.log10(columns[1])
         fitted = result.summary["slope"]
     return fitted, float(np.polyfit(xs, ys, 1)[0])
 
