@@ -4,9 +4,11 @@ One experiment per process. Configuration comes from flags, optionally merged
 over a key=value config file (flags win); the seed is parsed like an int
 parameter. `main` is the one place that maps errors to exit codes: 0 success,
 2 for a ConfigError (any input the package rejects, see errors.py), 3 for any
-other error and for a failed write. The CSV is written chunk by chunk to a
-temporary file beside the output, which then replaces it, so a failed run
-leaves no partial file and an existing output keeps its old bytes.
+other error and for a failed write. The CSV is written chunk by chunk, to a
+temporary file beside a new or plain regular output, which then replaces it:
+so a failed run leaves no partial file there, and an existing output keeps
+its old bytes. Any other output, such as /dev/stdout or a FIFO, is written in
+place.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .experiments import (
     EXPERIMENTS,
+    RENDER_CHUNK,
     Experiment,
     ExperimentResult,
     ParamSpec,
@@ -29,10 +32,6 @@ from .experiments import (
 )
 
 SEED = ParamSpec("seed", "int", 0, "unsigned 64-bit RNG seed", 0, 2 ** 64 - 1)
-# Rows formatted and written at a time: the cells and text of one chunk are
-# all of the table a run holds while writing, so its memory stays fixed
-# whatever the row count.
-RENDER_CHUNK = 1 << 11
 # OpenBLAS takes its thread count from the first of these that is set, read
 # once when numpy loads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -97,21 +96,57 @@ def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResul
     return "".join(csv_chunks(exp, seed, params, result))
 
 
-def _write_replacing(out: str, chunks) -> None:
-    """Write the text chunks to a new file beside `out`, then rename it to `out`.
+def _temporary_beside(out: str, st):
+    """Open a new file beside `out` to write it through, as (out's real path,
+    the new file's path, its descriptor), or give None where renaming a new
+    file over `out` would change more than its bytes.
 
-    As with open(out, "w"), a symbolic link is followed and the file it names
-    is replaced, and the new file gets an existing output's mode, else 0o666
-    less the umask. If a chunk or a write fails, the new file is removed and
-    `out` is left as it was.
+    `st` is os.stat(out), or None if there is no such file. Only a regular
+    file with one link, whose owner and group a new file beside it gets too,
+    is replaced. The new file is made with 0o666 less the umask, the mode
+    open(out, "w") gives a new output.
     """
+    import stat
+
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        return None  # a device such as /dev/stdout, a FIFO or a hard link
     path = Path(os.path.realpath(out))
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:  # a directory where no file can be made, say
+        return None
+    if st is not None:
+        new = os.fstat(fd)
+        if (new.st_uid, new.st_gid) != (st.st_uid, st.st_gid):
+            os.close(fd)
+            tmp.unlink()
+            return None
+    return path, tmp, fd
+
+
+def _write_out(out: str, chunks) -> None:
+    """Write the text chunks to `out` as open(out, "w") would, a symbolic link
+    followed, but through a new file beside it where `_temporary_beside` can
+    make one: that file then replaces `out`, or is removed if a chunk or a
+    write fails, so `out` keeps its old bytes and its mode. Any other output
+    is written in place and keeps what it is (a device, a FIFO, its links and
+    its owner).
+    """
+    try:
+        st = os.stat(out)
+    except FileNotFoundError:
+        st = None
+    temporary = _temporary_beside(out, st)
+    if temporary is None:
+        with open(out, "w") as f:
+            f.writelines(chunks)
+        return
+    path, tmp, fd = temporary
     try:
         with open(fd, "w") as f:
-            if path.exists():
-                os.chmod(tmp, path.stat().st_mode & 0o7777)
+            if st is not None:
+                os.fchmod(fd, st.st_mode & 0o7777)
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -233,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     try:
-        _write_replacing(out, csv_chunks(exp, seed, params, result))
-    except OSError as exc:  # the temporary name is random, so it is left out
+        _write_out(out, csv_chunks(exp, seed, params, result))
+    except OSError as exc:  # a temporary file's random name is left out
         print(f"tsvf-sim: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a defect while rendering

@@ -67,10 +67,14 @@ def __getattr__(name: str):
 # Rows a run may ask for. born and decay make and write their rows a chunk
 # at a time, so their memory does not grow with rows; weakvalue holds one
 # float per accepted trial. So the cap bounds time, most of it formatting
-# floats with repr: at 10^7 rows a born run takes about 5 s (37 MiB peak
+# floats with repr: at 10^7 rows a born run takes about 3.5 s (37 MiB peak
 # RSS), a decay run about 19 s (16 MiB), and a weakvalue run that accepts
 # every trial about 15 s (0.19 GiB), on a 2-core Xeon.
 MAX_ROWS = 10 ** 7
+# Rows of a result made, formatted and written at a time: the cells and text
+# of one chunk are all of the table a born or decay run holds, so its memory
+# stays fixed whatever the row count.
+RENDER_CHUNK = 1 << 11
 # Deep in the strong regime: branches 2000 sigma apart, and a reading g*a + sigma*z
 # still resolves sigma-scale detail to about 1e-13 sigma in a double.
 MAX_G_OVER_SIGMA = 1e3
@@ -233,10 +237,13 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
     import numpy as np
 
     from .hilbert import SIGMA_Z, StateVector
-    from .measurement import measure_outcomes
-    from .pointer import SAMPLE_BLOCK_CELLS
+    from .pointer import _inverse_cdf
 
     psi = StateVector(np.array([math.sqrt(a2), math.sqrt(1.0 - a2)], dtype=complex))
+    # The rule of measurement.measure_outcomes, with the Born expansion of
+    # psi taken once per run rather than once per chunk.
+    eigenvalues, weights, _ = SIGMA_Z.born_branches(psi)
+    outcome, cum = np.rint(eigenvalues).astype(int), np.cumsum(weights)
 
     # Every call draws the outcomes again from the seed. The Generator fills
     # rng.random(k) sequentially, so chunks of any size give the same
@@ -245,12 +252,10 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
         rng = np.random.default_rng(seed)
         for start in range(0, trials, size):
             stop = min(start + size, trials)
-            outcomes = measure_outcomes(psi, SIGMA_Z, rng, stop - start)
-            yield range(start, stop), np.rint(outcomes).astype(int)
+            yield range(start, stop), outcome[_inverse_cdf(cum, rng.random(stop - start))]
 
     # A counting pass for the summary, which the CSV writes before any row.
-    plus = sum(int(np.count_nonzero(outcomes == 1))
-               for _, outcomes in chunks(SAMPLE_BLOCK_CELLS))
+    plus = sum(int(np.count_nonzero(outcomes == 1)) for _, outcomes in chunks(RENDER_CHUNK))
     freq = plus / trials
     return ExperimentResult(
         header=("trial", "outcome"),

@@ -63,13 +63,7 @@ class WeakEstimate:
     samples: np.ndarray
 
     def __post_init__(self):
-        # weak_estimate hands over its own fresh array, already frozen. Any
-        # other array is copied, so a caller's array is never frozen behind
-        # its back.
-        s = self.samples
-        if not (isinstance(s, np.ndarray) and s.dtype == float and s.flags.owndata
-                and not s.flags.writeable):
-            object.__setattr__(self, "samples", _readonly(s, float))
+        object.__setattr__(self, "samples", _readonly(self.samples, float))
 
 
 def strong_measure(
@@ -137,7 +131,6 @@ def weak_estimate(
             f"(success probability {density.success_prob:.3e})"
         )
     samples = density.sample(rng, size=accepted)
-    samples.setflags(write=False)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(accepted)) if accepted > 1 else float("inf")
     return WeakEstimate(

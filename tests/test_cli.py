@@ -5,8 +5,10 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 from array import array
 from pathlib import Path
@@ -443,6 +445,32 @@ def test_csv_replaces_the_output_as_open_for_writing_would(tmp_path):
     assert old.stat().st_mode & 0o7777 == 0o640
     assert link.is_symlink() and old.read_bytes() == new.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "old.csv"]
+
+
+def test_csv_is_written_into_a_fifo_which_stays_a_fifo(tmp_path):
+    # A FIFO cannot be replaced by a file: its reader would get nothing.
+    out = tmp_path / "pipe.csv"
+    os.mkfifo(out)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(out.read_bytes()), daemon=True)
+    reader.start()
+    code = run_cli("run", "--experiment", "decay", "--out", str(out))
+    reader.join(timeout=60)
+    assert code == 0 and not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(out).st_mode)
+    assert got[0].startswith(b"# meta experiment=decay ")
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe.csv"]
+
+
+def test_csv_written_to_a_hard_link_reaches_every_name(tmp_path):
+    out, other = tmp_path / "d.csv", tmp_path / "other.csv"
+    out.write_text("old bytes\n")
+    os.link(out, other)
+    inode = out.stat().st_ino
+    assert run_cli("run", "--experiment", "decay", "--out", str(out)) == 0
+    assert out.stat().st_ino == inode and out.stat().st_nlink == 2
+    assert other.read_text().startswith("# meta experiment=decay ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "other.csv"]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, its unit on Linux")
