@@ -8,14 +8,19 @@ intact the wrong reading has probability exactly zero. The dense state of
 dimension 2^(N+2) checks the closed form of `twotime` for small N; each
 branch vector is built straight from the RobustnessModel's parameters.
 
-Pure Python, without numpy: a state is a tuple of complex amplitudes in
-row-major order (the left factor varies slowest), so the amplitude of
-|particle, pointer, record> sits at index (2*particle + pointer) * 2^N + record.
+Pure Python, without numpy. Every factor of a branch is real, so each
+branch's record is an array('d') of its 2^N real amplitudes, built once in
+row-major order (the left factor varies slowest); only the weighting by
+alpha or beta is complex. Branch k sits in the block of |particle = k,
+pointer = k>, so in full_state, a tuple of complex amplitudes, the amplitude
+of |particle, pointer, record> sits at index (2*particle + pointer) * 2^N + record.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 
 from .errors import (
     ORACLE_MAX_QUBITS,
@@ -29,36 +34,49 @@ from .twotime import RobustnessModel
 READING_I = "I"
 READING_II = "II"
 
-# Computational basis states |0>, |1> of one qubit (particle, pointer or record).
-_KET = ((1 + 0j, 0j), (0j, 1 + 0j))
 
-
-def _kron(a, b) -> list[complex]:
-    """Row-major Kronecker product of two amplitude sequences, as np.kron."""
-    return [x * y for x in a for y in b]
-
-
-def _qubit(overlap: float) -> tuple[complex, complex]:
+def _qubit(overlap: float) -> tuple[float, float]:
     """One-qubit state overlapping |0> by `overlap`, with zero phase."""
-    return complex(overlap), complex(math.sqrt(1.0 - overlap * overlap))
+    return float(overlap), math.sqrt(1.0 - overlap * overlap)
 
 
-def _branch_vector(model: RobustnessModel, k: int) -> list[complex]:
-    """Dense particle (x) pointer (x) record vector of branch I (k = 0) or II (k = 1).
+def _factors(model: RobustnessModel, k: int) -> list[tuple[float, float]]:
+    """Record qubit states of branch I (k = 0) or II (k = 1), left to right.
 
-    Particle and pointer are both |k>. The first n_collapsed record qubits hold
-    the branch's collapse state (overlap gamma1 or gamma2 with e1, zero phase);
-    the rest keep the branch record, e1 = |0> for I and overlap c with it for II.
+    The first n_collapsed qubits hold the branch's collapse state (overlap
+    gamma1 or gamma2 with e1); the rest keep the branch record, e1 = |0> for
+    I and overlap c with it for II.
     """
-    vec = _kron(_KET[k], _KET[k])
-    if model.n_collapsed >= 1:
-        collapsed = _qubit((model.gamma1, model.gamma2)[k])
-        for _ in range(model.n_collapsed):
-            vec = _kron(vec, collapsed)
-    record = _qubit(model.overlap) if k else _KET[0]
-    for _ in range(model.remaining):
-        vec = _kron(vec, record)
+    collapsed = _qubit((model.gamma1, model.gamma2)[k])
+    record = _qubit(model.overlap) if k else (1.0, 0.0)
+    return [collapsed] * model.n_collapsed + [record] * model.remaining
+
+
+def _record(factors: list[tuple[float, float]]) -> array:
+    """Row-major Kronecker product of the one-qubit factors, with the same
+    products as np.kron, taken left to right."""
+    vec = array("d", [1.0])
+    for b0, b1 in factors:
+        out = vec * 2  # twice the length; every entry is overwritten
+        out[0::2] = array("d", map(b0.__mul__, vec))
+        out[1::2] = array("d", map(b1.__mul__, vec))
+        vec = out
     return vec
+
+
+def _records(model: RobustnessModel) -> list[tuple[int, complex, array]]:
+    """(k, alpha or beta, record vector) of each branch whose amplitude is not zero.
+
+    Raises TooLargeForOracle beyond dimension 2^ORACLE_MAX_QUBITS, before any
+    vector is built.
+    """
+    if not fits_oracle(2, model.env_size + 2):
+        raise TooLargeForOracle(
+            f"full state dim 2^{model.env_size + 2} exceeds 2^{ORACLE_MAX_QUBITS}"
+        )
+    return [(k, complex(amplitude), _record(_factors(model, k)))
+            for k, amplitude in enumerate((model.alpha, model.beta))
+            if amplitude != 0]  # so alpha = 1 yields a single definite branch
 
 
 def full_state(model: RobustnessModel) -> tuple[complex, ...]:
@@ -67,30 +85,31 @@ def full_state(model: RobustnessModel) -> tuple[complex, ...]:
     Includes the collapse: the first n_collapsed record qubits of each branch
     hold its collapse state, so n_collapsed = 0 gives the amplified state.
     """
-    if not fits_oracle(2, model.env_size + 2):
-        raise TooLargeForOracle(
-            f"full state dim 2^{model.env_size + 2} exceeds 2^{ORACLE_MAX_QUBITS}"
-        )
+    records = _records(model)
     amps = [0j] * 2 ** (model.env_size + 2)
-    for k, amplitude in enumerate((model.alpha, model.beta)):
-        if amplitude != 0:  # so alpha = 1 yields a single definite branch
-            amplitude = complex(amplitude)
-            amps = [s + amplitude * v for s, v in zip(amps, _branch_vector(model, k))]
+    for k, amplitude, record in records:
+        start = (2 * k + k) << model.env_size  # the block of |k, k>
+        # Adding to 0j turns -0.0 into 0.0, so no amplitude holds a signed zero.
+        amps[start:start + len(record)] = [0j + amplitude * r for r in record]
     return tuple(amps)
 
 
-def _weight(state: tuple[complex, ...], particle: int, pointer: int, env_size: int) -> float:
-    """Weight of |particle, pointer> in state, summed over the record."""
-    start = (2 * particle + pointer) << env_size
-    return math.fsum(abs(a) ** 2 for a in state[start:start + (1 << env_size)])
+def _weight(records: list[tuple[int, complex, array]], particle: int, pointer: int) -> float:
+    """Weight of |particle, pointer> in the dense state, summed over the record.
+
+    Branch k sits at |k, k>, so no branch sits where particle and pointer differ.
+    """
+    return math.fsum(abs(amplitude * r) ** 2
+                     for k, amplitude, record in records if (k, k) == (particle, pointer)
+                     for r in record)
 
 
 def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]:
     """Weights of the final pointer reading on the amplified state (n_collapsed = 0).
 
-    Projects full_state on that reading and sums over the record. Returns
-    (p_right, p_wrong): the weight of the particle state that carries the
-    reading, and of the other particle state under the same reading. The
+    Projects the dense state on that reading and sums over the record.
+    Returns (p_right, p_wrong): the weight of the particle state that carries
+    the reading, and of the other particle state under the same reading. The
     pointers are orthogonal, so p_wrong is exactly zero and the reading is
     reproduced with probability 1; a reading that no branch carries has no
     consistent history. Bounded like full_state (env_size <= 12).
@@ -100,9 +119,9 @@ def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]
     if reading not in (READING_I, READING_II):
         raise InvariantError(f"reading must be {READING_I!r} or {READING_II!r}")
     k = 0 if reading == READING_I else 1
-    state = full_state(model)
-    p_right = _weight(state, k, k, model.env_size)
-    p_wrong = _weight(state, 1 - k, k, model.env_size)
+    records = _records(model)
+    p_right = _weight(records, k, k)
+    p_wrong = _weight(records, 1 - k, k)
     if p_right == 0.0:
         raise NoConsistentHistory(
             f"no forward branch carries reading {reading}; boundary is inconsistent"
@@ -110,25 +129,33 @@ def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]
     return p_right, p_wrong
 
 
-def brute_force_ratio(model: RobustnessModel) -> float:
+def brute_force_ratio(model: RobustnessModel) -> float | None:
     """Full-state oracle for the robustness ratio (dim 2^(N+2) <= 2^14).
 
-    Projects full_state, which includes the collapse, on boundary basis
+    Projects the dense state, which includes the collapse, on boundary basis
     vectors |particle, pointer, e1...e1>; each projection is the amplitude at
-    that vector's index. With n_collapsed = 0 the bare pointer is part of the
-    boundary: the wrong history is branch II's particle met by the reading-I
-    boundary, orthogonal pointers make its projection vanish identically and
-    the ratio is +inf. With n_collapsed >= 1 the reading is carried by the
-    record, so the right/wrong boundaries pair each reading with the full
-    e1(N) record vector; branch weights are divided out (per-branch
-    renormalization).
+    that vector's index, the first of a record vector. With n_collapsed = 0
+    the bare pointer is part of the boundary: the wrong history is branch
+    II's particle met by the reading-I boundary, orthogonal pointers make its
+    projection vanish identically and the ratio is +inf. With n_collapsed >= 1
+    the reading is carried by the record, so the right/wrong boundaries pair
+    each reading with the full e1(N) record vector; branch weights are
+    divided out (per-branch renormalization). Returns None, no number, where
+    a projected weight |amplitude|^2 falls below the smallest normal float
+    although none of its factors is zero: that weight has lost its digits.
     """
-    state = full_state(model)
-    wrong_pointer = 0 if model.n_collapsed == 0 else 1
-    amp_right = state[0]
-    amp_wrong = state[(2 + wrong_pointer) << model.env_size]
-    p_right = abs(amp_right) ** 2 / abs(model.alpha) ** 2 if model.alpha != 0 else 0.0
-    p_wrong = abs(amp_wrong) ** 2 / abs(model.beta) ** 2 if model.beta != 0 else 0.0
+    records = _records(model)
+    # The right boundary |0, 0, e1...e1> meets branch I; the wrong one
+    # |1, pointer, e1...e1> meets branch II only where its pointer is 1.
+    meets = (True, model.n_collapsed >= 1)
+    p = [0.0, 0.0]
+    for k, amplitude, record in records:
+        if meets[k]:
+            weight = abs(amplitude * record[0]) ** 2
+            if weight < sys.float_info.min and all(b0 for b0, _ in _factors(model, k)):
+                return None
+            p[k] = weight / abs(amplitude) ** 2 if weight else 0.0
+    p_right, p_wrong = p
     if p_wrong == 0.0:
         return float("inf")
     return p_right / p_wrong

@@ -353,15 +353,17 @@ def _run_robustness(params: dict, seed: int) -> ExperimentResult:
     models = [_model_from(params, s) for s in sizes]
     logs = [log_robustness_ratio(model) for model in models]
     ratios = [robustness_ratio(model) for model in models]
+    # The oracle gives no number (None) where a projected weight underflows.
     oracles = [
         _module.brute_force_ratio(model)
-        if model.n_collapsed >= 1 and fits_oracle(2, model.env_size + 2) else ""
+        if model.n_collapsed >= 1 and fits_oracle(2, model.env_size + 2) else None
         for model in models
     ]
     fitted = _slope(xs, logs) if all(map(math.isfinite, logs)) else ""
     return ExperimentResult.from_columns(
         header=("env_size", "n_collapsed", "log_ratio", "ratio", "brute_ratio"),
-        columns=(list(sizes), [params["n"]] * len(sizes), logs, ratios, oracles),
+        columns=(list(sizes), [params["n"]] * len(sizes), logs, ratios,
+                 ["" if ratio is None else ratio for ratio in oracles]),
         summary={
             "expected_log_slope": -2.0 * math.log(params["c"]) if params["c"] > 0 else "",
             "fitted_log_slope": fitted,

@@ -1,5 +1,6 @@
 """Random states and operators, the Gaussian pointer wavefunction, a run's
-whole columns, and the environment of a child interpreter, for the tests.
+whole columns, the environment of a child interpreter and a child run's peak
+RSS, for the tests.
 
 Nothing in `tsvf_sim` needs these: the tests draw random inputs from them,
 check the library's readout densities against the pointer wavefunction, read
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,3 +68,29 @@ def result_columns(result) -> tuple[list, ...]:
     from the chunks the CSV renderer reads."""
     slices = zip(*result.chunks(RENDER_CHUNK))
     return tuple(list(itertools.chain.from_iterable(column)) for column in slices)
+
+
+# Runs `tsvf-sim` with its arguments, then prints its own peak RSS in KiB as
+# it exits: the VmHWM of its memory since exec. Its ru_maxrss would not do, as
+# Linux carries the spawning process's high-water mark into the child's.
+_REPORT_PEAK_RSS = (
+    "import sys; from tsvf_sim.cli import main; code = main(sys.argv[1:]); "
+    "print(open('/proc/self/status').read().partition('VmHWM:')[2].split()[0]); "
+    "sys.exit(code)"
+)
+
+
+def child_peak_rss_mib(runs: dict) -> dict:
+    """Peak RSS in MiB of one fresh `tsvf-sim` child per argument list in
+    `runs`, keyed as `runs`; Linux only. The children run at once, and each
+    must exit 0.
+    """
+    procs = {key: subprocess.Popen([sys.executable, "-c", _REPORT_PEAK_RSS, *argv],
+                                   env=child_env(), stdout=subprocess.PIPE, text=True)
+             for key, argv in runs.items()}
+    peaks = {}
+    for key, proc in procs.items():
+        stdout, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, key
+        peaks[key] = int(stdout.split()[-1]) / 1024
+    return peaks

@@ -23,7 +23,7 @@ from tsvf_sim.errors import ConfigError, InvariantError
 from tsvf_sim.experiments import EXPERIMENTS, MAX_ENV_SIZE, resolve_params
 from tsvf_sim.pointer import ReadoutDensity
 from tsvf_sim.twotime import RobustnessModel, classical_threshold, core_decay
-from helpers import child_env, result_columns
+from helpers import child_env, child_peak_rss_mib, result_columns
 
 
 def run_cli(*args):
@@ -474,27 +474,31 @@ def test_csv_written_to_a_hard_link_reaches_every_name(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, its unit on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_streamed_runs_peak_the_same_at_ten_thousand_and_a_million_rows(tmp_path):
     # born and decay make and write their rows a chunk at a time, so a
-    # hundred times more rows may not raise a run's peak RSS. Each child
-    # reports its own peak as it exits.
-    report = ("import resource, sys; from tsvf_sim.cli import main; code = main(sys.argv[1:]); "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
-    runs = {
-        (name, rows): subprocess.Popen(
-            [sys.executable, "-c", report, "run", "--experiment", name, "--param",
-             f"{key}={rows}", "--out", str(tmp_path / f"{name}-{rows}.csv")],
-            env=child_env(), stdout=subprocess.PIPE, text=True)
+    # hundred times more rows may not raise a run's peak RSS.
+    peaks = child_peak_rss_mib({
+        (name, rows): ["run", "--experiment", name, "--param", f"{key}={rows}",
+                       "--out", str(tmp_path / f"{name}-{rows}.csv")]
         for name, key in (("born", "trials"), ("decay", "steps"))
         for rows in (10 ** 4, 10 ** 6)
-    }
-    peaks = {}
-    for run, proc in runs.items():
-        stdout, _ = proc.communicate(timeout=120)
-        assert proc.returncode == 0
-        peaks[run] = int(stdout.split()[-1]) / 1024
+    })
     for name in ("born", "decay"):
         assert abs(peaks[name, 10 ** 6] - peaks[name, 10 ** 4]) < 2.0, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_robustness_oracle_peaks_with_a_run_that_has_none(tmp_path):
+    # The two-time oracle holds two real record vectors of 2^N doubles, so at
+    # N = 12 a robustness run peaks within a few pages of a convergence run,
+    # which loads no oracle.
+    peaks = child_peak_rss_mib({
+        name: ["run", "--experiment", name, *params, "--out", str(tmp_path / f"{name}.csv")]
+        for name, params in (("robustness", ["--param", "env_sizes=8,10,12", "--param", "n=3"]),
+                             ("convergence", []))
+    })
+    assert abs(peaks["robustness"] - peaks["convergence"]) < 0.75, peaks
 
 
 def test_runtime_failure_exits_3(tmp_path, capsys):

@@ -68,6 +68,9 @@ MATRIX_ARGV = [
     "run --experiment robustness --param env_sizes=13,1e100",
     "run --experiment robustness --param n=3 --param env_sizes=8,10,12 --param gamma2=0.7",
     "run --experiment robustness --param n=1 --param gamma1=0",
+    # Each projected weight, near 1e-340, underflows: brute_ratio is left empty.
+    "run --experiment robustness --param env_sizes=2,3 --param n=1 --param c=0.5"
+    " --param gamma1=1e-170 --param gamma2=1e-170",
     "run --experiment threshold --param targets=1e300",
     "run --experiment threshold --param n=1 --param gamma1=0",
     # The record needed exceeds 2^1023 qubits but still fits in a float.

@@ -3,9 +3,12 @@
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsvf_sim import (
     SIGMA_Z,
@@ -35,7 +38,9 @@ from tsvf_sim import (
     select_by_final,
     weak_estimate,
 )
-from tsvf_sim.twotime import CLASSICAL_RATIO_THRESHOLD
+from tsvf_sim.experiments import EXPERIMENTS, resolve_params
+from tsvf_sim.twotime import CLASSICAL_RATIO_THRESHOLD, OVERLAP_DOMAIN
+from helpers import result_columns
 
 HALF = 1.0 / math.sqrt(2.0)
 PLUS = StateVector([HALF, HALF])
@@ -406,6 +411,60 @@ def test_brute_force_ratio_uncollapsed_pointer_is_exact():
 def test_brute_force_ratio_orthogonal_core():
     m = model(env_size=8, overlap=0.0, n_collapsed=2, gamma1=0.9, gamma2=0.5)
     assert brute_force_ratio(m) == float("inf")
+
+
+def test_brute_force_ratio_gives_no_number_where_a_weight_underflows():
+    # gamma = 1e-170 puts |amplitude|^2 near 1e-340, below the smallest float,
+    # though no factor of it is zero; the closed form still reads 4.
+    m = model(alpha=HALF, beta=HALF, env_size=2, overlap=0.5, n_collapsed=1,
+              gamma1=1e-170, gamma2=1e-170)
+    assert robustness_ratio(m) == 4.0
+    assert brute_force_ratio(m) is None
+    # A zero factor makes the wrong weight exactly zero, not an underflow.
+    assert brute_force_ratio(model(alpha=HALF, beta=HALF, env_size=2, overlap=0.0,
+                                   n_collapsed=1, gamma1=0.5, gamma2=1e-170)) == math.inf
+    # |beta|^2 underflows too, but beta's branch weight divides out exactly.
+    assert brute_force_ratio(model(alpha=1.0, beta=1e-170, env_size=2, overlap=0.0,
+                                   n_collapsed=1, gamma1=0.5, gamma2=0.5)) == math.inf
+
+
+# Overlaps whose powers underflow, or come near it, among ordinary ones.
+_OVERLAPS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-170, 1e-100, 1e-30, 0.5, OVERLAP_DOMAIN[1]]),
+    st.floats(*OVERLAP_DOMAIN),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(c=_OVERLAPS, gamma1=_OVERLAPS.filter(bool), gamma2=_OVERLAPS, n=st.integers(1, 5),
+       env_sizes=st.sets(st.integers(0, 6), min_size=2))
+@example(c=0.5, gamma1=1e-170, gamma2=1e-170, n=1, env_sizes={1, 2})
+def test_robustness_brute_ratio_is_empty_or_agrees_with_ratio(c, gamma1, gamma2, n, env_sizes):
+    exp = EXPERIMENTS["robustness"]
+    sizes = ",".join(str(n + 1 + extra) for extra in sorted(env_sizes))
+    params = resolve_params(exp, {"c": repr(c), "gamma1": repr(gamma1), "gamma2": repr(gamma2),
+                                  "n": str(n), "env_sizes": sizes})
+    _, _, _, ratios, oracles = result_columns(exp.runner(params, 0))
+    for ratio, brute in zip(ratios, oracles):
+        if brute != "":
+            assert brute == ratio or math.isclose(brute, ratio, rel_tol=1e-9), (ratio, brute)
+
+
+def _traced_peak(oracle, *args) -> int:
+    """Bytes at the tracemalloc peak of one oracle call."""
+    tracemalloc.start()
+    try:
+        oracle(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_time_oracles_peak_below_a_quarter_mib_at_twelve_qubits():
+    # Two real record vectors of 2^12 doubles take 64 KiB.
+    collapsed = model(alpha=HALF, beta=HALF, env_size=12, n_collapsed=3, gamma1=0.9, gamma2=0.7)
+    assert _traced_peak(brute_force_ratio, collapsed) < 0.25 * 2 ** 20
+    assert _traced_peak(select_by_final, model(env_size=12), "I") < 0.25 * 2 ** 20
 
 
 def test_brute_force_ratio_oracle_bound():
