@@ -248,7 +248,10 @@ def main(argv: list[str] | None = None) -> int:
 
         seed_raw = args.seed if args.seed is not None else file_seed
         seed = parse_param_value(SEED, seed_raw) if seed_raw is not None else SEED.default
-        out = args.out or file_out or f"{name}.csv"
+        out = args.out if args.out is not None else file_out
+        if out == "":
+            raise ConfigError("the output path is empty (give --out or out = a file name)")
+        out = out or f"{name}.csv"
 
         overrides = dict(file_values)  # remaining file keys are parameters
         for item in args.param:

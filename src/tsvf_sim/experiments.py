@@ -25,8 +25,6 @@ from .errors import (
     InvariantError,
     fits_oracle,
 )
-# core_decay has no caller here: perfbench/trace_child.py reads and rebinds it
-# until ROADMAP item 1 removes that rebinding.
 from .twotime import (
     COLLAPSED_DOMAIN,
     GAMMA1_DOMAIN,
@@ -34,7 +32,6 @@ from .twotime import (
     RobustnessModel,
     _decay_curve,
     classical_threshold,
-    core_decay,
     ensemble_average,
     log_robustness_ratio,
     robustness_ratio,
@@ -44,13 +41,13 @@ from .twotime import (
 # are resolved through the package's export table on first use (PEP 562
 # __getattr__ below), so runs that never call them never import their module,
 # and runners call them through `_module` so that they find a rebound wrapper.
-# The measurement and ensemble names are numpy-backed; the pure-Python spins
-# and branches names stay here only for the tracer.
-# strong_measure and average_operator_residual have no caller here. This set
-# goes with the rebinding, when the in-program stage timers of ROADMAP item 1
-# replace it.
+# The measurement and ensemble names are numpy-backed; the pure-Python spins,
+# branches and twotime names stay here only for the tracer.
+# strong_measure, average_operator_residual and core_decay have no caller
+# here. This set goes with the rebinding, when the in-program stage timers of
+# ROADMAP item 1 replace it.
 _TRACED = frozenset({
-    "strong_measure", "weak_estimate", "average_operator_residual",
+    "strong_measure", "weak_estimate", "average_operator_residual", "core_decay",
     "average_spin_commutator", "brute_force_spin_commutator", "brute_force_ratio",
 })
 _module = sys.modules[__name__]
@@ -113,7 +110,7 @@ class Experiment:
 
 @dataclass
 class ExperimentResult:
-    """One run's table of `n_rows` rows under `header`, and its summary record.
+    """One run's table under `header`, and its summary record.
 
     `chunks(size)` yields the table top to bottom, at most `size` rows at a
     time, as a tuple with one slice per column. Each call starts again at
@@ -126,7 +123,6 @@ class ExperimentResult:
     """
 
     header: tuple[str, ...]
-    n_rows: int
     chunks: Callable[[int], Iterator[tuple[Sequence, ...]]]
     summary: dict
 
@@ -142,19 +138,13 @@ class ExperimentResult:
         lengths = {len(column) for column in columns}
         if len(lengths) != 1:
             raise InvariantError(f"result columns differ in length: {sorted(lengths)}")
-        n_rows = lengths.pop()
+        length = lengths.pop()
 
         def chunks(size: int):
-            for start in range(0, n_rows, size):
+            for start in range(0, length, size):
                 yield tuple(column[start:start + size] for column in columns)
 
-        return cls(header, n_rows, chunks, summary)
-
-    # Only perfbench/trace_child.py reads this, as len(result.rows) for its row
-    # count; it goes when the in-program report of ROADMAP item 1 replaces it.
-    @property
-    def rows(self) -> range:
-        return range(self.n_rows)
+        return cls(header, chunks, summary)
 
 
 def _require(condition: bool, message: str):
@@ -240,8 +230,8 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
     from .pointer import _inverse_cdf
 
     psi = StateVector(np.array([math.sqrt(a2), math.sqrt(1.0 - a2)], dtype=complex))
-    # The rule of measurement.measure_outcomes, with the Born expansion of
-    # psi taken once per run rather than once per chunk.
+    # measurement.strong_measure's rule, batched: one outcome per draw, with
+    # the Born expansion of psi taken once per run.
     eigenvalues, weights, _ = SIGMA_Z.born_branches(psi)
     outcome, cum = np.rint(eigenvalues).astype(int), np.cumsum(weights)
 
@@ -259,7 +249,6 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
     freq = plus / trials
     return ExperimentResult(
         header=("trial", "outcome"),
-        n_rows=trials,
         chunks=chunks,
         summary={
             "frequency_plus": freq,
@@ -415,7 +404,6 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
 
     return ExperimentResult(
         header=("t", "remaining"),
-        n_rows=steps,
         chunks=chunks,
         summary={"n0": n0, "time_constant": tau,
                  "final_remaining": _decay_curve(n0, tau, (t_max,))[0]},

@@ -81,20 +81,6 @@ def strong_measure(
                              probability=float(weights[k]))
 
 
-def measure_outcomes(
-    psi: StateVector, op: HermitianOperator, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Outcomes of `size` independent projective measurements of op on psi.
-
-    Picks an eigenvalue of the Born expansion op.born_branches(psi) for each
-    draw of one rng.random(size) batch, which the Generator fills with the
-    same doubles as `size` successive rng.random() calls, so the result
-    equals [strong_measure(psi, op, rng).outcome for _ in range(size)] exactly.
-    """
-    eigenvalues, weights, _ = op.born_branches(psi)
-    return eigenvalues[_inverse_cdf(np.cumsum(weights), rng.random(size))]
-
-
 def weak_value(ts: TwoState, op: HermitianOperator) -> complex:
     """Weak value <phi|A|psi> / <phi|psi> (complex in general)."""
     numerator = complex(np.vdot(ts.backward.amps, op.apply(ts.forward)))

@@ -1,6 +1,6 @@
 """Random states and operators, the Gaussian pointer wavefunction, a run's
-whole columns, the environment of a child interpreter and a child run's peak
-RSS, for the tests.
+whole columns, the environment of a child interpreter, a child run and its
+peak RSS, for the tests.
 
 Nothing in `tsvf_sim` needs these: the tests draw random inputs from them,
 check the library's readout densities against the pointer wavefunction, read
@@ -61,6 +61,13 @@ def child_env(**blas_threads) -> dict[str, str]:
     path = [str(Path(tsvf_sim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     return dict(env, PYTHONPATH=os.pathsep.join(filter(None, path)), **blas_threads)
+
+
+def run_child(args: list[str], **blas_threads) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter, `python *args`, in `child_env(**blas_threads)`,
+    and return the completed process with its output as text."""
+    return subprocess.run([sys.executable, *args], env=child_env(**blas_threads),
+                          capture_output=True, text=True, timeout=60)
 
 
 def result_columns(result) -> tuple[list, ...]:

@@ -34,8 +34,8 @@ from tsvf_sim import (
     weak_estimate,
 )
 from tsvf_sim.cli import main as cli_main
-from tsvf_sim.measurement import measure_outcomes
-from helpers import random_state
+from tsvf_sim.experiments import EXPERIMENTS, resolve_params
+from helpers import random_state, result_columns
 
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 ANOMALOUS_BACKWARD = StateVector(
@@ -57,13 +57,16 @@ def _finish(number, label, budget, start, checks):
 
 def test_criterion_01_born_statistics():
     start = perf_counter()
-    psi = StateVector(np.array([0.6, 0.8], dtype=complex))
-    rng = np.random.default_rng(12345)
+    exp = EXPERIMENTS["born"]
     trials = 100_000
-    plus = int(np.count_nonzero(measure_outcomes(psi, SIGMA_Z, rng, trials) == 1.0))
-    freq = plus / trials
+    result = exp.runner(resolve_params(exp, {"alpha2": "0.36", "trials": str(trials)}), 12345)
+    _, outcomes = result_columns(result)
+    freq = outcomes.count(1) / trials
     band = 3.0 * math.sqrt(0.36 * 0.64 / trials)  # ~0.0046
     _finish(1, "Born statistics", 5.0, start, [
+        (len(outcomes) == trials, f"{len(outcomes)} rows for {trials} trials"),
+        (result.summary["frequency_plus"] == freq,
+         f"summary frequency_plus {result.summary['frequency_plus']!r} != rows' {freq!r}"),
         (abs(freq - 0.36) < band,
          f"frequency {freq:.5f} outside 0.36 +/- {band:.4f}"),
     ])

@@ -6,7 +6,6 @@ import math
 import os
 import re
 import stat
-import subprocess
 import sys
 import threading
 import time
@@ -23,7 +22,7 @@ from tsvf_sim.errors import ConfigError, InvariantError
 from tsvf_sim.experiments import EXPERIMENTS, MAX_ENV_SIZE, resolve_params
 from tsvf_sim.pointer import ReadoutDensity
 from tsvf_sim.twotime import RobustnessModel, classical_threshold, core_decay
-from helpers import child_env, child_peak_rss_mib, result_columns
+from helpers import child_peak_rss_mib, result_columns, run_child
 
 
 def run_cli(*args):
@@ -32,11 +31,8 @@ def run_cli(*args):
 
 def test_module_form_writes_csv(tmp_path):
     out = tmp_path / "c.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "tsvf_sim.cli", "run", "--experiment", "commutator",
-         "--param", "brute_max=3", "--out", str(out)],
-        env=child_env(), capture_output=True, text=True, timeout=60,
-    )
+    proc = run_child(["-m", "tsvf_sim.cli", "run", "--experiment", "commutator",
+                      "--param", "brute_max=3", "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("# meta experiment=commutator")
 
@@ -59,11 +55,8 @@ THREAD_COUNT = (
     ({"OMP_NUM_THREADS": "2"}, 2),
 ], ids=["default", "openblas", "goto", "omp"])
 def test_cli_run_uses_one_blas_thread_unless_the_user_sets_a_count(tmp_path, user_set, threads):
-    proc = subprocess.run(
-        [sys.executable, "-c", THREAD_COUNT, "run", "--experiment", "born",
-         "--param", "trials=10", "--out", str(tmp_path / "b.csv")],
-        env=child_env(**user_set), capture_output=True, text=True, timeout=60,
-    )
+    proc = run_child(["-c", THREAD_COUNT, "run", "--experiment", "born",
+                      "--param", "trials=10", "--out", str(tmp_path / "b.csv")], **user_set)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(threads)
 
@@ -103,9 +96,7 @@ def test_main_sets_one_blas_thread_only_for_its_runner(tmp_path, user_set, exper
     argv = ["run", "--experiment", experiment, "--out", str(tmp_path / "b.csv")]
     for param in params:
         argv += ["--param", param]
-    proc = subprocess.run([sys.executable, "-c", ENVIRON_AROUND_MAIN, json.dumps(argv)],
-                          env=child_env(**user_set), capture_output=True, text=True,
-                          timeout=60)
+    proc = run_child(["-c", ENVIRON_AROUND_MAIN, json.dumps(argv)], **user_set)
     assert proc.returncode == 0, proc.stderr
     code, seen, unchanged = json.loads(proc.stdout.splitlines()[-1])
     expected = dict.fromkeys(BLAS_THREAD_VARS)
@@ -304,8 +295,7 @@ def test_closed_form_run_never_imports_numpy_random(tmp_path):
         f"assert main(['run', '--experiment', 'decay', '--out', {str(out)!r}]) == 0\n"
         "sys.exit(int('numpy.random' in sys.modules))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
+    proc = run_child(["-c", script])
     if proc.returncode == 9:
         pytest.skip("this numpy imports numpy.random with numpy")
     assert proc.returncode == 0, proc.stderr
@@ -336,6 +326,29 @@ def test_invalid_seed_in_a_config_file_exits_2(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("tsvf-sim: error: parameter 'seed'")
     assert not out.exists()
+
+
+# Runs main and reports its exit code and whether numpy was loaded.
+MAIN_AND_NUMPY = (
+    "import json, sys\n"
+    "from tsvf_sim.cli import main\n"
+    "print(json.dumps([main(sys.argv[1:]), 'numpy' in sys.modules]))\n"
+)
+
+
+@pytest.mark.parametrize(("config", "flags"), [
+    ("experiment = decay\n", ["--out", ""]),
+    ("experiment = born\n", ["--out", ""]),
+    ("experiment = born\nout =\n", []),
+], ids=["decay-flag", "born-flag", "born-config"])
+def test_empty_output_path_exits_2_before_the_runner(tmp_path, monkeypatch, config, flags):
+    # born loads numpy in its runner, so a child without numpy never started it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(config)
+    proc = run_child(["-c", MAIN_AND_NUMPY, "run", "--config", "exp.cfg", *flags])
+    assert json.loads(proc.stdout) == [2, False]
+    assert proc.stderr.startswith("tsvf-sim: error: the output path is empty")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 def test_seed_defaults_to_zero(tmp_path):
@@ -473,7 +486,6 @@ def test_csv_written_to_a_hard_link_reaches_every_name(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "other.csv"]
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, its unit on Linux")
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_streamed_runs_peak_the_same_at_ten_thousand_and_a_million_rows(tmp_path):
     # born and decay make and write their rows a chunk at a time, so a

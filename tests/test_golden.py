@@ -21,7 +21,6 @@ import contextlib
 import hashlib
 import io
 import itertools
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -29,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from tsvf_sim.cli import main
-from helpers import child_env
+from helpers import run_child
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SEED = "31337"
@@ -124,9 +123,7 @@ def _run_in_child(name: str, out: Path, params: list[str], **blas_threads) -> by
 
     The BLAS thread variables are only those given, not this process's.
     """
-    proc = subprocess.run([sys.executable, "-m", "tsvf_sim.cli", *_args(name, out, params)],
-                          env=child_env(**blas_threads), capture_output=True, text=True,
-                          timeout=60)
+    proc = run_child(["-m", "tsvf_sim.cli", *_args(name, out, params)], **blas_threads)
     assert proc.returncode == 0, proc.stderr
     return out.read_bytes()
 

@@ -7,22 +7,19 @@ since imported numpy and every submodule.
 import importlib
 import json
 import pkgutil
-import subprocess
-import sys
 
 import pytest
 
 import tsvf_sim
 from tsvf_sim import experiments
-from helpers import child_env
+from helpers import run_child
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tsvf_sim.__path__))
 
 
 def _child(script: str, *args: str) -> str:
     """Run `script` in a fresh interpreter that imports this tsvf_sim; return stdout."""
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
+    proc = run_child(["-c", script, *args])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -23,9 +23,10 @@ from tsvf_sim import (
     weak_estimate,
     weak_value,
 )
-from tsvf_sim.measurement import WeakEstimate, measure_outcomes
+from tsvf_sim.experiments import EXPERIMENTS, RENDER_CHUNK, resolve_params
+from tsvf_sim.measurement import WeakEstimate
 from tsvf_sim.pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf
-from helpers import random_hermitian, random_state
+from helpers import random_hermitian, random_state, result_columns
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)
@@ -76,44 +77,33 @@ def test_strong_measure_collapsed_is_eigenstate():
     assert np.allclose(applied, record.outcome * record.collapsed.amps, atol=1e-9)
 
 
-_CASE_RNG = np.random.default_rng(39)
-BORN_CASES = {
-    "sigma_z": (StateVector(np.array([0.6, 0.8], dtype=complex)), SIGMA_Z),
-    "alpha2_1": (KET0, SIGMA_Z),
-    "alpha2_0": (KET1, SIGMA_Z),
-    "random_4": (random_state(4, _CASE_RNG), random_hermitian(4, _CASE_RNG)),
-    "identity_3": (random_state(3, _CASE_RNG), identity(3)),
-    "doubly_degenerate": (random_state(3, _CASE_RNG),
-                          HermitianOperator(np.diag([2.0, -1.0, 2.0]).astype(complex))),
-}
+@pytest.mark.parametrize("alpha2", [0.36, 0.0, 1.0, 1e-17])
+def test_born_outcomes_equal_strong_measure_loop(alpha2):
+    # One row past a render chunk, so the run's draws cross a chunk boundary.
+    trials = RENDER_CHUNK + 5
+    exp = EXPERIMENTS["born"]
+    result = exp.runner(resolve_params(exp, {"alpha2": repr(alpha2), "trials": str(trials)}), 40)
+    index, outcomes = result_columns(result)
+    psi = StateVector(np.array([math.sqrt(alpha2), math.sqrt(1.0 - alpha2)], dtype=complex))
+    rng = np.random.default_rng(40)
+    looped = [strong_measure(psi, SIGMA_Z, rng).outcome for _ in range(trials)]
+    assert index == list(range(trials))
+    assert [float(outcome) for outcome in outcomes] == looped
 
 
-@pytest.mark.parametrize("case", BORN_CASES)
-def test_measure_outcomes_equals_strong_measure_loop(case):
-    psi, op = BORN_CASES[case]
-    batched = measure_outcomes(psi, op, np.random.default_rng(40), 2000)
-    loop_rng = np.random.default_rng(40)
-    looped = [strong_measure(psi, op, loop_rng).outcome for _ in range(2000)]
-    assert batched.tolist() == looped
-
-
-def test_measure_outcomes_rejects_what_strong_measure_rejects():
+def test_strong_measure_rejects_a_wrong_dimension_and_an_unnormalized_state():
     rng = np.random.default_rng(41)
     unnormalized = StateVector(np.array([1.0, 1.0], dtype=complex))
-    for psi, op, error in ((basis_state(3, 0), SIGMA_Z, DimensionError),
-                           (unnormalized, SIGMA_Z, InvariantError)):
-        with pytest.raises(error) as single:
-            strong_measure(psi, op, rng)
-        with pytest.raises(error) as batched:
-            measure_outcomes(psi, op, rng, 10)
-        assert str(batched.value) == str(single.value)
+    for psi, error in ((basis_state(3, 0), DimensionError), (unnormalized, InvariantError)):
+        with pytest.raises(error):
+            strong_measure(psi, SIGMA_Z, rng)
 
 
 @pytest.mark.parametrize(("excess", "accepted"), [(3e-11, True), (1e-9, False)])
 def test_strong_and_weak_paths_share_one_normalization_tolerance(excess, accepted):
-    """measure_outcomes and readout_density both expand psi by born_branches: same states pass."""
+    """strong_measure and readout_density both expand psi by born_branches: same states pass."""
     psi = StateVector(PLUS.amps * (1.0 + excess))
-    calls = (lambda: measure_outcomes(psi, SIGMA_Z, np.random.default_rng(42), 10),
+    calls = (lambda: strong_measure(psi, SIGMA_Z, np.random.default_rng(42)),
              lambda: readout_density(psi, SIGMA_Z, g=0.1, sigma=1.0))
     for call in calls:
         if accepted:
@@ -126,13 +116,12 @@ def test_strong_and_weak_paths_share_one_normalization_tolerance(excess, accepte
 class _ZeroDraws:
     """Generator stand-in whose uniform draws are all exactly 0.0, a value random() can return."""
 
-    def random(self, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def random(self):
+        return 0.0
 
 
 def test_zero_draw_never_picks_a_zero_weight_branch():
     # |0> has Born weight 0 on the -1 branch, which comes first in ascending order.
-    assert measure_outcomes(KET0, SIGMA_Z, _ZeroDraws(), 3).tolist() == [1.0, 1.0, 1.0]
     record = strong_measure(KET0, SIGMA_Z, _ZeroDraws())
     assert record.outcome == 1.0 and record.probability == 1.0
     assert np.allclose(record.collapsed.amps, KET0.amps, rtol=0.0, atol=1e-12)

@@ -8,6 +8,7 @@ import pytest
 from tsvf_sim.cli import RENDER_CHUNK, _fmt, csv_chunks, render_csv
 from tsvf_sim.errors import InvariantError
 from tsvf_sim.experiments import EXPERIMENTS, ExperimentResult, resolve_params
+from helpers import result_columns
 
 MIXED = [-0.0, 5e-324, float("inf"), "", "brute", "closed", 2 ** 63 + 1, 10 ** 29 - 1, 0.1, -7]
 
@@ -36,10 +37,10 @@ def test_result_columns_must_have_equal_length():
                                       summary={})
 
 
-def test_result_rows_counts_rows():
+def test_result_chunks_yield_every_row_once():
     result = ExperimentResult.from_columns(header=("a", "b"),
                                            columns=(np.arange(3), ["x", "y", ""]), summary={})
-    assert len(result.rows) == 3
+    assert result_columns(result) == ([0, 1, 2], ["x", "y", ""])
 
 
 @pytest.mark.parametrize("n_rows", [1, RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1])
@@ -67,8 +68,8 @@ def test_born_million_trial_render_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert lines == 3 + 1_000_000
-    # Measured 0.63 MiB, set by the counting pass's blocks of 16384 draws;
-    # the streamed render holds one chunk of draws and cells at a time.
-    # Joining the whole text instead peaked at 18.2 MiB, and a per-row
-    # renderer above 80 MiB.
+    # Measured 0.39 MiB, set by the render, which holds one RENDER_CHUNK of
+    # 2048 rows' draws, cells and text at a time; the counting pass alone
+    # peaks at 0.07 MiB. Joining the whole text instead peaked at 18.2 MiB,
+    # and a per-row renderer above 80 MiB.
     assert peak < 2 ** 20
