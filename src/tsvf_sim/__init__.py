@@ -25,10 +25,7 @@ _EXPORTS = {
         "NoAcceptedTrials", "NoConsistentHistory", "OrthogonalCollapseForbidden",
         "PostSelectionImpossible", "TooLargeForOracle",
     ),
-    "hilbert": (
-        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "HermitianOperator", "StateVector", "basis_state",
-        "identity", "inner", "projector",
-    ),
+    "hilbert": ("SIGMA_Z", "HermitianOperator", "StateVector", "inner", "projector"),
     "pointer": ("ReadoutDensity", "readout_density"),
     "measurement": ("TwoState", "strong_measure", "weak_estimate", "weak_value"),
     "ensemble": (
@@ -40,7 +37,7 @@ _EXPORTS = {
         "RobustnessModel", "classical_threshold", "core_decay", "log_robustness_ratio",
         "robustness_ratio",
     ),
-    "branches": ("brute_force_ratio", "full_state", "select_by_final"),
+    "branches": ("brute_force_ratio", "select_by_final"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset([*_EXPORTS, "cli", "experiments"])

@@ -11,9 +11,9 @@ branch vector is built straight from the RobustnessModel's parameters.
 Pure Python, without numpy. Every factor of a branch is real, so each
 branch's record is an array('d') of its 2^N real amplitudes, built once in
 row-major order (the left factor varies slowest); only the weighting by
-alpha or beta is complex. Branch k sits in the block of |particle = k,
-pointer = k>, so in full_state, a tuple of complex amplitudes, the amplitude
-of |particle, pointer, record> sits at index (2*particle + pointer) * 2^N + record.
+alpha or beta is complex. The dense state is never built: it is the sum over
+branches k of amplitude_k |particle = k, pointer = k> (x) record_k, so every
+block of |particle, pointer> with particle != pointer is zero.
 """
 
 from __future__ import annotations
@@ -79,21 +79,6 @@ def _records(model: RobustnessModel) -> list[tuple[int, complex, array]]:
             if amplitude != 0]  # so alpha = 1 yields a single definite branch
 
 
-def full_state(model: RobustnessModel) -> tuple[complex, ...]:
-    """Dense particle (x) pointer (x) record amplitudes for small N (2^(N+2) of them).
-
-    Includes the collapse: the first n_collapsed record qubits of each branch
-    hold its collapse state, so n_collapsed = 0 gives the amplified state.
-    """
-    records = _records(model)
-    amps = [0j] * 2 ** (model.env_size + 2)
-    for k, amplitude, record in records:
-        start = (2 * k + k) << model.env_size  # the block of |k, k>
-        # Adding to 0j turns -0.0 into 0.0, so no amplitude holds a signed zero.
-        amps[start:start + len(record)] = [0j + amplitude * r for r in record]
-    return tuple(amps)
-
-
 def _weight(records: list[tuple[int, complex, array]], particle: int, pointer: int) -> float:
     """Weight of |particle, pointer> in the dense state, summed over the record.
 
@@ -112,7 +97,7 @@ def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]
     the reading, and of the other particle state under the same reading. The
     pointers are orthogonal, so p_wrong is exactly zero and the reading is
     reproduced with probability 1; a reading that no branch carries has no
-    consistent history. Bounded like full_state (env_size <= 12).
+    consistent history. Bounded like every dense oracle (env_size <= 12).
     """
     if model.n_collapsed != 0:
         raise InvariantError("select_by_final applies before any collapse (n_collapsed = 0)")

@@ -102,14 +102,15 @@ def _temporary_beside(out: str, st):
     file over `out` would change more than its bytes.
 
     `st` is os.stat(out), or None if there is no such file. Only a regular
-    file with one link, whose owner and group a new file beside it gets too,
-    is replaced. The new file is made with 0o666 less the umask, the mode
-    open(out, "w") gives a new output.
+    file with one link, that this user may write and whose owner and group a
+    new file beside it gets too, is replaced. The new file is made with 0o666
+    less the umask, the mode open(out, "w") gives a new output.
     """
     import stat
 
-    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
-        return None  # a device such as /dev/stdout, a FIFO or a hard link
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                               and os.access(out, os.W_OK)):
+        return None  # a device such as /dev/stdout, a FIFO, a hard link or a read-only file
     path = Path(os.path.realpath(out))
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:

@@ -6,7 +6,7 @@ expansion of a state are handed out as aligned arrays, not per-branch objects.
 
 Conventions used package-wide: hbar = 1; tensor products are ``np.kron`` of
 amplitude vectors, row-major, i.e. the left factor varies slowest, so
-``np.kron(basis_state(2, 0).amps, basis_state(2, 1).amps)`` is (0, 1, 0, 0);
+``np.kron([1, 0], [0, 1])``, |0> (x) |1>, is (0, 1, 0, 0);
 inner products are conjugate-linear in the first argument.
 """
 
@@ -127,28 +127,12 @@ class HermitianOperator:
         return eigenvalues, weights, projections
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    """Computational basis vector |index> in a dim-dimensional space."""
-    if not 0 <= index < dim:
-        raise DimensionError(f"basis index {index} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
-def identity(dim: int) -> HermitianOperator:
-    """Identity operator."""
-    return HermitianOperator(np.eye(dim, dtype=complex))
-
-
 def projector(psi: StateVector) -> HermitianOperator:
     """Rank-one projector |psi><psi| onto a normalized state."""
     psi.require_normalized("projector state")
     return HermitianOperator(np.outer(psi.amps, psi.amps.conj()))
 
 
-SIGMA_X = HermitianOperator(np.array([[0, 1], [1, 0]], dtype=complex))
-SIGMA_Y = HermitianOperator(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 
 

@@ -41,7 +41,7 @@ def average_spin_commutator(n: int) -> float:
     """
     if n < 1:
         raise InvariantError("need at least one spin")
-    return 1.0 / (2.0 * n)
+    return 1 / (2 * n)  # int / int rounds once, so 2^1023 <= N gives no overflow
 
 
 def _negative_lanes(signs: tuple[int, int], high: int, ones: int) -> int:

@@ -1,10 +1,11 @@
-"""Random states and operators, the Gaussian pointer wavefunction, a run's
-whole columns, the environment of a child interpreter, a child run and its
-peak RSS, for the tests.
+"""Basis states, the identity and the Paulis sigma_x and sigma_y, random
+states and operators, the Gaussian pointer wavefunction, a run's whole
+columns, the environment of a child interpreter, a child run and its peak
+RSS, for the tests.
 
-Nothing in `tsvf_sim` needs these: the tests draw random inputs from them,
-check the library's readout densities against the pointer wavefunction, read
-a run's table, and run the package in fresh interpreters.
+Nothing in `tsvf_sim` needs these: the tests build inputs from them, check
+the library's readout densities against the pointer wavefunction, read a
+run's table, and run the package in fresh interpreters.
 """
 
 from __future__ import annotations
@@ -22,6 +23,20 @@ import tsvf_sim
 from tsvf_sim.cli import BLAS_THREAD_VARS, RENDER_CHUNK
 from tsvf_sim.errors import InvariantError
 from tsvf_sim.hilbert import HermitianOperator, StateVector
+
+
+SIGMA_X = HermitianOperator([[0, 1], [1, 0]])
+SIGMA_Y = HermitianOperator([[0, -1j], [1j, 0]])
+
+
+def basis_state(dim: int, index: int) -> StateVector:
+    """Computational basis vector |index> of a dim-dimensional space."""
+    return StateVector(np.eye(dim)[index])
+
+
+def identity(dim: int) -> HermitianOperator:
+    """Identity operator on a dim-dimensional space."""
+    return HermitianOperator(np.eye(dim))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:

@@ -486,6 +486,28 @@ def test_csv_written_to_a_hard_link_reaches_every_name(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "other.csv"]
 
 
+def test_a_read_only_output_is_written_in_place_not_replaced(tmp_path, monkeypatch, capsys):
+    # open(out, "w") fails on a file its user may not write, where renaming a
+    # new file over it would not. Root may write any file, so os.access is
+    # stubbed to answer for out as it does for any other user.
+    out = tmp_path / "d.csv"
+    out.write_text("old bytes\n")
+    out.chmod(0o444)
+    inode = out.stat().st_ino
+    access = os.access
+    writable = access(out, os.W_OK)
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: access(path, mode, **kw) and not (
+        os.fspath(path) == str(out) and mode & os.W_OK))
+    code = run_cli("run", "--experiment", "decay", "--out", str(out))
+    assert out.stat().st_ino == inode and out.stat().st_mode & 0o7777 == 0o444
+    if writable:
+        assert code == 0 and out.read_text().startswith("# meta experiment=decay ")
+    else:
+        assert code == 3 and out.read_text() == "old bytes\n"
+        assert capsys.readouterr().err.startswith(f"tsvf-sim: cannot write {out}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_streamed_runs_peak_the_same_at_ten_thousand_and_a_million_rows(tmp_path):
     # born and decay make and write their rows a chunk at a time, so a

@@ -9,8 +9,6 @@ import pytest
 
 from tsvf_sim import spins
 from tsvf_sim import (
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     DimensionError,
     EnsembleSpec,
@@ -19,7 +17,6 @@ from tsvf_sim import (
     TooLargeForOracle,
     average_operator_residual,
     average_spin_commutator,
-    basis_state,
     brute_force_average,
     brute_force_spin_commutator,
     commute_on_state,
@@ -29,7 +26,7 @@ from tsvf_sim import (
     projector,
 )
 from tsvf_sim.cli import main as cli_main
-from helpers import random_hermitian, random_state
+from helpers import SIGMA_X, SIGMA_Y, basis_state, random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
 PLUS = StateVector(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))

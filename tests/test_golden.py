@@ -79,6 +79,8 @@ MATRIX_ARGV = [
     "run --experiment threshold --param n=1e307 --param gamma1=1e-300 --param gamma2=0.5",
     "run --experiment convergence --param Ns=1,100000000000000000000",
     "run --experiment commutator --param brute_max=1 --param closed_Ns=1,2,3",
+    # 2N overflows a float here; 1/(2N) = 5e-309 is a subnormal.
+    "run --experiment commutator --param brute_max=2 --param closed_Ns=1e308",
     # Around cli.RENDER_CHUNK = 2048 rows, and around 16384, its earlier value.
     *(f"run --experiment decay --param steps={steps}" for steps in ["16384", "16385", "32769"]),
     "run --experiment decay --param t_max=1e300",

@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 
 from tsvf_sim import (
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     DimensionError,
     HermitianOperator,
     InvariantError,
     StateVector,
-    basis_state,
-    identity,
     inner,
     projector,
 )
 from tsvf_sim.errors import fits_oracle
-from helpers import random_hermitian, random_state
+from helpers import SIGMA_X, SIGMA_Y, basis_state, identity, random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)

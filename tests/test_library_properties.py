@@ -12,7 +12,9 @@ of stalling the suite.
 
 import math
 import signal
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from tsvf_sim.errors import SCALE_MAX, SIGMA_DOMAIN
 from tsvf_sim.hilbert import SIGMA_Z, HermitianOperator, StateVector
 from tsvf_sim.measurement import TwoState, weak_value
 from tsvf_sim.pointer import ReadoutDensity, readout_density
+from tsvf_sim.spins import average_spin_commutator
 from tsvf_sim.twotime import (
     GAMMA1_DOMAIN,
     OVERLAP_DOMAIN,
@@ -206,3 +209,13 @@ def test_library_calls_return_finite_output_or_raise_package_errors(call):
     except PACKAGE_ERRORS:
         return
     assert all(np.isfinite(np.asarray(out)).all() for out in outputs), outputs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, int(sys.float_info.max)))
+# From 2^1023 on, 2.0 * N overflows a float; 1/(2N) is then a subnormal.
+@example(2 ** 1023)
+@example(int(1e308))
+@example(int(sys.float_info.max))
+def test_spin_commutator_scale_is_the_exact_one_over_two_n_rounded_once(n):
+    assert average_spin_commutator(n) == float(Fraction(1, 2 * n))

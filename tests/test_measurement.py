@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tsvf_sim import (
-    SIGMA_X,
     SIGMA_Z,
     DimensionError,
     HermitianOperator,
@@ -15,8 +14,6 @@ from tsvf_sim import (
     NoAcceptedTrials,
     StateVector,
     TwoState,
-    basis_state,
-    identity,
     projector,
     readout_density,
     strong_measure,
@@ -26,7 +23,7 @@ from tsvf_sim import (
 from tsvf_sim.experiments import EXPERIMENTS, RENDER_CHUNK, resolve_params
 from tsvf_sim.measurement import WeakEstimate
 from tsvf_sim.pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf
-from helpers import random_hermitian, random_state, result_columns
+from helpers import SIGMA_X, basis_state, identity, random_hermitian, random_state, result_columns
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tsvf_sim import (
-    SIGMA_X,
     SIGMA_Z,
     DimensionError,
     HermitianOperator,
@@ -17,11 +16,10 @@ from tsvf_sim import (
     ReadoutDensity,
     StateVector,
     TwoState,
-    basis_state,
     readout_density,
     weak_estimate,
 )
-from helpers import GaussianPointer, random_hermitian, random_state
+from helpers import SIGMA_X, GaussianPointer, basis_state, random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
 KET1 = basis_state(2, 1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsvf_sim import branches
 from tsvf_sim import (
     SIGMA_Z,
     DimensionError,
@@ -25,13 +26,11 @@ from tsvf_sim import (
     TwoState,
     average_operator_residual,
     average_spin_commutator,
-    basis_state,
     brute_force_average,
     brute_force_ratio,
     classical_threshold,
     commute_on_state,
     core_decay,
-    full_state,
     log_robustness_ratio,
     readout_density,
     robustness_ratio,
@@ -40,7 +39,7 @@ from tsvf_sim import (
 )
 from tsvf_sim.experiments import EXPERIMENTS, resolve_params
 from tsvf_sim.twotime import CLASSICAL_RATIO_THRESHOLD, OVERLAP_DOMAIN
-from helpers import result_columns
+from helpers import basis_state, result_columns
 
 HALF = 1.0 / math.sqrt(2.0)
 PLUS = StateVector([HALF, HALF])
@@ -118,7 +117,6 @@ IDENTITY3 = HermitianOperator(np.eye(3))
                  DimensionError, id="brute_force_average-dims"),
     pytest.param(lambda: HermitianOperator([[1.0, 0.0]]), DimensionError, id="non-square"),
     pytest.param(lambda: SIGMA_Z.apply(KET3), DimensionError, id="apply-dims"),
-    pytest.param(lambda: basis_state(2, 2), DimensionError, id="basis-index"),
     pytest.param(lambda: TwoState(PLUS, KET3), DimensionError, id="two-state-dims"),
     pytest.param(lambda: average_spin_commutator(0), InvariantError, id="zero-spins"),
 ])
@@ -143,34 +141,33 @@ def test_model_rejects_overlap_of_one():
         model(overlap=1.0)
 
 
-def test_full_state_is_normalized():
+def test_weighted_records_are_normalized():
+    # The branches sit in orthogonal |k, k> blocks, so the dense state's norm
+    # is that of all the weighted records together.
     for c in (0.0, 0.5, 0.9):
         for n_collapsed, gamma1, gamma2 in ((0, 1.0, 0.0), (2, 0.9, 0.6)):
-            psi = full_state(model(overlap=c, env_size=4, n_collapsed=n_collapsed,
-                                   gamma1=gamma1, gamma2=gamma2))
-            assert len(psi) == 2 ** 6
-            assert np.isclose(np.linalg.norm(psi), 1.0, atol=1e-12)
-
-
-def test_full_state_oracle_bound():
-    with pytest.raises(TooLargeForOracle):
-        full_state(model(env_size=13))
+            records = branches._records(model(overlap=c, env_size=4, n_collapsed=n_collapsed,
+                                              gamma1=gamma1, gamma2=gamma2))
+            assert all(len(record) == 2 ** 4 for _, _, record in records)
+            weighted = [amplitude * r for _, amplitude, record in records for r in record]
+            assert np.isclose(np.linalg.norm(weighted), 1.0, atol=1e-12)
 
 
 def test_oracle_guards_reject_huge_records_at_once():
-    huge = model(env_size=10 ** 9, n_collapsed=2, gamma1=0.9, gamma2=0.9)
+    # Both oracles build their records through the one guard in branches._records.
     start = time.perf_counter()
-    for oracle in (full_state, brute_force_ratio):
-        with pytest.raises(TooLargeForOracle):
-            oracle(huge)
+    with pytest.raises(TooLargeForOracle):
+        select_by_final(model(env_size=10 ** 9), "I")
+    with pytest.raises(TooLargeForOracle):
+        brute_force_ratio(model(env_size=10 ** 9, n_collapsed=2, gamma1=0.9, gamma2=0.9))
     assert time.perf_counter() - start < 1.0
 
 
 def _kron_reference(m):
     """The dense state as np.kron builds it, from the model's parameters alone.
 
-    An independent reference for full_state: particle (x) pointer (x) record
-    in row-major order, with numpy doing the complex products.
+    An independent reference for the branch records: particle (x) pointer (x)
+    record in row-major order, with numpy doing the complex products.
     """
     ket = np.eye(2, dtype=complex)
     amps = np.zeros(2 ** (m.env_size + 2), dtype=complex)
@@ -205,7 +202,9 @@ def _vdot_ratio(m):
 
 @pytest.mark.parametrize("env_size", [1, 4, 12])
 @pytest.mark.parametrize("c", [0.0, 0.5, 0.9])
-def test_full_state_equals_the_kron_reference(c, env_size):
+def test_records_equal_the_kron_reference(c, env_size):
+    # Row 2 * particle + pointer of the reference is its |particle, pointer>
+    # block; branch k fills block |k, k> and every other block is zero.
     for alpha in (1.0, 0.6):
         for gamma2 in (0.0, 0.6):
             for n in sorted({0, 1, env_size - 1}):
@@ -213,9 +212,12 @@ def test_full_state_equals_the_kron_reference(c, env_size):
                     continue
                 m = model(alpha=alpha, beta=math.sqrt(1.0 - alpha * alpha), env_size=env_size,
                           overlap=c, n_collapsed=n, gamma1=0.9, gamma2=gamma2)
-                state = full_state(m)
-                assert len(state) == 2 ** (env_size + 2)
-                assert np.array_equal(np.array(state), _kron_reference(m))
+                blocks = _kron_reference(m).reshape(4, 2 ** env_size)
+                filled = []
+                for k, amplitude, record in branches._records(m):
+                    assert np.array_equal(amplitude * np.array(record), blocks[3 * k])
+                    filled.append(3 * k)
+                assert not np.delete(blocks, filled, axis=0).any()
 
 
 def test_brute_force_ratio_equals_vdot_on_the_reference():
@@ -241,7 +243,7 @@ def test_brute_force_ratio_equals_vdot_on_the_reference():
 
 def reduced_particle_pointer(m):
     """Particle-pointer density matrix with the record traced out."""
-    a = np.array(full_state(m)).reshape(4, -1)
+    a = _kron_reference(m).reshape(4, -1)
     return a @ a.conj().T
 
 
