@@ -10,8 +10,7 @@ collapsed. Everything is deterministic under a seeded generator; the
 `tsvf-sim` command-line tool runs the bundled experiments.
 
 Exports and submodules are imported on first use (PEP 562), so importing the
-package, or running any experiment but `born` and `weakvalue`, does not
-import numpy.
+package, or running any experiment but `weakvalue`, does not import numpy.
 """
 
 import importlib

@@ -54,9 +54,9 @@ def _cells(column) -> list[str]:
     """Format one column slice; every cell gets the text `_fmt` would give it.
 
     A list is formatted cell by cell. A range holds only Python ints, and any
-    other slice is typed (a numpy array or an `array('d')`): its `tolist()`
-    holds only Python floats or only Python ints. The `repr` of these is the
-    text `_fmt` gives them.
+    other slice is typed (a numpy array, an `array('b')` or an `array('d')`):
+    its `tolist()` holds only Python floats or only Python ints. The `repr`
+    of these is the text `_fmt` gives them.
     """
     if isinstance(column, list):
         return list(map(_fmt, column))
@@ -199,14 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _one_blas_thread():
     """Let numpy's OpenBLAS start on one thread for the runner inside.
 
-    Only `born` and `weakvalue` load numpy. A second BLAS thread costs them
-    CPU and saves no time: at defaults, a fresh `born` run took 0.26 s of CPU
-    on one thread and 0.34 s on two, and `weakvalue` 0.31 s and 0.36 s, with
-    wall times to match (medians of 8, 2-core Xeon). This takes effect only
-    if numpy is not loaded yet, which holds in a fresh `tsvf-sim run`
-    because each runner that uses numpy imports it itself. A thread count
-    the user set in any of BLAS_THREAD_VARS wins, and os.environ is left as
-    it was found.
+    Only `weakvalue` loads numpy. A second BLAS thread costs it CPU and
+    saves no time: at defaults, a fresh run took 0.17 s of CPU on one thread
+    and 0.23 s on two, with wall times to match (medians of 8, 2-core Xeon,
+    Python 3.11.7). This takes effect only if numpy is not loaded yet, which
+    holds in a fresh `tsvf-sim run` because a runner that uses numpy imports
+    it itself. A thread count the user set in any of BLAS_THREAD_VARS wins,
+    and os.environ is left as it was found.
     """
     if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
         yield

@@ -64,14 +64,19 @@ def __getattr__(name: str):
 # Rows a run may ask for. born and decay make and write their rows a chunk
 # at a time, so their memory does not grow with rows; weakvalue holds one
 # float per accepted trial. So the cap bounds time, most of it formatting
-# floats with repr: at 10^7 rows a born run takes about 3.5 s (37 MiB peak
-# RSS), a decay run about 19 s (16 MiB), and a weakvalue run that accepts
-# every trial about 15 s (0.19 GiB), on a 2-core Xeon.
+# floats with repr: at 10^7 rows a born run takes about 2.5 s (16 MiB peak
+# RSS), a decay run about 13 s (16 MiB), and a weakvalue run that accepts
+# every trial about 8 s (0.19 GiB), on a 2-core Xeon with Python 3.11.7.
 MAX_ROWS = 10 ** 7
 # Rows of a result made, formatted and written at a time: the cells and text
-# of one chunk are all of the table a born or decay run holds, so its memory
-# stays fixed whatever the row count.
+# of one chunk are all of the table a decay run holds, and a born run holds
+# one BORN_BLOCK of outcomes besides, so their memory stays fixed whatever
+# the row count.
 RENDER_CHUNK = 1 << 11
+# Bytes of random.Random.randbytes that born draws at a time, one per trial:
+# whole 32-bit words, so a block's bytes are the same however a run is split,
+# and a whole number of render chunks.
+BORN_BLOCK = 1 << 14
 # Deep in the strong regime: branches 2000 sigma apart, and a reading g*a + sigma*z
 # still resolves sigma-scale detail to about 1e-13 sigma in a double.
 MAX_G_OVER_SIGMA = 1e3
@@ -115,11 +120,11 @@ class ExperimentResult:
     `chunks(size)` yields the table top to bottom, at most `size` rows at a
     time, as a tuple with one slice per column. Each call starts again at
     the first row, so a large table is made a chunk at a time and never held
-    whole. Large slices are typed: numpy int64 or float64 arrays for sampled
-    columns, `array('d')` for the decay table, which is built without numpy,
-    and ranges for row indices. Small mixed columns are lists, which keep
-    Python ints of any size and "" blanks. The CSV renderer formats each
-    slice as a whole, so no per-row tuple exists.
+    whole. Large slices are typed: `array('b')` for born's outcomes, a numpy
+    float64 array for weakvalue's readings, `array('d')` for the decay table,
+    which is built without numpy, and ranges for row indices. Small mixed
+    columns are lists, which keep Python ints of any size and "" blanks. The
+    CSV renderer formats each slice as a whole, so no per-row tuple exists.
     """
 
     header: tuple[str, ...]
@@ -224,34 +229,45 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def _run_born(params: dict, seed: int) -> ExperimentResult:
     a2, trials = params["alpha2"], params["trials"]
-    import numpy as np
+    import random
 
-    from .hilbert import SIGMA_Z, StateVector
-    from .pointer import _inverse_cdf
+    # Trial t is +1 iff its uniform (byte_t + r_t) / 256 is below the Born
+    # weight a2 = |<0|psi>|^2. byte_t alone decides every trial but a tie:
+    # byte_t = floor(256 a2) where 256 a2 is not an integer, one time in 256.
+    # Only a tie draws r_t = rng.random(). 256 a2 and its fraction above the
+    # tie are exact, so P(+1) is a2 to within 2^-61. The table maps each byte
+    # to 1, to -1 (255 as a signed byte) or to 0 for a tie.
+    tie = math.floor(256.0 * a2)
+    fraction = 256.0 * a2 - tie
+    table = bytes(1 if byte < tie else 0 if byte == tie and fraction else 255
+                  for byte in range(256))
 
-    psi = StateVector(np.array([math.sqrt(a2), math.sqrt(1.0 - a2)], dtype=complex))
-    # measurement.strong_measure's rule, batched: one outcome per draw, with
-    # the Born expansion of psi taken once per run.
-    eigenvalues, weights, _ = SIGMA_Z.born_branches(psi)
-    outcome, cum = np.rint(eigenvalues).astype(int), np.cumsum(weights)
+    # Every call draws the outcomes again from the seed, one BORN_BLOCK of
+    # bytes at a time, so the draws do not depend on the rows asked for.
+    def blocks():
+        rng = random.Random(seed)
+        for start in range(0, trials, BORN_BLOCK):
+            block = bytearray(rng.randbytes(BORN_BLOCK)[:trials - start].translate(table))
+            at = block.find(0)
+            while at >= 0:
+                block[at] = 1 if rng.random() < fraction else 255
+                at = block.find(0, at + 1)
+            yield start, block
 
-    # Every call draws the outcomes again from the seed. The Generator fills
-    # rng.random(k) sequentially, so chunks of any size give the same
-    # outcomes as one rng.random(trials) batch.
     def chunks(size: int):
-        rng = np.random.default_rng(seed)
-        for start in range(0, trials, size):
-            stop = min(start + size, trials)
-            yield range(start, stop), outcome[_inverse_cdf(cum, rng.random(stop - start))]
+        for start, block in blocks():
+            outcomes = array("b", block)
+            for offset in range(0, len(outcomes), size):
+                rows = outcomes[offset:offset + size]
+                yield range(start + offset, start + offset + len(rows)), rows
 
     # A counting pass for the summary, which the CSV writes before any row.
-    plus = sum(int(np.count_nonzero(outcomes == 1)) for _, outcomes in chunks(RENDER_CHUNK))
-    freq = plus / trials
+    plus = sum(block.count(1) for _, block in blocks())
     return ExperimentResult(
         header=("trial", "outcome"),
         chunks=chunks,
         summary={
-            "frequency_plus": freq,
+            "frequency_plus": plus / trials,
             "expected": a2,
             "binomial_stderr": math.sqrt(max(a2 * (1.0 - a2), 0.0) / trials),
         },

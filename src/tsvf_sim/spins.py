@@ -32,15 +32,20 @@ _LANE_BITS = 16
 _LANE_BIAS = 1 << (_LANE_BITS - 1)
 
 
+def _require_spin_count(n) -> None:
+    """Raise InvariantError unless N is an int (not a bool) of at least 1."""
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        raise InvariantError(f"the spin count must be an int of at least 1, got {n!r}")
+
+
 def average_spin_commutator(n: int) -> float:
     """Scale of [Sx_avg, Sy_avg] = i Sz_avg / N for N spin-1/2 copies.
 
     The commutator of the averaged spin components equals the averaged Sz with
     one extra 1/N suppression; its largest eigenvalue magnitude is 1/(2N).
-    Closed form, any N >= 1.
+    Closed form, any int N >= 1.
     """
-    if n < 1:
-        raise InvariantError("need at least one spin")
+    _require_spin_count(n)
     return 1 / (2 * n)  # int / int rounds once, so 2^1023 <= N gives no overflow
 
 
@@ -81,8 +86,7 @@ def brute_force_spin_commutator(n: int) -> tuple[float, float]:
     deviation of [Sx_avg, Sy_avg] from i Sz_avg / N, which is
     max|entry| / (4 N^2).
     """
-    if n < 1:
-        raise InvariantError("need at least one spin")
+    _require_spin_count(n)
     if n > SPIN_ORACLE_MAX:
         raise TooLargeForOracle(f"spin oracle is limited to {SPIN_ORACLE_MAX} spins")
     size = 1 << n

@@ -55,8 +55,8 @@ THREAD_COUNT = (
     ({"OMP_NUM_THREADS": "2"}, 2),
 ], ids=["default", "openblas", "goto", "omp"])
 def test_cli_run_uses_one_blas_thread_unless_the_user_sets_a_count(tmp_path, user_set, threads):
-    proc = run_child(["-c", THREAD_COUNT, "run", "--experiment", "born",
-                      "--param", "trials=10", "--out", str(tmp_path / "b.csv")], **user_set)
+    proc = run_child(["-c", THREAD_COUNT, "run", "--experiment", "weakvalue",
+                      "--param", "trials=100", "--out", str(tmp_path / "w.csv")], **user_set)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(threads)
 
@@ -85,10 +85,10 @@ RUNNER_REJECTS = ["weakvalue", ["g_over_sigma=1e-300", "sigma=1e-100"]]
 
 
 @pytest.mark.parametrize(("user_set", "experiment", "params", "exit_code"), [
-    ({}, "born", ["trials=10"], 0),
+    ({}, "weakvalue", ["trials=100"], 0),
     ({}, *RUNNER_REJECTS, 2),
-    ({"OPENBLAS_NUM_THREADS": "3"}, "born", ["trials=10"], 0),
-    ({"GOTO_NUM_THREADS": "3"}, "born", ["trials=10"], 0),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "weakvalue", ["trials=100"], 0),
+    ({"GOTO_NUM_THREADS": "3"}, "weakvalue", ["trials=100"], 0),
     ({"OMP_NUM_THREADS": "3"}, *RUNNER_REJECTS, 2),
 ], ids=["numpy-run", "exit-2", "user-openblas", "user-goto", "user-omp-exit-2"])
 def test_main_sets_one_blas_thread_only_for_its_runner(tmp_path, user_set, experiment, params,
@@ -338,11 +338,11 @@ MAIN_AND_NUMPY = (
 
 @pytest.mark.parametrize(("config", "flags"), [
     ("experiment = decay\n", ["--out", ""]),
-    ("experiment = born\n", ["--out", ""]),
-    ("experiment = born\nout =\n", []),
-], ids=["decay-flag", "born-flag", "born-config"])
+    ("experiment = weakvalue\n", ["--out", ""]),
+    ("experiment = weakvalue\nout =\n", []),
+], ids=["decay-flag", "weakvalue-flag", "weakvalue-config"])
 def test_empty_output_path_exits_2_before_the_runner(tmp_path, monkeypatch, config, flags):
-    # born loads numpy in its runner, so a child without numpy never started it.
+    # weakvalue loads numpy in its runner, so a child without numpy never started it.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "exp.cfg").write_text(config)
     proc = run_child(["-c", MAIN_AND_NUMPY, "run", "--config", "exp.cfg", *flags])
@@ -520,6 +520,17 @@ def test_streamed_runs_peak_the_same_at_ten_thousand_and_a_million_rows(tmp_path
     })
     for name in ("born", "decay"):
         assert abs(peaks[name, 10 ** 6] - peaks[name, 10 ** 4]) < 2.0, peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_born_peaks_with_a_run_that_loads_no_numpy(tmp_path):
+    # born draws from the standard library's random and holds one block of
+    # bytes, so at defaults it peaks within a page or two of a convergence run.
+    peaks = child_peak_rss_mib({
+        name: ["run", "--experiment", name, "--out", str(tmp_path / f"{name}.csv")]
+        for name in ("born", "convergence")
+    })
+    assert abs(peaks["born"] - peaks["convergence"]) < 1.0, peaks
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -359,6 +359,14 @@ def test_spin_commutator_oracle_bounds():
         brute_force_spin_commutator(13)
 
 
+@pytest.mark.parametrize("n", [2.5, 1e308, 2.0, True, 0, -3, "4"])
+@pytest.mark.parametrize("spin_function", [average_spin_commutator, brute_force_spin_commutator],
+                         ids=["closed-form", "oracle"])
+def test_spin_functions_need_an_int_count(spin_function, n):
+    with pytest.raises(InvariantError, match="spin count"):
+        spin_function(n)
+
+
 def test_spin_commutator_memory_stays_below_dense_matrices():
     # Three dense 2^11 x 2^11 complex matrices and their products peak above
     # 450 MiB; the integer oracle holds one 4 KiB lane vector per row offset,

@@ -116,7 +116,11 @@ NUMPY_FREE_RUNS = [
                  id="seed-not-an-integer"),
     pytest.param(["run", "--experiment", "decay", "--param", "t_max=inf"], 2,
                  id="decay-t_max-inf"),
-    # Range errors of the numpy-backed experiments are found while parsing.
+    # born draws from the standard library's random, at every weight.
+    pytest.param(["run", "--experiment", "born"], 0, id="born-defaults"),
+    pytest.param(["run", "--experiment", "born", "--param", "alpha2=0"], 0, id="born-alpha2-0"),
+    pytest.param(["run", "--experiment", "born", "--param", "alpha2=1"], 0, id="born-alpha2-1"),
+    # Range errors are found while parsing, also those of weakvalue, which uses numpy.
     pytest.param(["run", "--experiment", "born", "--param", "alpha2=2"], 2,
                  id="born-alpha2-out-of-range"),
     pytest.param(["run", "--experiment", "weakvalue", "--param", "sigma=1e300"], 2,
@@ -144,7 +148,7 @@ NUMPY_FREE_RUNS = [
     pytest.param(["run", "--experiment", "commutator"], 0, id="commutator-defaults"),
     pytest.param(["run", "--experiment", "commutator", "--param", "brute_max=11"], 0,
                  id="commutator-brute_max-11"),
-    # Runners that use numpy check their limits before they import it.
+    # Limits checked while parsing, or by a runner before it computes.
     pytest.param(["run", "--experiment", "born", "--param", "trials=0"], 2,
                  id="born-trials-out-of-range"),
     pytest.param(["run", "--experiment", "robustness", "--param", "env_sizes=8,8"], 2,

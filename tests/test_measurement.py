@@ -1,6 +1,9 @@
 """Tests for projective measurement and post-selected weak values."""
 
+import itertools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from tsvf_sim import (
     weak_estimate,
     weak_value,
 )
-from tsvf_sim.experiments import EXPERIMENTS, RENDER_CHUNK, resolve_params
+from tsvf_sim.experiments import BORN_BLOCK, EXPERIMENTS, resolve_params
 from tsvf_sim.measurement import WeakEstimate
 from tsvf_sim.pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf
 from helpers import SIGMA_X, basis_state, identity, random_hermitian, random_state, result_columns
@@ -74,18 +77,56 @@ def test_strong_measure_collapsed_is_eigenstate():
     assert np.allclose(applied, record.outcome * record.collapsed.amps, atol=1e-9)
 
 
-@pytest.mark.parametrize("alpha2", [0.36, 0.0, 1.0, 1e-17])
-def test_born_outcomes_equal_strong_measure_loop(alpha2):
-    # One row past a render chunk, so the run's draws cross a chunk boundary.
-    trials = RENDER_CHUNK + 5
+def _born_result(alpha2: float, trials: int, seed: int):
     exp = EXPERIMENTS["born"]
-    result = exp.runner(resolve_params(exp, {"alpha2": repr(alpha2), "trials": str(trials)}), 40)
-    index, outcomes = result_columns(result)
-    psi = StateVector(np.array([math.sqrt(alpha2), math.sqrt(1.0 - alpha2)], dtype=complex))
-    rng = np.random.default_rng(40)
-    looped = [strong_measure(psi, SIGMA_Z, rng).outcome for _ in range(trials)]
+    return exp.runner(resolve_params(exp, {"alpha2": repr(alpha2), "trials": str(trials)}), seed)
+
+
+def _exact_born_reference(alpha2: float, trials: int, seed: int) -> list[int]:
+    """born's outcomes, decided trial by trial in exact rationals.
+
+    Each block of BORN_BLOCK bytes is drawn as the runner draws it. Trial t
+    is +1 iff (byte_t + r_t) / 256 < alpha2, and r_t = rng.random() is drawn
+    only where byte_t leaves that open.
+    """
+    rng, target, outcomes = random.Random(seed), 256 * Fraction(alpha2), []
+    for start in range(0, trials, BORN_BLOCK):
+        for byte in rng.randbytes(BORN_BLOCK)[:trials - start]:
+            if byte + 1 <= target:
+                outcomes.append(1)
+            elif byte >= target:
+                outcomes.append(-1)
+            else:
+                outcomes.append(1 if byte + Fraction(rng.random()) < target else -1)
+    return outcomes
+
+
+@pytest.mark.parametrize("alpha2", [0.0, 1.0, 1e-17, 5e-324, 0.5, 0.36, 3 / 256, 1 - 2 ** -53])
+def test_born_outcomes_equal_an_exact_per_trial_reference(alpha2):
+    # Five rows past a block, so the run's draws cross a block boundary.
+    trials = BORN_BLOCK + 5
+    index, outcomes = result_columns(_born_result(alpha2, trials, 40))
     assert index == list(range(trials))
-    assert [float(outcome) for outcome in outcomes] == looped
+    assert outcomes == _exact_born_reference(alpha2, trials, 40)
+
+
+def test_born_table_does_not_depend_on_the_chunk_size():
+    result = _born_result(0.36, 2 * BORN_BLOCK + 3, 41)
+    table = result_columns(result)
+    for size in (1, 7, BORN_BLOCK - 1, BORN_BLOCK, 10 ** 6):
+        chunks = list(result.chunks(size))
+        assert all(len(rows) <= size for _, rows in chunks)
+        assert tuple(list(itertools.chain.from_iterable(column))
+                     for column in zip(*chunks)) == table, size
+
+
+def test_born_weight_is_the_plus_weight_of_sigma_z_born_branches():
+    # born decides on alpha2 itself; it is the Born weight of |0> in
+    # sqrt(alpha2)|0> + sqrt(1 - alpha2)|1>, as the library expands it.
+    for alpha2 in [i / 64 for i in range(65)] + [0.36, 1e-17, 5e-324, 3 / 256, 1 - 2 ** -53]:
+        psi = StateVector(np.array([math.sqrt(alpha2), math.sqrt(1.0 - alpha2)], dtype=complex))
+        eigenvalues, weights, _ = SIGMA_Z.born_branches(psi)
+        assert abs(weights[eigenvalues == 1.0][0] - alpha2) <= math.ulp(alpha2), alpha2
 
 
 def test_strong_measure_rejects_a_wrong_dimension_and_an_unnormalized_state():

@@ -58,7 +58,7 @@ def test_column_wise_render_equals_row_wise_fmt(n_rows):
 
 def test_born_million_trial_render_memory_is_bounded():
     exp = EXPERIMENTS["born"]
-    exp.runner(resolve_params(exp, {"trials": "1"}), 7)  # imports numpy and the sampler
+    exp.runner(resolve_params(exp, {"trials": "1"}), 7)  # imports random before tracing
     params = resolve_params(exp, {"trials": "1000000"})
     tracemalloc.start()
     try:
@@ -69,7 +69,7 @@ def test_born_million_trial_render_memory_is_bounded():
         tracemalloc.stop()
     assert lines == 3 + 1_000_000
     # Measured 0.39 MiB, set by the render, which holds one RENDER_CHUNK of
-    # 2048 rows' draws, cells and text at a time; the counting pass alone
-    # peaks at 0.07 MiB. Joining the whole text instead peaked at 18.2 MiB,
+    # 2048 rows' cells and text and one block of 16384 outcomes at a time;
+    # the counting pass alone peaks at 0.05 MiB. Joining the whole text instead peaked at 18.2 MiB,
     # and a per-row renderer above 80 MiB.
     assert peak < 2 ** 20
