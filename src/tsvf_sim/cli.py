@@ -14,7 +14,6 @@ place.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -32,9 +31,6 @@ from .experiments import (
 )
 
 SEED = ParamSpec("seed", "int", 0, "unsigned 64-bit RNG seed", 0, 2 ** 64 - 1)
-# OpenBLAS takes its thread count from the first of these that is set, read
-# once when numpy loads.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _fmt(value) -> str:
@@ -195,28 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Let numpy's OpenBLAS start on one thread for the runner inside.
-
-    Only `weakvalue` loads numpy. A second BLAS thread costs it CPU and
-    saves no time: at defaults, a fresh run took 0.17 s of CPU on one thread
-    and 0.23 s on two, with wall times to match (medians of 8, 2-core Xeon,
-    Python 3.11.7). This takes effect only if numpy is not loaded yet, which
-    holds in a fresh `tsvf-sim run` because a runner that uses numpy imports
-    it itself. A thread count the user set in any of BLAS_THREAD_VARS wins,
-    and os.environ is left as it was found.
-    """
-    if "numpy" in sys.modules or any(var in os.environ for var in BLAS_THREAD_VARS):
-        yield
-        return
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("OPENBLAS_NUM_THREADS", None)
-
-
 def _list_experiments() -> int:
     for exp in EXPERIMENTS.values():
         print(f"{exp.name}: {exp.description}")
@@ -261,8 +235,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key.strip()] = value.strip()
         params = resolve_params(exp, overrides)
 
-        with _one_blas_thread():
-            result = exp.runner(params, seed)
+        result = exp.runner(params, seed)
     except ConfigError as exc:
         print(f"tsvf-sim: error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ from .errors import (
     InvariantError,
     TooLargeForOracle,
     fits_oracle,
+    require_count,
 )
 from .hilbert import HermitianOperator, StateVector, projector
 from .twotime import ensemble_average
@@ -47,17 +48,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if not self.groups:
             raise InvariantError("ensemble needs at least one group")
-        norm_groups = []
-        dim = None
-        for state, count in self.groups:
-            if not isinstance(count, (int, np.integer)) or count < 1:
-                raise InvariantError(f"group count must be a positive integer, got {count!r}")
-            if dim is None:
-                dim = state.dim
-            elif state.dim != dim:
-                raise DimensionError("all ensemble groups must share one copy dimension")
-            norm_groups.append((state, int(count)))
-        object.__setattr__(self, "groups", tuple(norm_groups))
+        groups = tuple((state, require_count("group count", count, 1))
+                       for state, count in self.groups)
+        if len({state.dim for state, _ in groups}) > 1:
+            raise DimensionError("all ensemble groups must share one copy dimension")
+        object.__setattr__(self, "groups", groups)
 
     @property
     def size(self) -> int:

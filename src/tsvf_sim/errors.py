@@ -8,10 +8,13 @@ RuntimeErrors and a plain ValueError from a defect included.
 
 The tolerance, the dense-oracle bounds and the single-value domains that gate
 InvariantError and TooLargeForOracle live here too, so the closed-form
-modules and the parameter parser can use them without importing numpy.
+modules and the parameter parser can use them without importing numpy. So do
+the two validators of every scalar argument: `require_in` for a real value and
+`require_count` for a count. Each raises InvariantError on a non-number too.
 """
 
 import math
+import operator
 
 # Tolerance for identities that hold exactly in the algebra (hermiticity,
 # normalization); hilbert.ATOL_EIG is the one for eigensolver output, such as
@@ -56,10 +59,23 @@ def require_in(name: str, value, domain: tuple) -> None:
     low, high = domain
     try:
         finite = math.isfinite(value)  # NaN is not
-    except OverflowError:  # an int too large for a float
+    except (OverflowError, TypeError):  # an int too large for a float, or not a number
         finite = False
     if not (finite and low <= value <= high):
         raise InvariantError(f"{name} must be finite and lie in [{low!r}, {high!r}]")
+
+
+def require_count(name: str, value, low: int) -> int:
+    """Return value as a Python int if it is an int of at least low, else raise InvariantError.
+
+    An int is what operator.index takes, a numpy int too, but not a bool; 2.0 and "4" are not."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low:
+        raise InvariantError(f"{name} must be an int of at least {low}, got {value!r}")
+    return count
 
 
 class ConfigError(ValueError):

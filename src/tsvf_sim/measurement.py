@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvariantError, NearOrthogonalPrePost, NoAcceptedTrials
+from .errors import DimensionError, NearOrthogonalPrePost, NoAcceptedTrials, require_count
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
 from .pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf, readout_density
 
@@ -106,8 +106,7 @@ def weak_estimate(
     rng.random(trials) array), then one exact batch of readings for the
     accepted trials. Results are deterministic for a fixed rng seed.
     """
-    if trials < 1:
-        raise InvariantError("trials must be at least 1")
+    trials = require_count("trials", trials, 1)
     density = readout_density(ts.forward, op, g, sigma, post=ts.backward)
     blocks = [SAMPLE_BLOCK_CELLS] * (trials // SAMPLE_BLOCK_CELLS) + [trials % SAMPLE_BLOCK_CELLS]
     accepted = sum(int(np.count_nonzero(rng.random(k) < density.success_prob)) for k in blocks)

@@ -24,6 +24,7 @@ from .errors import (
     InvariantError,
     NoAcceptedTrials,
     PostSelectionImpossible,
+    require_count,
     require_in,
 )
 from .hilbert import HermitianOperator, StateVector, _readonly
@@ -134,7 +135,7 @@ class ReadoutDensity:
         positive weights' sum, is below MIN_ACCEPTANCE. Deterministic for a
         fixed rng seed.
         """
-        n = int(size)
+        n = require_count("sample size", size, 0)
         positive = np.maximum(self.weights, 0.0)
         cum = np.cumsum(positive)
         acceptance = self.success_prob / cum[-1]
@@ -173,8 +174,7 @@ def readout_density(
     gives c = <post|p>. Raises PostSelectionImpossible when `post` is
     orthogonal to every branch.
     """
-    if not np.isfinite(g):
-        raise InvariantError("coupling g must be finite")
+    require_in("coupling g", g, (-np.inf, np.inf))
     eigenvalues, weights, projections = op.born_branches(psi)
     kept = weights > NEGLIGIBLE_WEIGHT
     means = np.array([g * a for a in eigenvalues[kept].tolist()])

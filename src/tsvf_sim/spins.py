@@ -17,7 +17,7 @@ import sys
 from array import array
 from collections import defaultdict
 
-from .errors import SPIN_ORACLE_MAX, InvariantError, TooLargeForOracle
+from .errors import SPIN_ORACLE_MAX, TooLargeForOracle, require_count
 
 # One-site operators as (flip, signs): |bit> -> signs[bit] |bit ^ flip>.
 X_SITE = (1, (1, 1))  # sigma_x
@@ -32,12 +32,6 @@ _LANE_BITS = 16
 _LANE_BIAS = 1 << (_LANE_BITS - 1)
 
 
-def _require_spin_count(n) -> None:
-    """Raise InvariantError unless N is an int (not a bool) of at least 1."""
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise InvariantError(f"the spin count must be an int of at least 1, got {n!r}")
-
-
 def average_spin_commutator(n: int) -> float:
     """Scale of [Sx_avg, Sy_avg] = i Sz_avg / N for N spin-1/2 copies.
 
@@ -45,7 +39,7 @@ def average_spin_commutator(n: int) -> float:
     one extra 1/N suppression; its largest eigenvalue magnitude is 1/(2N).
     Closed form, any int N >= 1.
     """
-    _require_spin_count(n)
+    n = require_count("the spin count", n, 1)
     return 1 / (2 * n)  # int / int rounds once, so 2^1023 <= N gives no overflow
 
 
@@ -86,7 +80,7 @@ def brute_force_spin_commutator(n: int) -> tuple[float, float]:
     deviation of [Sx_avg, Sy_avg] from i Sz_avg / N, which is
     max|entry| / (4 N^2).
     """
-    _require_spin_count(n)
+    n = require_count("the spin count", n, 1)
     if n > SPIN_ORACLE_MAX:
         raise TooLargeForOracle(f"spin oracle is limited to {SPIN_ORACLE_MAX} spins")
     size = 1 << n

@@ -38,6 +38,7 @@ from .errors import (
     POSITIVE,
     InvariantError,
     OrthogonalCollapseForbidden,
+    require_count,
     require_in,
 )
 
@@ -72,17 +73,20 @@ class RobustnessModel:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        a, b = abs(self.alpha), abs(self.beta)  # a * a overflows to inf, a ** 2 raises
+        try:
+            a, b = abs(self.alpha), abs(self.beta)  # a * a overflows to inf, a ** 2 raises
+        except TypeError:
+            raise InvariantError("alpha and beta must be numbers") from None
         if not abs(a * a + b * b - 1.0) <= ATOL_EXACT:
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1 within 1e-12")
-        if not (isinstance(self.env_size, int) and isinstance(self.n_collapsed, int)):
-            raise InvariantError("env_size and n_collapsed must be integers")
+        for name, low in (("env_size", 1), ("n_collapsed", 0)):
+            object.__setattr__(self, name, require_count(name, getattr(self, name), low))
         for name, domain in (("n_collapsed", COLLAPSED_DOMAIN), ("overlap", OVERLAP_DOMAIN),
                              ("gamma1", GAMMA1_DOMAIN), ("gamma2", OVERLAP_DOMAIN)):
             require_in(name, getattr(self, name), domain)
         object.__setattr__(self, "gamma1", float(self.gamma1))
         object.__setattr__(self, "gamma2", float(self.gamma2))
-        if not self.n_collapsed < self.env_size:  # so env_size >= 1
+        if not self.n_collapsed < self.env_size:
             raise InvariantError(f"n_collapsed = {self.n_collapsed} must be below "
                                  f"env_size = {self.env_size}")
         if self.n_collapsed >= 1 and self.gamma1 == 0.0:
@@ -174,9 +178,10 @@ def classical_threshold(
     its float staircase is near c = 1. N - n is capped at the largest float;
     if even that record falls short, the needed size overflows a float and
     InvariantError is raised. Arguments are validated as a RobustnessModel
-    with a single definite branch.
+    with a single definite branch, after n_collapsed is checked as a count.
     """
     require_in("ratio_target", ratio_target, POSITIVE)
+    n_collapsed = require_count("n_collapsed", n_collapsed, 0)  # before env_size adds 1 to it
     model = RobustnessModel(
         alpha=1.0,
         beta=0.0,

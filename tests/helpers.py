@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import tsvf_sim
-from tsvf_sim.cli import BLAS_THREAD_VARS, RENDER_CHUNK
+from tsvf_sim.experiments import BLAS_THREAD_VARS, RENDER_CHUNK
 from tsvf_sim.errors import InvariantError
 from tsvf_sim.hilbert import HermitianOperator, StateVector
 

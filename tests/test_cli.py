@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsvf_sim.cli import BLAS_THREAD_VARS, main
+from tsvf_sim.cli import main
 from tsvf_sim.errors import ConfigError, InvariantError
-from tsvf_sim.experiments import EXPERIMENTS, MAX_ENV_SIZE, resolve_params
+from tsvf_sim.experiments import BLAS_THREAD_VARS, EXPERIMENTS, MAX_ENV_SIZE, resolve_params
 from tsvf_sim.pointer import ReadoutDensity
 from tsvf_sim.twotime import RobustnessModel, classical_threshold, core_decay
 from helpers import child_peak_rss_mib, result_columns, run_child
@@ -61,26 +61,29 @@ def test_cli_run_uses_one_blas_thread_unless_the_user_sets_a_count(tmp_path, use
     assert proc.stdout.splitlines()[-1] == str(threads)
 
 
-# Calls main in process and reports the BLAS thread variables its runner saw
-# and whether os.environ afterwards equals os.environ before.
-ENVIRON_AROUND_MAIN = (
-    "import dataclasses, json, os, sys\n"
-    "from tsvf_sim.cli import BLAS_THREAD_VARS, main\n"
-    "from tsvf_sim.experiments import EXPERIMENTS\n"
-    "argv = json.loads(sys.argv[1])\n"
-    "exp = EXPERIMENTS[argv[2]]\n"
+# Calls main in process and reports the BLAS thread variables set as numpy
+# starts to load, once per load, and whether os.environ afterwards equals
+# os.environ before. The finder only looks: it finds nothing, so the normal
+# finders load numpy.
+ENVIRON_AT_NUMPY_LOAD = (
+    "import json, os, sys\n"
+    "from tsvf_sim.cli import main\n"
+    "from tsvf_sim.experiments import BLAS_THREAD_VARS\n"
     "seen = []\n"
-    "def runner(params, seed):\n"
-    "    seen.append({var: os.environ.get(var) for var in BLAS_THREAD_VARS})\n"
-    "    return exp.runner(params, seed)\n"
-    "EXPERIMENTS[exp.name] = dataclasses.replace(exp, runner=runner)\n"
+    "class NumpyLoad:\n"
+    "    @staticmethod\n"
+    "    def find_spec(name, path=None, target=None):\n"
+    "        if name == 'numpy':\n"
+    "            seen.append({var: os.environ.get(var) for var in BLAS_THREAD_VARS})\n"
+    "sys.meta_path.insert(0, NumpyLoad)\n"
     "before = dict(os.environ)\n"
-    "code = main(argv)\n"
+    "code = main(json.loads(sys.argv[1]))\n"
     "print(json.dumps([code, seen, dict(os.environ) == before]))\n"
 )
 
 
-# The exit-2 runs fail inside the runner: g = g_over_sigma * sigma underflows.
+# The exit-2 runs fail inside the runner, before it loads numpy: g =
+# g_over_sigma * sigma underflows.
 RUNNER_REJECTS = ["weakvalue", ["g_over_sigma=1e-300", "sigma=1e-100"]]
 
 
@@ -91,17 +94,17 @@ RUNNER_REJECTS = ["weakvalue", ["g_over_sigma=1e-300", "sigma=1e-100"]]
     ({"GOTO_NUM_THREADS": "3"}, "weakvalue", ["trials=100"], 0),
     ({"OMP_NUM_THREADS": "3"}, *RUNNER_REJECTS, 2),
 ], ids=["numpy-run", "exit-2", "user-openblas", "user-goto", "user-omp-exit-2"])
-def test_main_sets_one_blas_thread_only_for_its_runner(tmp_path, user_set, experiment, params,
-                                                       exit_code):
+def test_main_sets_one_blas_thread_only_while_numpy_loads(tmp_path, user_set, experiment,
+                                                          params, exit_code):
     argv = ["run", "--experiment", experiment, "--out", str(tmp_path / "b.csv")]
     for param in params:
         argv += ["--param", param]
-    proc = run_child(["-c", ENVIRON_AROUND_MAIN, json.dumps(argv)], **user_set)
+    proc = run_child(["-c", ENVIRON_AT_NUMPY_LOAD, json.dumps(argv)], **user_set)
     assert proc.returncode == 0, proc.stderr
     code, seen, unchanged = json.loads(proc.stdout.splitlines()[-1])
     expected = dict.fromkeys(BLAS_THREAD_VARS)
     expected.update(user_set or {"OPENBLAS_NUM_THREADS": "1"})
-    assert (code, seen, unchanged) == (exit_code, [expected], True)
+    assert (code, seen, unchanged) == (exit_code, [expected] if exit_code == 0 else [], True)
 
 
 def test_list_names_every_experiment(capsys):

@@ -13,17 +13,22 @@ from tsvf_sim import (
     DimensionError,
     EnsembleSpec,
     InvariantError,
+    ReadoutDensity,
+    RobustnessModel,
     StateVector,
     TooLargeForOracle,
+    TwoState,
     average_operator_residual,
     average_spin_commutator,
     brute_force_average,
     brute_force_spin_commutator,
+    classical_threshold,
     commute_on_state,
     decompose,
     deterministic_basis,
     inner,
     projector,
+    weak_estimate,
 )
 from tsvf_sim.cli import main as cli_main
 from helpers import SIGMA_X, SIGMA_Y, basis_state, random_hermitian, random_state
@@ -359,12 +364,44 @@ def test_spin_commutator_oracle_bounds():
         brute_force_spin_commutator(13)
 
 
-@pytest.mark.parametrize("n", [2.5, 1e308, 2.0, True, 0, -3, "4"])
-@pytest.mark.parametrize("spin_function", [average_spin_commutator, brute_force_spin_commutator],
-                         ids=["closed-form", "oracle"])
-def test_spin_functions_need_an_int_count(spin_function, n):
-    with pytest.raises(InvariantError, match="spin count"):
-        spin_function(n)
+def _model(env_size=12, n_collapsed=0):
+    return RobustnessModel(alpha=1.0, beta=0.0, env_size=env_size, overlap=0.9,
+                           n_collapsed=n_collapsed, gamma1=0.9, gamma2=0.9)
+
+
+# Each count argument of the library: a call that passes it n and gives what
+# the library keeps of n, the name in its message, and its least value.
+COUNT_ARGUMENTS = {
+    "spins-closed-form": (average_spin_commutator, "the spin count", 1),
+    "spins-oracle": (brute_force_spin_commutator, "the spin count", 1),
+    "env_size": (lambda n: _model(env_size=n).env_size, "env_size", 1),
+    "n_collapsed": (lambda n: _model(n_collapsed=n).n_collapsed, "n_collapsed", 0),
+    "threshold-n_collapsed": (lambda n: classical_threshold(n, 0.9, 0.9, 0.9),
+                              "n_collapsed", 0),
+    "group-count": (lambda n: EnsembleSpec(((PLUS, n),)).groups[0][1], "group count", 1),
+    "trials": (lambda n: weak_estimate(TwoState(PLUS, PLUS), SIGMA_Z, 0.1, 1.0, n,
+                                       np.random.default_rng(0)).acceptance_rate, "trials", 1),
+    "sample-size": (lambda n: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0)
+                    .sample(np.random.default_rng(0), n).size, "sample size", 0),
+}
+BELOW_LEAST = object()  # the argument's least value minus 1
+
+
+@pytest.mark.parametrize("n", [2.5, 1e308, 2.0, True, np.True_, "4", None, -3,
+                               pytest.param(BELOW_LEAST, id="least-minus-1")])
+@pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
+def test_every_count_argument_needs_an_int(argument, n):
+    call, name, least = COUNT_ARGUMENTS[argument]
+    n = least - 1 if n is BELOW_LEAST else n
+    with pytest.raises(InvariantError, match=f"^{name} must be an int of at least {least}, got"):
+        call(n)
+
+
+@pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
+def test_a_numpy_int_count_is_kept_as_a_python_int(argument):
+    call, _, least = COUNT_ARGUMENTS[argument]
+    kept, expected = call(np.int64(least + 2)), call(least + 2)
+    assert (kept, type(kept)) == (expected, type(expected))
 
 
 def test_spin_commutator_memory_stays_below_dense_matrices():

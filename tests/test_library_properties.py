@@ -41,7 +41,8 @@ FLOATS = [0.0, -0.0, 0.5, 1.0, -1.0, 0.9, -SCALE_MAX, 1e300, -1e300, 1e-300, -1e
 FLOATS += [edge for low, high in (SIGMA_DOMAIN, OVERLAP_DOMAIN, GAMMA1_DOMAIN)
            for edge in (low, math.nextafter(low, -math.inf), high, math.nextafter(high, math.inf))
            if edge not in FLOATS]
-COUNTS = [0, 1, 2, 8, 10 ** 6, 10 ** 300, 10 ** 306, 10 ** 306 + 10 ** 308, 10 ** 400]
+COUNTS = [0, 1, 2, 8, 10 ** 6, 10 ** 300, 10 ** 306, 10 ** 306 + 10 ** 308, 10 ** 400,
+          True, 2.5, np.int64(8)]
 PACKAGE_ERRORS = tuple(cls for cls in vars(errors).values()
                        if isinstance(cls, type) and issubclass(cls, Exception)
                        and cls.__module__ == errors.__name__)

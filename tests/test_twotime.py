@@ -119,6 +119,18 @@ IDENTITY3 = HermitianOperator(np.eye(3))
     pytest.param(lambda: SIGMA_Z.apply(KET3), DimensionError, id="apply-dims"),
     pytest.param(lambda: TwoState(PLUS, KET3), DimensionError, id="two-state-dims"),
     pytest.param(lambda: average_spin_commutator(0), InvariantError, id="zero-spins"),
+    # Values that are not numbers at all.
+    pytest.param(lambda: core_decay("1", 1.0, 1.0), InvariantError, id="string-n0"),
+    pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 0.0, "1e6"),
+                 InvariantError, id="string-target"),
+    pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma="1"),
+                 InvariantError, id="string-sigma"),
+    pytest.param(lambda: model(overlap="0.5"), InvariantError, id="string-overlap"),
+    pytest.param(lambda: model(alpha="x", beta=1.0), InvariantError, id="string-alpha"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=None, sigma=1.0),
+                 InvariantError, id="none-g"),
+    pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g="0.1", sigma=1.0),
+                 InvariantError, id="string-g"),
 ])
 def test_library_checks_reject_nan_and_non_integers(probe, error):
     # Warnings are errors in this suite, so a numpy RuntimeWarning fails too.
