@@ -50,6 +50,8 @@ class EnsembleSpec:
             raise InvariantError("ensemble needs at least one group")
         groups = tuple((state, require_count("group count", count, 1))
                        for state, count in self.groups)
+        if not all(isinstance(state, StateVector) for state, _ in groups):
+            raise InvariantError("every ensemble group's state must be a StateVector")
         if len({state.dim for state, _ in groups}) > 1:
             raise DimensionError("all ensemble groups must share one copy dimension")
         object.__setattr__(self, "groups", groups)

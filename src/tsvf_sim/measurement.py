@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionError, NearOrthogonalPrePost, NoAcceptedTrials, require_count
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
-from .pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf, readout_density
+from .pointer import _inverse_cdf, readout_density
 
 # Pre/post overlaps at or below this are treated as orthogonal: no weak value exists.
 MIN_OVERLAP = 1e-12
@@ -101,15 +101,14 @@ def weak_estimate(
     pointer. The post-selection probability comes from the readout density of
     the coupled state, so it includes the coupling disturbance exactly rather
     than to first order. The coupled state and readout density are identical
-    across trials, so the draws are vectorized: Bernoulli draws for
-    post-selection, SAMPLE_BLOCK_CELLS at a time (the same doubles as one
-    rng.random(trials) array), then one exact batch of readings for the
-    accepted trials. Results are deterministic for a fixed rng seed.
+    across trials, so one binomial draw (the exact law of the per-trial
+    Bernoulli sum, with success_prob clamped to 1 against rounding) counts the
+    accepted trials, then one exact batch of readings is drawn for them.
+    Results are deterministic for a fixed rng seed.
     """
     trials = require_count("trials", trials, 1)
     density = readout_density(ts.forward, op, g, sigma, post=ts.backward)
-    blocks = [SAMPLE_BLOCK_CELLS] * (trials // SAMPLE_BLOCK_CELLS) + [trials % SAMPLE_BLOCK_CELLS]
-    accepted = sum(int(np.count_nonzero(rng.random(k) < density.success_prob)) for k in blocks)
+    accepted = int(rng.binomial(trials, min(density.success_prob, 1.0)))
     if accepted == 0:
         raise NoAcceptedTrials(
             f"0 of {trials} trials passed post-selection "

@@ -128,9 +128,9 @@ class ReadoutDensity:
 
         A proposal picks component k with probability max(w_k, 0) / sum max(w, 0),
         draws q = mu_k + sigma z, and is kept with probability f(q) / f+(q), where
-        f+ is the mixture of the positive weights alone. Proposals come in blocks
-        sized from the expected acceptance and capped at SAMPLE_BLOCK_CELLS
-        kernel values, so memory does not grow with `size` or 1/acceptance.
+        f+ is the mixture of the positive weights alone. Proposals come in fixed
+        blocks of SAMPLE_BLOCK_CELLS kernel values, so memory stays bounded, and
+        sample(rng, n) is the first n readings of a stream fixed by rng and density.
         Raises NoAcceptedTrials when the acceptance, success_prob over the
         positive weights' sum, is below MIN_ACCEPTANCE. Deterministic for a
         fixed rng seed.
@@ -142,12 +142,10 @@ class ReadoutDensity:
         if not acceptance >= MIN_ACCEPTANCE:
             raise NoAcceptedTrials(f"sampling acceptance {acceptance:.3e} is below "
                                    f"{MIN_ACCEPTANCE:g}: the weights nearly cancel")
-        cap = max(SAMPLE_BLOCK_CELLS // self.means.size, 1)
+        block = max(SAMPLE_BLOCK_CELLS // self.means.size, 1)
         out = np.empty(n)
         filled = 0
         while filled < n:
-            # 10% over the expected need, so one block usually suffices
-            block = int(min(cap, 1.1 * (n - filled) / acceptance + 8))
             q = self.means[_inverse_cdf(cum, rng.random(block))]
             q = q + self.sigma * rng.standard_normal(block)
             kernels = self._kernels(q)

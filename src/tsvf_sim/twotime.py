@@ -74,10 +74,10 @@ class RobustnessModel:
 
     def __post_init__(self):
         try:
-            a, b = abs(self.alpha), abs(self.beta)  # a * a overflows to inf, a ** 2 raises
+            a, b = float(abs(self.alpha)), float(abs(self.beta))
         except TypeError:
             raise InvariantError("alpha and beta must be numbers") from None
-        if not abs(a * a + b * b - 1.0) <= ATOL_EXACT:
+        if not abs(a * a + b * b - 1.0) <= ATOL_EXACT:  # a * a overflows to inf, a ** 2 raises
             raise InvariantError("|alpha|^2 + |beta|^2 must equal 1 within 1e-12")
         for name, low in (("env_size", 1), ("n_collapsed", 0)):
             object.__setattr__(self, name, require_count(name, getattr(self, name), low))

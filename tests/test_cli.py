@@ -552,7 +552,7 @@ def test_robustness_oracle_peaks_with_a_run_that_has_none(tmp_path):
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # A valid configuration whose one trial fails post-selection (NoAcceptedTrials).
     out = tmp_path / "w.csv"
-    code = run_cli("run", "--experiment", "weakvalue", "--seed", "0",
+    code = run_cli("run", "--experiment", "weakvalue", "--seed", "2",
                    "--param", "trials=1", "--param", "post_angle=0", "--out", str(out))
     assert code == 3
     assert "runtime error: 0 of 1 trials passed post-selection" in capsys.readouterr().err

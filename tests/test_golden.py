@@ -57,7 +57,7 @@ MATRIX_ARGV = [
     *(f"run --seed {seed} --experiment {config}" for config in SAMPLED
       for seed in ["0", "7", "31337"]),
     # One accepted trial, so its standard error is inf.
-    "run --seed 2 --experiment weakvalue --param trials=1 --param post_angle=0",
+    "run --seed 1 --experiment weakvalue --param trials=1 --param post_angle=0",
     # Orthogonal pre- and post-selected states: no weak value exists.
     "run --experiment weakvalue --param post_angle=0.7853981633974483",
     "run --experiment weakvalue --param g_over_sigma=1e-300 --param sigma=1e-100",
@@ -102,7 +102,7 @@ MATRIX_ARGV = [
       for experiment in ["robustness", "threshold"]
       for params in ["n=0 --param gamma1=5", "n=0 --param gamma2=1.5", "c=1", "c=-0.1", "n=-1"]),
     *(f"run --experiment decay --param steps={steps}" for steps in ["2047", "2048", "4097"]),
-    # About 10^4 accepted readings: the sampler draws several blocks of
+    # About 3000 accepted readings: the sampler draws two blocks of
     # pointer.SAMPLE_BLOCK_CELLS kernel values.
     "run --seed 5 --experiment weakvalue --param trials=20000",
 ]

@@ -25,7 +25,7 @@ from tsvf_sim import (
 )
 from tsvf_sim.experiments import BORN_BLOCK, EXPERIMENTS, resolve_params
 from tsvf_sim.measurement import WeakEstimate
-from tsvf_sim.pointer import SAMPLE_BLOCK_CELLS, _inverse_cdf
+from tsvf_sim.pointer import _inverse_cdf
 from helpers import SIGMA_X, basis_state, identity, random_hermitian, random_state, result_columns
 
 KET0 = basis_state(2, 0)
@@ -295,16 +295,25 @@ def test_weak_estimate_deterministic_for_fixed_seed():
     assert np.array_equal(runs[0].samples, runs[1].samples)
 
 
-def test_weak_estimate_equals_one_post_selection_batch_then_one_sample():
-    # Post-selection draws come SAMPLE_BLOCK_CELLS at a time; the reference
-    # draws them in one rng.random(trials) batch.
-    trials = 3 * SAMPLE_BLOCK_CELLS + 5
-    est = weak_estimate(ANOMALOUS, SIGMA_Z, 0.01, 1.0, trials, np.random.default_rng(52))
+@pytest.mark.parametrize("seed", [52, 53, 54])
+def test_weak_estimate_equals_one_binomial_count_then_one_sample(seed):
+    trials = 50_000
+    est = weak_estimate(ANOMALOUS, SIGMA_Z, 0.01, 1.0, trials, np.random.default_rng(seed))
     density = readout_density(ANOMALOUS.forward, SIGMA_Z, 0.01, 1.0, post=ANOMALOUS.backward)
-    rng = np.random.default_rng(52)
-    accepted = int(np.count_nonzero(rng.random(trials) < density.success_prob))
+    rng = np.random.default_rng(seed)
+    accepted = int(rng.binomial(trials, min(density.success_prob, 1.0)))
     assert est.accepted == accepted
     assert np.array_equal(est.samples, density.sample(rng, accepted))
+
+
+def test_weak_estimate_accepts_every_trial_when_success_prob_rounds_above_one():
+    # A matched pair post-selects with certainty, but its weights can sum to a
+    # hair above 1, which a bare rng.binomial rejects with a ValueError.
+    psi = random_state(3, np.random.default_rng(3))
+    assert readout_density(psi, identity(3), 0.1, 1.0, post=psi).success_prob > 1.0
+    est = weak_estimate(TwoState(forward=psi, backward=psi), identity(3), 0.1, 1.0, 1000,
+                        np.random.default_rng(55))
+    assert est.accepted == 1000 and est.acceptance_rate == 1.0
 
 
 def test_weak_estimate_freezes_its_own_samples_but_never_a_callers():

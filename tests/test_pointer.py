@@ -348,6 +348,19 @@ def test_sample_reading_deterministic_for_fixed_seed():
     assert runs[0] == runs[1]
 
 
+# Each n needs more than one block of proposals, and each m more than n's blocks.
+@pytest.mark.parametrize(("post", "g", "n", "m"), [
+    (None, 0.5, 8195, 20_000),  # 8192 proposals a block, all kept
+    (ANOMALOUS_POST, 0.5, 2100, 5000),  # signed weights: 5461 a block, 38% kept
+    (NEAR_ORTHOGONAL_POST, 0.01, 2, 6),  # 5461 a block, 5e-5 kept
+])
+def test_sample_is_a_prefix_of_a_longer_sample(post, g, n, m):
+    density = readout_density(PLUS, SIGMA_Z, g=g, sigma=1.0, post=post)
+    short = density.sample(np.random.default_rng(43), n)
+    long = density.sample(np.random.default_rng(43), m)
+    assert np.array_equal(short, long[:n])
+
+
 def test_weak_estimate_accepts_every_pair_two_state_accepts():
     ts = TwoState(forward=StateVector(np.array([1.0 + 9e-13, 0.0], dtype=complex)),
                   backward=StateVector(np.array([0.6, 0.8], dtype=complex)))

@@ -127,6 +127,12 @@ IDENTITY3 = HermitianOperator(np.eye(3))
                  InvariantError, id="string-sigma"),
     pytest.param(lambda: model(overlap="0.5"), InvariantError, id="string-overlap"),
     pytest.param(lambda: model(alpha="x", beta=1.0), InvariantError, id="string-alpha"),
+    pytest.param(lambda: model(alpha=np.array([1.0, 0.0]), beta=0.0),
+                 InvariantError, id="array-alpha"),
+    pytest.param(lambda: model(alpha=np.array([1.0]), beta=0.0),
+                 InvariantError, id="one-entry-array-alpha"),
+    pytest.param(lambda: EnsembleSpec(((PLUS, 2), (object(), 1))),
+                 InvariantError, id="non-state-group"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=None, sigma=1.0),
                  InvariantError, id="none-g"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g="0.1", sigma=1.0),
