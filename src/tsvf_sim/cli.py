@@ -2,18 +2,24 @@
 
 One experiment per process. Configuration comes from flags, optionally merged
 over a key=value config file (flags win); the seed is parsed like an int
-parameter. `main` is the one place that maps errors to exit codes: 0 success,
-2 for a ConfigError (any input the package rejects, see errors.py), 3 for any
-other error and for a failed write. The CSV is written chunk by chunk, to a
-temporary file beside a new or plain regular output, which then replaces it:
-so a failed run leaves no partial file there, and an existing output keeps
-its old bytes. Any other output, such as /dev/stdout or a FIFO, is written in
-place.
+parameter. `main` is the one place that maps errors to exit codes, for `list`,
+the run, the CSV write and the status lines alike: 0 success, 2 for a
+ConfigError (any input the package rejects, see errors.py), 3 for any other
+error and for a failed write of the CSV or of standard output. A written CSV
+is kept when only its status line fails. The error line is printed if stderr
+can take it; the code is the same either way. The CSV is written chunk by
+chunk, to a temporary file beside a new or plain regular output, which then
+replaces it: so a failed run leaves no partial file there, and an existing
+output keeps its old bytes. Any other output, such as /dev/stdout or a FIFO,
+is written in place. The `tsvf-sim` command (`entry`) also turns SIGTERM and
+SIGHUP into an exit with 128 + the signal's number that takes the same
+cleanup; SIGKILL cannot be caught.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -191,74 +197,76 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _list_experiments() -> int:
+def _list_lines():
     for exp in EXPERIMENTS.values():
-        print(f"{exp.name}: {exp.description}")
+        yield f"{exp.name}: {exp.description}"
         for p in exp.params:
             bounds = f" in {p.bounds}" if math.isfinite(p.low) or math.isfinite(p.high) else ""
-            print(f"  --param {p.name}=<{p.kind}>{bounds}  (default {_fmt(p.default)})  {p.help}")
-    return 0
+            yield f"  --param {p.name}=<{p.kind}>{bounds}  (default {_fmt(p.default)})  {p.help}"
+
+
+def _configure(args) -> tuple[Experiment, int, dict, str]:
+    file_values = parse_config_file(args.config) if args.config else {}
+    file_experiment = file_values.pop("experiment", None)
+    file_seed = file_values.pop("seed", None)
+    file_out = file_values.pop("out", None)
+
+    name = args.experiment or file_experiment
+    if not name:
+        raise ConfigError("no experiment given (use --experiment or a config file)")
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r} (available: {', '.join(EXPERIMENTS)})")
+    exp = EXPERIMENTS[name]
+
+    seed_raw = args.seed if args.seed is not None else file_seed
+    seed = parse_param_value(SEED, seed_raw) if seed_raw is not None else SEED.default
+    out = args.out if args.out is not None else file_out
+    if out == "":
+        raise ConfigError("the output path is empty (give --out or out = a file name)")
+
+    overrides = dict(file_values)  # remaining file keys are parameters
+    for item in args.param:
+        if "=" not in item:
+            raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
+        key, value = item.split("=", 1)
+        overrides[key.strip()] = value.strip()
+    return exp, seed, resolve_params(exp, overrides), out or f"{name}.csv"
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _list_experiments()
-
+    out = "standard output"  # what the run is writing, for an OSError's message
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
-        file_experiment = file_values.pop("experiment", None)
-        file_seed = file_values.pop("seed", None)
-        file_out = file_values.pop("out", None)
-
-        name = args.experiment or file_experiment
-        if not name:
-            raise ConfigError("no experiment given (use --experiment or a config file)")
-        if name not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {name!r} (available: {', '.join(EXPERIMENTS)})"
-            )
-        exp = EXPERIMENTS[name]
-
-        seed_raw = args.seed if args.seed is not None else file_seed
-        seed = parse_param_value(SEED, seed_raw) if seed_raw is not None else SEED.default
-        out = args.out if args.out is not None else file_out
-        if out == "":
-            raise ConfigError("the output path is empty (give --out or out = a file name)")
-        out = out or f"{name}.csv"
-
-        overrides = dict(file_values)  # remaining file keys are parameters
-        for item in args.param:
-            if "=" not in item:
-                raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
-            key, value = item.split("=", 1)
-            overrides[key.strip()] = value.strip()
-        params = resolve_params(exp, overrides)
-
-        result = exp.runner(params, seed)
+        if args.command == "list":
+            text = "\n".join(_list_lines())
+        else:
+            exp, seed, params, out = _configure(args)
+            result = exp.runner(params, seed)
+            _write_out(out, csv_chunks(exp, seed, params, result))
+            text = f"wrote {out}\nsummary: {_summary_text(result.summary)}"
+            out = "standard output"
+        print(text, flush=True)
+        return 0
     except ConfigError as exc:
-        print(f"tsvf-sim: error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # no trial passed post-selection, or a defect
-        print(f"tsvf-sim: runtime error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        _write_out(out, csv_chunks(exp, seed, params, result))
+        code, message = 2, f"error: {exc}"
     except OSError as exc:  # a temporary file's random name is left out
-        print(f"tsvf-sim: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # a defect while rendering
-        print(f"tsvf-sim: runtime error: {exc}", file=sys.stderr)
-        return 3
-
-    print(f"wrote {out}")
-    print("summary: " + _summary_text(result.summary))
-    return 0
+        code, message = 3, f"cannot write {out}: {exc.strerror or exc}"
+    except Exception as exc:  # no trial passed post-selection, or a defect
+        code, message = 3, f"runtime error: {exc}"
+    with contextlib.suppress(OSError):  # a closed or full stderr keeps the code
+        print(f"tsvf-sim: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    """`tsvf-sim`: `main`, where SIGTERM and SIGHUP exit 128 + n through its cleanup."""
+    import signal  # here, so that a caller of `main` does not load it
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, lambda signum, frame: sys.exit(128 + signum))
+    if code := main():  # drop what stdout or stderr could not write, or exit gives 120
+        for fd in (1, 2):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

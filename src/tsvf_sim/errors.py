@@ -65,16 +65,17 @@ def require_in(name: str, value, domain: tuple) -> None:
         raise InvariantError(f"{name} must be finite and lie in [{low!r}, {high!r}]")
 
 
-def require_count(name: str, value, low: int) -> int:
-    """Return value as a Python int if it is an int of at least low, else raise InvariantError.
+def require_count(name: str, value, low: int, high: float = math.inf) -> int:
+    """Return value as a Python int if it is an int in [low, high], else raise InvariantError.
 
     An int is what operator.index takes, a numpy int too, but not a bool; 2.0 and "4" are not."""
     try:
         count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = None
-    if count is None or count < low:
-        raise InvariantError(f"{name} must be an int of at least {low}, got {value!r}")
+    if count is None or not low <= count <= high:
+        most = "" if high == math.inf else f" and at most {high}"
+        raise InvariantError(f"{name} must be an int of at least {low}{most}, got {value!r}")
     return count
 
 

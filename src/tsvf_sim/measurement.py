@@ -106,7 +106,7 @@ def weak_estimate(
     accepted trials, then one exact batch of readings is drawn for them.
     Results are deterministic for a fixed rng seed.
     """
-    trials = require_count("trials", trials, 1)
+    trials = require_count("trials", trials, 1, np.iinfo("l").max)  # binomial takes a C long
     density = readout_density(ts.forward, op, g, sigma, post=ts.backward)
     accepted = int(rng.binomial(trials, min(density.success_prob, 1.0)))
     if accepted == 0:

@@ -5,7 +5,9 @@ import json
 import math
 import os
 import re
+import signal
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -22,7 +24,7 @@ from tsvf_sim.errors import ConfigError, InvariantError
 from tsvf_sim.experiments import BLAS_THREAD_VARS, EXPERIMENTS, MAX_ENV_SIZE, resolve_params
 from tsvf_sim.pointer import ReadoutDensity
 from tsvf_sim.twotime import RobustnessModel, classical_threshold, core_decay
-from helpers import child_peak_rss_mib, result_columns, run_child
+from helpers import child_env, child_peak_rss_mib, result_columns, run_child
 
 
 def run_cli(*args):
@@ -509,6 +511,81 @@ def test_a_read_only_output_is_written_in_place_not_replaced(tmp_path, monkeypat
         assert code == 3 and out.read_text() == "old bytes\n"
         assert capsys.readouterr().err.startswith(f"tsvf-sim: cannot write {out}: ")
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
+def _command(args: list[str], unbuffered: bool, **streams) -> subprocess.CompletedProcess:
+    """Run the `tsvf-sim` command in a fresh interpreter with the given standard streams.
+
+    Its stdout and stderr are block buffered, as in a shell, or unbuffered, as
+    with `python -u`: a failed write then fails in the print, not in a flush.
+    """
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    flags = ["-u"] if unbuffered else []
+    return subprocess.run([sys.executable, *flags, "-m", "tsvf_sim.cli", *args], env=env,
+                          timeout=60, **streams)
+
+
+def _unwritable(stream: str):
+    """A file object whose every write fails: /dev/full, or a pipe whose reader has gone."""
+    if stream == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        return open("/dev/full", "wb")
+    reader, writer = os.pipe()
+    os.close(reader)
+    return open(writer, "wb")
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+STRERROR = {"closed-pipe": "Broken pipe", "dev-full": "No space left on device"}
+
+
+@BUFFERING
+@pytest.mark.parametrize("command", ["run", "list"])
+@pytest.mark.parametrize("stdout", STRERROR)
+def test_a_failed_status_line_exits_3_and_keeps_the_csv(tmp_path, stdout, command, unbuffered):
+    out = tmp_path / "d.csv"
+    args = ["run", "--experiment", "decay", "--out", str(out)] if command == "run" else ["list"]
+    with _unwritable(stdout) as unwritable:
+        proc = _command(args, unbuffered, stdout=unwritable, stderr=subprocess.PIPE, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        3, f"tsvf-sim: cannot write standard output: {STRERROR[stdout]}\n")
+    if command == "run":
+        assert run_cli("run", "--experiment", "decay", "--out", str(tmp_path / "ref.csv")) == 0
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["d.csv", "ref.csv"] if command == "run"
+                                                          else [])
+
+
+@BUFFERING
+@pytest.mark.parametrize(("experiment", "code"), [("nope", 2), ("decay", 3)])
+def test_a_full_stderr_keeps_the_exit_code(tmp_path, experiment, code, unbuffered):
+    # decay writes its CSV, then neither its status line nor its error line can be written.
+    out = tmp_path / "d.csv"
+    with _unwritable("dev-full") as full:
+        proc = _command(["run", "--experiment", experiment, "--out", str(out)], unbuffered,
+                        stdout=full, stderr=full)
+    assert proc.returncode == code
+    assert [p.name for p in tmp_path.iterdir()] == (["d.csv"] if code == 3 else [])
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+def test_a_stop_signal_exits_128_plus_its_number_and_leaves_the_output_as_it_was(tmp_path,
+                                                                                  signum):
+    out = tmp_path / "d.csv"
+    out.write_text("old bytes\n")
+    proc = subprocess.Popen([sys.executable, "-m", "tsvf_sim.cli", "run", "--experiment", "decay",
+                             "--param", "steps=3000000", "--out", str(out)], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 60
+    while not any(tmp_path.glob(".d.csv.*.tmp")):  # the run is writing its CSV
+        assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+        time.sleep(0.005)
+    proc.send_signal(signum)
+    assert proc.communicate(timeout=60) == ("", "")
+    assert proc.returncode == 128 + signum
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    assert out.read_text() == "old bytes\n"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

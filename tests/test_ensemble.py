@@ -384,16 +384,23 @@ COUNT_ARGUMENTS = {
     "sample-size": (lambda n: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0)
                     .sample(np.random.default_rng(0), n).size, "sample size", 0),
 }
+# The largest value of each count argument that has one: rng.binomial takes a C long.
+COUNT_MOST = {"trials": np.iinfo("l").max}
 BELOW_LEAST = object()  # the argument's least value minus 1
+NOT_COUNTS = {"2.5": 2.5, "1e+308": 1e308, "2.0": 2.0, "True": True, "numpy-True": np.True_,
+              "4": "4", "None": None, "-3": -3, "least-minus-1": BELOW_LEAST}
+COUNT_ROWS = {f"{argument}-{label}": (argument, n)
+              for argument in COUNT_ARGUMENTS for label, n in NOT_COUNTS.items()}
+COUNT_ROWS["trials-10**20"] = ("trials", 10 ** 20)
 
 
-@pytest.mark.parametrize("n", [2.5, 1e308, 2.0, True, np.True_, "4", None, -3,
-                               pytest.param(BELOW_LEAST, id="least-minus-1")])
-@pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
+@pytest.mark.parametrize(("argument", "n"), COUNT_ROWS.values(), ids=list(COUNT_ROWS))
 def test_every_count_argument_needs_an_int(argument, n):
     call, name, least = COUNT_ARGUMENTS[argument]
     n = least - 1 if n is BELOW_LEAST else n
-    with pytest.raises(InvariantError, match=f"^{name} must be an int of at least {least}, got"):
+    bounds = f"at least {least}" + (f" and at most {COUNT_MOST[argument]}"
+                                     if argument in COUNT_MOST else "")
+    with pytest.raises(InvariantError, match=f"^{name} must be an int of {bounds}, got"):
         call(n)
 
 

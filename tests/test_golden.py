@@ -72,6 +72,8 @@ MATRIX_ARGV = [
     " --param gamma1=1e-170 --param gamma2=1e-170",
     "run --experiment threshold --param targets=1e300",
     "run --experiment threshold --param n=1 --param gamma1=0",
+    # The smallest record, N = n + 1, already reaches every target: ratio_below is empty.
+    "run --experiment threshold --param c=0 --param n=3",
     # The record needed exceeds 2^1023 qubits but still fits in a float.
     "run --experiment threshold --param n=16e288 --param c=0.9999999999999999"
     " --param gamma1=1e-300 --param gamma2=0.9 --param targets=1e6",

@@ -19,6 +19,7 @@ from tsvf_sim import (
     readout_density,
     weak_estimate,
 )
+from tsvf_sim.errors import NoAcceptedTrials
 from helpers import SIGMA_X, GaussianPointer, basis_state, random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
@@ -313,6 +314,29 @@ def test_sample_memory_bounded_at_tiny_acceptance():
         tracemalloc.stop()
     assert readings.shape == (200,)
     assert peak < 32 * 2 ** 20
+
+
+# One value just inside each documented limit of the pointer model and one
+# just outside it, written out so that the tests pin the limits' values.
+@pytest.mark.parametrize(("acceptance", "samples"), [(1.001e-12, True), (0.999e-12, False)])
+def test_sample_refuses_an_acceptance_below_min_acceptance(acceptance, samples):
+    # Weights 1 and acceptance - 1 at one mean: the sampler would keep that
+    # share of its proposals. Asking for no reading checks the limit,
+    # pointer.MIN_ACCEPTANCE = 1e-12, without the 10^12 proposals a single
+    # reading would take.
+    density = ReadoutDensity(means=[0.0, 0.0], weights=[1.0, acceptance - 1.0], sigma=1.0)
+    if samples:
+        assert density.sample(np.random.default_rng(0), 0).shape == (0,)
+    else:
+        with pytest.raises(NoAcceptedTrials, match="is below 1e-12"):
+            density.sample(np.random.default_rng(0), 0)
+
+
+@pytest.mark.parametrize(("weight", "components"), [(1.001e-28, 2), (0.999e-28, 1)])
+def test_readout_density_drops_a_branch_at_or_below_negligible_weight(weight, components):
+    # pointer.NEGLIGIBLE_WEIGHT = 1e-28
+    psi = StateVector(np.array([math.sqrt(1.0 - weight), math.sqrt(weight)], dtype=complex))
+    assert readout_density(psi, SIGMA_Z, g=1.0, sigma=1.0).means.size == components
 
 
 def test_readout_orthogonal_post_impossible():
