@@ -4,16 +4,17 @@ One experiment per process. Configuration comes from flags, optionally merged
 over a key=value config file (flags win); the seed is parsed like an int
 parameter. `main` is the one place that maps errors to exit codes, for `list`,
 the run, the CSV write and the status lines alike: 0 success, 2 for a
-ConfigError (any input the package rejects, see errors.py), 3 for any other
-error and for a failed write of the CSV or of standard output. A written CSV
-is kept when only its status line fails. The error line is printed if stderr
-can take it; the code is the same either way. The CSV is written chunk by
-chunk, to a temporary file beside a new or plain regular output, which then
-replaces it: so a failed run leaves no partial file there, and an existing
-output keeps its old bytes. Any other output, such as /dev/stdout or a FIFO,
-is written in place. The `tsvf-sim` command (`entry`) also turns SIGTERM and
-SIGHUP into an exit with 128 + the signal's number that takes the same
-cleanup; SIGKILL cannot be caught.
+ConfigError wherever it is raised (any input the package rejects, see
+errors.py), 3 for a failed write of the CSV or of standard output and for any
+other error, an OSError of the runner included. A written CSV is kept when
+only its status line fails. The error line is printed if stderr can take it;
+the code is the same either way. The CSV is written chunk by chunk, to a
+temporary file beside a new or plain regular output, which then replaces it:
+so a failed run leaves no partial file there, and an existing output keeps its
+old bytes. Any other output, such as /dev/stdout or a FIFO, is written in
+place. The `tsvf-sim` command (`entry`) also turns SIGTERM and SIGHUP into an
+exit with 128 + the signal's number that takes the same cleanup, unless the
+signal was inherited as ignored (as under nohup); SIGKILL cannot be caught.
 """
 
 from __future__ import annotations
@@ -98,23 +99,11 @@ def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResul
     return "".join(csv_chunks(exp, seed, params, result))
 
 
-def _temporary_beside(out: str, st):
-    """Open a new file beside `out` to write it through, as (out's real path,
-    the new file's path, its descriptor), or give None where renaming a new
-    file over `out` would change more than its bytes.
-
-    `st` is os.stat(out), or None if there is no such file. Only a regular
-    file with one link, that this user may write and whose owner and group a
-    new file beside it gets too, is replaced. The new file is made with 0o666
-    less the umask, the mode open(out, "w") gives a new output.
+def _open_beside(tmp: Path, st) -> int | None:
+    """Make the new file `tmp` and give its descriptor, or None where it cannot
+    be made or would not get the owner and group in `st`. It is made with
+    0o666 less the umask, the mode open(out, "w") gives a new output.
     """
-    import stat
-
-    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-                               and os.access(out, os.W_OK)):
-        return None  # a device such as /dev/stdout, a FIFO, a hard link or a read-only file
-    path = Path(os.path.realpath(out))
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError:  # a directory where no file can be made, say
@@ -125,36 +114,42 @@ def _temporary_beside(out: str, st):
             os.close(fd)
             tmp.unlink()
             return None
-    return path, tmp, fd
+    return fd
 
 
 def _write_out(out: str, chunks) -> None:
     """Write the text chunks to `out` as open(out, "w") would, a symbolic link
-    followed, but through a new file beside it where `_temporary_beside` can
-    make one: that file then replaces `out`, or is removed if a chunk or a
-    write fails, so `out` keeps its old bytes and its mode. Any other output
-    is written in place and keeps what it is (a device, a FIFO, its links and
-    its owner).
+    followed, but through a new file beside it where `out` is new or a regular
+    file with one link that this user may write, and `_open_beside` can make
+    one: that file then replaces `out`, or is removed if a chunk or a write
+    fails, so `out` keeps its old bytes and its mode. Any other output is
+    written in place and keeps what it is (a device such as /dev/stdout, a
+    FIFO, a hard link, a read-only file, its owner).
     """
+    import stat
+
     try:
         st = os.stat(out)
     except FileNotFoundError:
         st = None
-    temporary = _temporary_beside(out, st)
-    if temporary is None:
+    fd = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and os.access(out, os.W_OK)):
+        path = Path(os.path.realpath(out))
+        tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+        try:  # from before the file is made, so that a stop signal removes it at any point
+            fd = _open_beside(tmp, st)
+            if fd is not None:
+                with open(fd, "w") as f:
+                    if st is not None:
+                        os.fchmod(fd, st.st_mode & 0o7777)
+                    f.writelines(chunks)
+                os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    if fd is None:
         with open(out, "w") as f:
             f.writelines(chunks)
-        return
-    path, tmp, fd = temporary
-    try:
-        with open(fd, "w") as f:
-            if st is not None:
-                os.fchmod(fd, st.st_mode & 0o7777)
-            f.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -235,22 +230,24 @@ def _configure(args) -> tuple[Experiment, int, dict, str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out = "standard output"  # what the run is writing, for an OSError's message
+    out = None  # what is being written, for an OSError's message
     try:
         if args.command == "list":
             text = "\n".join(_list_lines())
         else:
-            exp, seed, params, out = _configure(args)
+            exp, seed, params, path = _configure(args)
             result = exp.runner(params, seed)
-            _write_out(out, csv_chunks(exp, seed, params, result))
-            text = f"wrote {out}\nsummary: {_summary_text(result.summary)}"
-            out = "standard output"
+            out = path
+            _write_out(path, csv_chunks(exp, seed, params, result))
+            text = f"wrote {path}\nsummary: {_summary_text(result.summary)}"
+        out = "standard output"
         print(text, flush=True)
         return 0
     except ConfigError as exc:
         code, message = 2, f"error: {exc}"
     except OSError as exc:  # a temporary file's random name is left out
-        code, message = 3, f"cannot write {out}: {exc.strerror or exc}"
+        code, message = 3, (f"cannot write {out}: {exc.strerror or exc}" if out
+                            else f"runtime error: {exc}")  # raised before any write
     except Exception as exc:  # no trial passed post-selection, or a defect
         code, message = 3, f"runtime error: {exc}"
     with contextlib.suppress(OSError):  # a closed or full stderr keeps the code
@@ -262,7 +259,8 @@ def entry() -> None:
     """`tsvf-sim`: `main`, where SIGTERM and SIGHUP exit 128 + n through its cleanup."""
     import signal  # here, so that a caller of `main` does not load it
     for signum in (signal.SIGTERM, signal.SIGHUP):
-        signal.signal(signum, lambda signum, frame: sys.exit(128 + signum))
+        if signal.getsignal(signum) is not signal.SIG_IGN:  # as under nohup: it stays ignored
+            signal.signal(signum, lambda signum, frame: sys.exit(128 + signum))
     if code := main():  # drop what stdout or stderr could not write, or exit gives 120
         for fd in (1, 2):
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)

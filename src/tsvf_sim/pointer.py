@@ -135,7 +135,8 @@ class ReadoutDensity:
         positive weights' sum, is below MIN_ACCEPTANCE. Deterministic for a
         fixed rng seed.
         """
-        n = require_count("sample size", size, 0)
+        # At most the float64 count that np.empty can size; beyond it numpy raises ValueError.
+        n = require_count("sample size", size, 0, np.iinfo(np.intp).max // 8)
         positive = np.maximum(self.weights, 0.0)
         cum = np.cumsum(positive)
         acceptance = self.success_prob / cum[-1]

@@ -448,6 +448,19 @@ def test_render_failure_exits_3_and_leaves_the_output_as_it_was(tmp_path, monkey
     assert not existing or out.read_text() == "old bytes\n"
 
 
+def test_an_oserror_of_the_runner_is_a_runtime_error_not_a_failed_write(tmp_path, monkeypatch,
+                                                                         capsys):
+    def runner(params, seed):
+        raise FileNotFoundError(2, "No such file or directory", "table.dat")
+
+    monkeypatch.setitem(EXPERIMENTS, "decay", dataclasses.replace(EXPERIMENTS["decay"],
+                                                                  runner=runner))
+    assert run_cli("run", "--experiment", "decay", "--out", str(tmp_path / "d.csv")) == 3
+    assert capsys.readouterr().err == (
+        "tsvf-sim: runtime error: [Errno 2] No such file or directory: 'table.dat'\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_csv_replaces_the_output_as_open_for_writing_would(tmp_path):
     # A new file gets 0o666 less the umask, an existing one keeps its mode,
     # and a symbolic link is followed.
@@ -569,23 +582,43 @@ def test_a_full_stderr_keeps_the_exit_code(tmp_path, experiment, code, unbuffere
     assert [p.name for p in tmp_path.iterdir()] == (["d.csv"] if code == 3 else [])
 
 
+def _signal_while_writing(out, signum: int, **popen) -> subprocess.CompletedProcess:
+    """Start `tsvf-sim run` of a 3e6-step decay into `out`, send it `signum`
+    once its temporary file appears, and give the finished process."""
+    proc = subprocess.Popen([sys.executable, "-m", "tsvf_sim.cli", "run", "--experiment", "decay",
+                             "--param", "steps=3000000", "--out", str(out)], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen)
+    deadline = time.monotonic() + 60
+    while not any(out.parent.glob(f".{out.name}.*.tmp")):  # the run is writing its CSV
+        assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
+        time.sleep(0.005)
+    proc.send_signal(signum)
+    stdout, stderr = proc.communicate(timeout=60)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
 def test_a_stop_signal_exits_128_plus_its_number_and_leaves_the_output_as_it_was(tmp_path,
                                                                                   signum):
     out = tmp_path / "d.csv"
     out.write_text("old bytes\n")
-    proc = subprocess.Popen([sys.executable, "-m", "tsvf_sim.cli", "run", "--experiment", "decay",
-                             "--param", "steps=3000000", "--out", str(out)], env=child_env(),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    deadline = time.monotonic() + 60
-    while not any(tmp_path.glob(".d.csv.*.tmp")):  # the run is writing its CSV
-        assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()
-        time.sleep(0.005)
-    proc.send_signal(signum)
-    assert proc.communicate(timeout=60) == ("", "")
+    proc = _signal_while_writing(out, signum)
+    assert (proc.stdout, proc.stderr) == ("", "")
     assert proc.returncode == 128 + signum
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
     assert out.read_text() == "old bytes\n"
+
+
+def test_a_sighup_ignored_from_the_start_stays_ignored(tmp_path):
+    # As under nohup: closing the terminal must not end the run.
+    out = tmp_path / "d.csv"
+    proc = _signal_while_writing(
+        out, signal.SIGHUP, preexec_fn=lambda: signal.signal(signal.SIGHUP, signal.SIG_IGN))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"wrote {out}\nsummary: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+    with out.open() as f:  # the meta, summary and header lines, then one row per step
+        assert sum(1 for _ in f) == 3 + 3000000
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")

@@ -384,14 +384,15 @@ COUNT_ARGUMENTS = {
     "sample-size": (lambda n: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0)
                     .sample(np.random.default_rng(0), n).size, "sample size", 0),
 }
-# The largest value of each count argument that has one: rng.binomial takes a C long.
-COUNT_MOST = {"trials": np.iinfo("l").max}
+# The largest value of each count argument that has one: rng.binomial takes a
+# C long, and np.empty sizes at most this many float64 readings.
+COUNT_MOST = {"trials": np.iinfo("l").max, "sample-size": np.iinfo(np.intp).max // 8}
 BELOW_LEAST = object()  # the argument's least value minus 1
 NOT_COUNTS = {"2.5": 2.5, "1e+308": 1e308, "2.0": 2.0, "True": True, "numpy-True": np.True_,
               "4": "4", "None": None, "-3": -3, "least-minus-1": BELOW_LEAST}
 COUNT_ROWS = {f"{argument}-{label}": (argument, n)
               for argument in COUNT_ARGUMENTS for label, n in NOT_COUNTS.items()}
-COUNT_ROWS["trials-10**20"] = ("trials", 10 ** 20)
+COUNT_ROWS.update({f"{argument}-10**20": (argument, 10 ** 20) for argument in COUNT_MOST})
 
 
 @pytest.mark.parametrize(("argument", "n"), COUNT_ROWS.values(), ids=list(COUNT_ROWS))
@@ -402,6 +403,13 @@ def test_every_count_argument_needs_an_int(argument, n):
                                      if argument in COUNT_MOST else "")
     with pytest.raises(InvariantError, match=f"^{name} must be an int of {bounds}, got"):
         call(n)
+
+
+def test_the_most_trials_are_refused_by_the_sample_size_bound():
+    # Nearly all 2^63 - 1 trials pass, and numpy cannot size an array of that many readings.
+    with pytest.raises(InvariantError, match="^sample size must be an int of at least 0 and at"):
+        weak_estimate(TwoState(PLUS, PLUS), SIGMA_Z, 0.1, 1.0, np.iinfo("l").max,
+                      np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
