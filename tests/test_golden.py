@@ -70,6 +70,9 @@ MATRIX_ARGV = [
     # Each projected weight, near 1e-340, underflows: brute_ratio is left empty.
     "run --experiment robustness --param env_sizes=2,3 --param n=1 --param c=0.5"
     " --param gamma1=1e-170 --param gamma2=1e-170",
+    # c = 0: no slope is expected or fitted, and N = 16, 20 are past the oracle's
+    # limit, so both summary values and two brute_ratio cells are empty.
+    "run --experiment robustness --param c=0",
     "run --experiment threshold --param targets=1e300",
     "run --experiment threshold --param n=1 --param gamma1=0",
     # The smallest record, N = n + 1, already reaches every target: ratio_below is empty.
