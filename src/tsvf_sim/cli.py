@@ -12,9 +12,10 @@ the code is the same either way. The CSV is written chunk by chunk, to a
 temporary file beside a new or plain regular output, which then replaces it:
 so a failed run leaves no partial file there, and an existing output keeps its
 old bytes. Any other output, such as /dev/stdout or a FIFO, is written in
-place. The `tsvf-sim` command (`entry`) also turns SIGTERM and SIGHUP into an
-exit with 128 + the signal's number that takes the same cleanup, unless the
-signal was inherited as ignored (as under nohup); SIGKILL cannot be caught.
+place. The `tsvf-sim` command (`entry`) also turns SIGINT, SIGTERM and SIGHUP
+into a quiet exit with 128 + the signal's number that takes the same cleanup,
+unless the signal was inherited as ignored (as under nohup, or SIGINT in a
+background job); SIGKILL cannot be caught.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ SEED = ParamSpec("seed", "int", 0, "unsigned 64-bit RNG seed", 0, 2 ** 64 - 1)
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return ",".join(_fmt(v) for v in value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _summary_text(summary: dict) -> str:
@@ -256,9 +257,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """`tsvf-sim`: `main`, where SIGTERM and SIGHUP exit 128 + n through its cleanup."""
+    """`tsvf-sim`: `main`, where SIGINT, SIGTERM and SIGHUP exit 128 + n through its cleanup."""
     import signal  # here, so that a caller of `main` does not load it
-    for signum in (signal.SIGTERM, signal.SIGHUP):
+    for signum in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP):
         if signal.getsignal(signum) is not signal.SIG_IGN:  # as under nohup: it stays ignored
             signal.signal(signum, lambda signum, frame: sys.exit(128 + signum))
     if code := main():  # drop what stdout or stderr could not write, or exit gives 120

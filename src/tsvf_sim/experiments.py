@@ -33,6 +33,7 @@ from .twotime import (
     RobustnessModel,
     _decay_curve,
     classical_threshold,
+    core_decay,
     ensemble_average,
     log_robustness_ratio,
     robustness_ratio,
@@ -42,13 +43,12 @@ from .twotime import (
 # are resolved through the package's export table on first use (PEP 562
 # __getattr__ below), so runs that never call them never import their module,
 # and runners call them through `_module` so that they find a rebound wrapper.
-# The measurement and ensemble names are numpy-backed; the pure-Python spins,
-# branches and twotime names stay here only for the tracer.
-# strong_measure, average_operator_residual and core_decay have no caller
-# here. This set goes with the rebinding, when the in-program stage timers of
-# ROADMAP item 1 replace it.
+# The measurement and ensemble names are numpy-backed; the pure-Python spins
+# and branches names stay here only for the tracer, and strong_measure and
+# average_operator_residual have no caller here. This set goes with the
+# rebinding, when the in-program stage timers of ROADMAP item 1 replace it.
 _TRACED = frozenset({
-    "strong_measure", "weak_estimate", "average_operator_residual", "core_decay",
+    "strong_measure", "weak_estimate", "average_operator_residual",
     "average_spin_commutator", "brute_force_spin_commutator", "brute_force_ratio",
 })
 _module = sys.modules[__name__]
@@ -127,8 +127,9 @@ class ExperimentResult:
     whole. Large slices are typed: `array('b')` for born's outcomes, a numpy
     float64 array for weakvalue's readings, `array('d')` for the decay table,
     which is built without numpy, and ranges for row indices. Small mixed
-    columns are lists, which keep Python ints of any size and "" blanks. The
-    CSV renderer formats each slice as a whole, so no per-row tuple exists.
+    columns are lists, which keep Python ints of any size and None where
+    there is no number. The CSV renderer formats each slice as a whole, so
+    no per-row tuple exists, and writes a None cell or summary value empty.
     """
 
     header: tuple[str, ...]
@@ -346,7 +347,7 @@ def _run_commutator(params: dict, seed: int) -> ExperimentResult:
             ["brute"] * brute_max + ["closed"] * len(closed_ns),
             [scale for scale, _ in brute]
             + [_module.average_spin_commutator(n) for n in closed_ns],
-            errors + [""] * len(closed_ns),
+            errors + [None] * len(closed_ns),
         ),
         summary={"max_identity_error": max(errors), "brute_max": brute_max},
     )
@@ -378,13 +379,12 @@ def _run_robustness(params: dict, seed: int) -> ExperimentResult:
         if model.n_collapsed >= 1 and fits_oracle(2, model.env_size + 2) else None
         for model in models
     ]
-    fitted = _slope(xs, logs) if all(map(math.isfinite, logs)) else ""
+    fitted = _slope(xs, logs) if all(map(math.isfinite, logs)) else None
     return ExperimentResult.from_columns(
         header=("env_size", "n_collapsed", "log_ratio", "ratio", "brute_ratio"),
-        columns=(list(sizes), [params["n"]] * len(sizes), logs, ratios,
-                 ["" if ratio is None else ratio for ratio in oracles]),
+        columns=(list(sizes), [params["n"]] * len(sizes), logs, ratios, oracles),
         summary={
-            "expected_log_slope": -2.0 * math.log(params["c"]) if params["c"] > 0 else "",
+            "expected_log_slope": -2.0 * math.log(params["c"]) if params["c"] > 0 else None,
             "fitted_log_slope": fitted,
         },
     )
@@ -400,15 +400,12 @@ def _run_threshold(params: dict, seed: int) -> ExperimentResult:
         needed.append(size)
         at.append(robustness_ratio(_model_from(params, size)))
         below.append(
-            robustness_ratio(_model_from(params, size - 1)) if size - 1 > params["n"] else ""
+            robustness_ratio(_model_from(params, size - 1)) if size - 1 > params["n"] else None
         )
     return ExperimentResult.from_columns(
         header=("target", "env_size_needed", "ratio_at_threshold", "ratio_below"),
         columns=(list(targets), needed, at, below),
-        summary={
-            "targets": ",".join(repr(float(t)) for t in targets),
-            "env_sizes_needed": ",".join(str(n) for n in needed),
-        },
+        summary={"targets": targets, "env_sizes_needed": needed},
     )
 
 

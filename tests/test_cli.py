@@ -526,6 +526,23 @@ def test_a_read_only_output_is_written_in_place_not_replaced(tmp_path, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                    reason="only root may give a file to another user")
+@pytest.mark.parametrize("other", ["owner", "group"])
+def test_a_foreign_owned_output_is_written_in_place_and_keeps_its_owner(tmp_path, other):
+    # A new file beside it would belong to root, so renaming it over the
+    # output would hand the output to root.
+    out = tmp_path / "d.csv"
+    out.write_text("old bytes\n")
+    st = out.stat()
+    owner = (65534, st.st_gid) if other == "owner" else (st.st_uid, 65534)
+    os.chown(out, *owner)
+    assert run_cli("run", "--experiment", "decay", "--out", str(out)) == 0
+    assert out.stat().st_ino == st.st_ino and (out.stat().st_uid, out.stat().st_gid) == owner
+    assert out.read_text().startswith("# meta experiment=decay ")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+
 def _command(args: list[str], unbuffered: bool, **streams) -> subprocess.CompletedProcess:
     """Run the `tsvf-sim` command in a fresh interpreter with the given standard streams.
 
@@ -597,12 +614,15 @@ def _signal_while_writing(out, signum: int, **popen) -> subprocess.CompletedProc
     return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["SIGTERM", "SIGHUP"])
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGINT],
+                         ids=["SIGTERM", "SIGHUP", "SIGINT"])
 def test_a_stop_signal_exits_128_plus_its_number_and_leaves_the_output_as_it_was(tmp_path,
                                                                                   signum):
     out = tmp_path / "d.csv"
     out.write_text("old bytes\n")
-    proc = _signal_while_writing(out, signum)
+    # A background job inherits SIGINT ignored, and the command keeps it so; not here.
+    proc = _signal_while_writing(out, signum,
+                                 preexec_fn=lambda: signal.signal(signum, signal.SIG_DFL))
     assert (proc.stdout, proc.stderr) == ("", "")
     assert proc.returncode == 128 + signum
     assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]

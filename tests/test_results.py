@@ -10,7 +10,7 @@ from tsvf_sim.errors import InvariantError
 from tsvf_sim.experiments import EXPERIMENTS, ExperimentResult, resolve_params
 from helpers import result_columns
 
-MIXED = [-0.0, 5e-324, float("inf"), "", "brute", "closed", 2 ** 63 + 1, 10 ** 29 - 1, 0.1, -7]
+MIXED = [-0.0, 5e-324, float("inf"), None, "brute", "closed", 2 ** 63 + 1, 10 ** 29 - 1, 0.1, -7]
 
 
 def _data_lines(result):
