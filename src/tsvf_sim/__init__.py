@@ -19,11 +19,7 @@ __version__ = "0.1.0"
 
 # Each exported name, under the submodule that defines it.
 _EXPORTS = {
-    "errors": (
-        "ConfigError", "DimensionError", "InvariantError", "NearOrthogonalPrePost",
-        "NoAcceptedTrials", "NoConsistentHistory", "OrthogonalCollapseForbidden",
-        "PostSelectionImpossible", "TooLargeForOracle",
-    ),
+    "errors": ("ConfigError", "InvariantError", "NoAcceptedTrials"),
     "hilbert": ("SIGMA_Z", "HermitianOperator", "StateVector", "inner", "projector"),
     "pointer": ("ReadoutDensity", "readout_density"),
     "measurement": ("TwoState", "strong_measure", "weak_estimate", "weak_value"),

@@ -22,13 +22,7 @@ import math
 import sys
 from array import array
 
-from .errors import (
-    ORACLE_MAX_QUBITS,
-    InvariantError,
-    NoConsistentHistory,
-    TooLargeForOracle,
-    fits_oracle,
-)
+from .errors import ORACLE_MAX_QUBITS, InvariantError, fits_oracle
 from .twotime import RobustnessModel
 
 READING_I = "I"
@@ -67,11 +61,11 @@ def _record(factors: list[tuple[float, float]]) -> array:
 def _records(model: RobustnessModel) -> list[tuple[int, complex, array]]:
     """(k, alpha or beta, record vector) of each branch whose amplitude is not zero.
 
-    Raises TooLargeForOracle beyond dimension 2^ORACLE_MAX_QUBITS, before any
+    Raises InvariantError beyond dimension 2^ORACLE_MAX_QUBITS, before any
     vector is built.
     """
     if not fits_oracle(2, model.env_size + 2):
-        raise TooLargeForOracle(
+        raise InvariantError(
             f"full state dim 2^{model.env_size + 2} exceeds 2^{ORACLE_MAX_QUBITS}"
         )
     return [(k, complex(amplitude), _record(_factors(model, k)))
@@ -108,7 +102,7 @@ def select_by_final(model: RobustnessModel, reading: str) -> tuple[float, float]
     p_right = _weight(records, k, k)
     p_wrong = _weight(records, 1 - k, k)
     if p_right == 0.0:
-        raise NoConsistentHistory(
+        raise InvariantError(
             f"no forward branch carries reading {reading}; boundary is inconsistent"
         )
     return p_right, p_wrong

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NON_NEGATIVE,
     ORACLE_MAX_QUBITS,
-    DimensionError,
     InvariantError,
-    TooLargeForOracle,
     fits_oracle,
     require_count,
+    require_in,
 )
 from .hilbert import HermitianOperator, StateVector, projector
 from .twotime import ensemble_average
@@ -53,7 +53,9 @@ class EnsembleSpec:
         if not all(isinstance(state, StateVector) for state, _ in groups):
             raise InvariantError("every ensemble group's state must be a StateVector")
         if len({state.dim for state, _ in groups}) > 1:
-            raise DimensionError("all ensemble groups must share one copy dimension")
+            raise InvariantError("all ensemble groups must share one copy dimension")
+        # The closed form divides by the total as a float.
+        require_in("the total group count", sum(count for _, count in groups), NON_NEGATIVE)
         object.__setattr__(self, "groups", groups)
 
     @property
@@ -106,7 +108,7 @@ def commute_on_state(
 ) -> float:
     """Norm of [A, B]|psi>; zero means A and B commute on this state."""
     if a.dim != b.dim:
-        raise DimensionError(f"operator dims differ: {a.dim} vs {b.dim}")
+        raise InvariantError(f"operator dims differ: {a.dim} vs {b.dim}")
     ab = a.entries @ b.apply(psi)
     ba = b.entries @ a.apply(psi)
     return float(np.linalg.norm(ab - ba))
@@ -123,7 +125,7 @@ def average_operator_residual(
     decompose moments), valid for arbitrarily large counts.
     """
     if op.dim != spec.dim:
-        raise DimensionError(f"operator dim {op.dim} != ensemble copy dim {spec.dim}")
+        raise InvariantError(f"operator dim {op.dim} != ensemble copy dim {spec.dim}")
     moments = []
     for state, count in spec.groups:
         dec = decompose(op, state)
@@ -140,10 +142,10 @@ def brute_force_average(
     one site at a time, with no closed-form shortcuts. Guarded by d^N <= 2^14.
     """
     if op.dim != spec.dim:
-        raise DimensionError(f"operator dim {op.dim} != ensemble copy dim {spec.dim}")
+        raise InvariantError(f"operator dim {op.dim} != ensemble copy dim {spec.dim}")
     d, n = spec.dim, spec.size
     if not fits_oracle(d, n):
-        raise TooLargeForOracle(f"product dimension {d}^{n} exceeds 2^{ORACLE_MAX_QUBITS}")
+        raise InvariantError(f"product dimension {d}^{n} exceeds 2^{ORACLE_MAX_QUBITS}")
     full = np.ones(1, dtype=complex)
     for state, count in spec.groups:
         for _ in range(count):

@@ -1,16 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, for the two ways a call can fail.
 
-Every error raised on input the package rejects derives from ConfigError, a
-ValueError; every error raised when a valid run cannot produce a result
-derives from RuntimeError. The command line maps the classes to exit codes
-in one place: a ConfigError exits 2, anything else exits 3, the package's
-RuntimeErrors and a plain ValueError from a defect included.
+Input the package rejects raises ConfigError, a ValueError, or its subclass
+InvariantError: a value outside its documented domain, operands of unequal
+dimension, a dense oracle asked beyond its bound. A valid run in which
+post-selection accepts nothing raises NoAcceptedTrials, a RuntimeError. The
+command line maps the classes to exit codes in one place: a ConfigError
+exits 2, anything else exits 3, NoAcceptedTrials and a plain ValueError from
+a defect included.
 
 The tolerance, the dense-oracle bounds and the single-value domains that gate
-InvariantError and TooLargeForOracle live here too, so the closed-form
-modules and the parameter parser can use them without importing numpy. So do
-the two validators of every scalar argument: `require_in` for a real value and
-`require_count` for a count. Each raises InvariantError on a non-number too.
+InvariantError live here too, so the closed-form modules and the parameter
+parser can use them without importing numpy. So do the two validators of
+every scalar argument: `require_in` for a real value and `require_count` for a
+count. Each raises InvariantError on a non-number too.
 """
 
 import math
@@ -83,34 +85,13 @@ class ConfigError(ValueError):
     """Input the package rejects: a malformed configuration or an invalid model."""
 
 
-class DimensionError(ConfigError):
-    """Operands live in Hilbert spaces of incompatible dimension."""
-
-
 class InvariantError(ConfigError):
-    """A constructed object violates one of its defining invariants."""
-
-
-class PostSelectionImpossible(RuntimeError):
-    """The post-selection state is orthogonal to every branch of the coupled state."""
-
-
-class NearOrthogonalPrePost(ConfigError):
-    """Pre- and post-selected states overlap below the configured threshold."""
+    """An input outside its documented domain: an object that would violate one of
+    its defining invariants, operands of unequal dimension, or a dense oracle
+    asked beyond its bound."""
 
 
 class NoAcceptedTrials(RuntimeError):
-    """No Monte Carlo draw is accepted: every trial failed post-selection, or a
-    sampler's acceptance is too low for it to give any reading."""
-
-
-class TooLargeForOracle(ConfigError):
-    """The requested brute-force computation exceeds the dense-space bound."""
-
-
-class NoConsistentHistory(ConfigError):
-    """The final boundary condition is orthogonal to every forward branch."""
-
-
-class OrthogonalCollapseForbidden(ConfigError):
-    """A collapse state orthogonal to the recorded branch would erase the record."""
+    """Post-selection accepts nothing: the post-selection state is orthogonal to
+    every branch, every trial failed post-selection, or a sampler's acceptance
+    is too low for it to give any reading."""

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ATOL_EXACT, DimensionError, InvariantError
+from .errors import ATOL_EXACT, SCALE_MAX, InvariantError
 
 # Tolerance for quantities that pass through the eigensolver: eigenvalue
 # grouping and the sum of Born weights.
@@ -41,7 +41,7 @@ class StateVector:
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size == 0:
-            raise DimensionError("state amplitudes must form a non-empty 1-d vector")
+            raise InvariantError("state amplitudes must form a non-empty 1-d vector")
         object.__setattr__(self, "amps", _readonly(amps))
 
     @property
@@ -74,9 +74,11 @@ class HermitianOperator:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DimensionError("operator entries must form a square matrix")
-        if not np.isfinite(m).all():
-            raise InvariantError("operator entries must be finite")
+            raise InvariantError("operator entries must form a square matrix")
+        # As for a readout density's means, so eigenvalue gaps and weak values stay finite.
+        if not np.abs(m).max() <= SCALE_MAX:  # NaN fails too
+            raise InvariantError(f"operator entries must be finite and at most {SCALE_MAX} "
+                                 "in modulus")
         if not np.allclose(m, m.conj().T, atol=ATOL_EXACT, rtol=0.0):
             raise InvariantError("operator is not Hermitian within 1e-12")
         object.__setattr__(self, "entries", _readonly(m))
@@ -88,7 +90,7 @@ class HermitianOperator:
     def apply(self, psi: StateVector) -> np.ndarray:
         """A|psi> as a raw (generally unnormalized) amplitude vector."""
         if psi.dim != self.dim:
-            raise DimensionError(f"operator dim {self.dim} != state dim {psi.dim}")
+            raise InvariantError(f"operator dim {self.dim} != state dim {psi.dim}")
         return self.entries @ psi.amps
 
     def expectation(self, psi: StateVector) -> float:
@@ -118,7 +120,7 @@ class HermitianOperator:
         The weights pass through the eigensolver, so they must sum to 1 within ATOL_EIG.
         """
         if psi.dim != self.dim:
-            raise DimensionError(f"state dim {psi.dim} != operator dim {self.dim}")
+            raise InvariantError(f"state dim {psi.dim} != operator dim {self.dim}")
         eigenvalues, bases = self.branches
         projections = np.array([b @ (b.conj().T @ psi.amps) for b in bases])
         weights = np.array([np.vdot(p, p).real for p in projections])
@@ -139,5 +141,5 @@ SIGMA_Z = HermitianOperator(np.array([[1, 0], [0, -1]], dtype=complex))
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.dim != b.dim:
-        raise DimensionError(f"inner product dims differ: {a.dim} vs {b.dim}")
+        raise InvariantError(f"inner product dims differ: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NearOrthogonalPrePost, NoAcceptedTrials, require_count
+from .errors import InvariantError, NoAcceptedTrials, require_count
 from .hilbert import HermitianOperator, StateVector, _readonly, inner
 from .pointer import _inverse_cdf, readout_density
 
@@ -30,14 +30,14 @@ class TwoState:
 
     def __post_init__(self):
         if self.forward.dim != self.backward.dim:
-            raise DimensionError(
+            raise InvariantError(
                 f"forward dim {self.forward.dim} != backward dim {self.backward.dim}"
             )
         self.forward.require_normalized("forward state")
         self.backward.require_normalized("backward state")
         ov = inner(self.backward, self.forward)
         if not abs(ov) > MIN_OVERLAP:  # NaN fails too
-            raise NearOrthogonalPrePost(
+            raise InvariantError(
                 f"|overlap| = {abs(ov):.3e} is at or below the threshold {MIN_OVERLAP:.3e}"
             )
         object.__setattr__(self, "overlap", ov)

@@ -20,10 +20,8 @@ import numpy as np
 from .errors import (
     SCALE_MAX,
     SIGMA_DOMAIN,
-    DimensionError,
     InvariantError,
     NoAcceptedTrials,
-    PostSelectionImpossible,
     require_count,
     require_in,
 )
@@ -76,7 +74,7 @@ class ReadoutDensity:
         for name in ("means", "weights"):
             object.__setattr__(self, name, _readonly(getattr(self, name), float))
         if self.means.ndim != 1 or self.means.size == 0 or self.means.shape != self.weights.shape:
-            raise DimensionError("means and weights must be non-empty 1-d arrays of equal length")
+            raise InvariantError("means and weights must be non-empty 1-d arrays of equal length")
         if not np.abs(self.means).max() <= SCALE_MAX * min(self.sigma, 1.0):
             raise InvariantError(f"every |mean| must be at most {SCALE_MAX} "
                                  f"and at most {SCALE_MAX} sigma")
@@ -170,8 +168,8 @@ def readout_density(
     projective measurement samples, so a degenerate eigenvalue is one branch.
     Each branch whose Born weight is above NEGLIGIBLE_WEIGHT is one component
     centred at g times its eigenvalue; with post-selection its projection p
-    gives c = <post|p>. Raises PostSelectionImpossible when `post` is
-    orthogonal to every branch.
+    gives c = <post|p>. Raises NoAcceptedTrials when `post` is orthogonal
+    to every branch: post-selection would accept no trial.
     """
     require_in("coupling g", g, (-np.inf, np.inf))
     eigenvalues, weights, projections = op.born_branches(psi)
@@ -182,11 +180,11 @@ def readout_density(
     if post is None:
         return unselected
     if post.dim != psi.dim:
-        raise DimensionError(f"post-selection dim {post.dim} != system dim {psi.dim}")
+        raise InvariantError(f"post-selection dim {post.dim} != system dim {psi.dim}")
     c = np.array([np.vdot(post.amps, p) for p in projections[kept]])
     i, j = np.triu_indices(c.size)
     overlap = np.exp(-((means[i] - means[j]) ** 2) / (8.0 * sigma ** 2))
     pair_weights = (2 - (i == j)) * np.real(c[i] * c[j].conj()) * overlap
     if not pair_weights.sum() >= MIN_SUCCESS_PROB:
-        raise PostSelectionImpossible("post-selection state is orthogonal to all branches")
+        raise NoAcceptedTrials("post-selection state is orthogonal to all branches")
     return ReadoutDensity(means=(means[i] + means[j]) / 2.0, weights=pair_weights, sigma=sigma)

@@ -17,7 +17,7 @@ import sys
 from array import array
 from collections import defaultdict
 
-from .errors import SPIN_ORACLE_MAX, TooLargeForOracle, require_count
+from .errors import SPIN_ORACLE_MAX, InvariantError, require_count
 
 # One-site operators as (flip, signs): |bit> -> signs[bit] |bit ^ flip>.
 X_SITE = (1, (1, 1))  # sigma_x
@@ -82,7 +82,7 @@ def brute_force_spin_commutator(n: int) -> tuple[float, float]:
     """
     n = require_count("the spin count", n, 1)
     if n > SPIN_ORACLE_MAX:
-        raise TooLargeForOracle(f"spin oracle is limited to {SPIN_ORACLE_MAX} spins")
+        raise InvariantError(f"spin oracle is limited to {SPIN_ORACLE_MAX} spins")
     size = 1 << n
     one, zero = (1).to_bytes(_LANE_BITS // 8, "little"), bytes(_LANE_BITS // 8)
     ones = int.from_bytes(one * size, "little")

@@ -37,7 +37,6 @@ from .errors import (
     NON_NEGATIVE,
     POSITIVE,
     InvariantError,
-    OrthogonalCollapseForbidden,
     require_count,
     require_in,
 )
@@ -90,7 +89,7 @@ class RobustnessModel:
             raise InvariantError(f"n_collapsed = {self.n_collapsed} must be below "
                                  f"env_size = {self.env_size}")
         if self.n_collapsed >= 1 and self.gamma1 == 0.0:
-            raise OrthogonalCollapseForbidden(
+            raise InvariantError(
                 "gamma1 = 0 would make a collapse orthogonal to the recorded branch"
             )
 

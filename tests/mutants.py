@@ -101,6 +101,24 @@ MUTANTS = (
            "a foreign-owned output would be replaced by a root-owned file; "
            "only root can make such an output, so only a root run can tell",
            root_only=True),
+    Mutant("orthogonal-post-rejected", "src/tsvf_sim/pointer.py",
+           'raise NoAcceptedTrials("post-selection state is orthogonal to all branches")',
+           'raise InvariantError("post-selection state is orthogonal to all branches")',
+           "an orthogonal post is a valid run that accepts nothing (exit 3), not rejected "
+           "input (exit 2)"),
+    Mutant("orthogonal-collapse-allowed", "src/tsvf_sim/twotime.py",
+           "if self.n_collapsed >= 1 and self.gamma1 == 0.0:", "if False:",
+           "a collapse orthogonal to the recorded branch would erase the record"),
+    Mutant("inconsistent-history-allowed", "src/tsvf_sim/branches.py",
+           "if p_right == 0.0:", "if False:",
+           "a reading that no branch carries would get weights (0, 0), not an error"),
+    Mutant("operator-entries-unbounded", "src/tsvf_sim/hilbert.py",
+           "np.abs(m).max() <= SCALE_MAX", "np.abs(m).max() < np.inf",
+           "finite entries above SCALE_MAX overflow an eigenvalue gap or a weak value"),
+    Mutant("ensemble-total-unbounded", "src/tsvf_sim/ensemble.py",
+           'require_in("the total group count", sum(count for _, count in groups), NON_NEGATIVE)',
+           "pass",
+           "a total count beyond the float range makes the closed form raise OverflowError"),
     Mutant("residual-sqrt-as-pow", "src/tsvf_sim/twotime.py",
            "math.sqrt(var_sum) / total", "var_sum ** 0.5 / total",
            "equivalent: var_sum sums non-negative terms from 0.0, so it is never "

@@ -1,6 +1,7 @@
 """Tests for deterministic operators and ensemble-averaged observables."""
 
 import math
+import sys
 import time
 import tracemalloc
 
@@ -10,13 +11,11 @@ import pytest
 from tsvf_sim import spins
 from tsvf_sim import (
     SIGMA_Z,
-    DimensionError,
     EnsembleSpec,
     InvariantError,
     ReadoutDensity,
     RobustnessModel,
     StateVector,
-    TooLargeForOracle,
     TwoState,
     average_operator_residual,
     average_spin_commutator,
@@ -199,13 +198,13 @@ def test_brute_force_two_group_mean():
 
 
 def test_brute_force_oracle_bound():
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(InvariantError, match=r"product dimension 2\^15 exceeds 2\^14"):
         brute_force_average(SIGMA_Z, EnsembleSpec(((PLUS, 15),)))
 
 
 def test_brute_force_oracle_rejects_huge_ensemble_at_once():
     start = time.perf_counter()
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(InvariantError, match=r"product dimension 2\^1000000000 exceeds 2\^14"):
         brute_force_average(SIGMA_Z, EnsembleSpec(((PLUS, 10 ** 9),)))
     assert time.perf_counter() - start < 1.0
 
@@ -360,7 +359,7 @@ def test_commutator_run_checks_every_spin_count_up_to_the_limit(tmp_path):
 def test_spin_commutator_oracle_bounds():
     with pytest.raises(InvariantError):
         brute_force_spin_commutator(0)
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(InvariantError, match="spin oracle is limited to 12 spins"):
         brute_force_spin_commutator(13)
 
 
@@ -435,8 +434,15 @@ def test_spin_commutator_memory_stays_below_dense_matrices():
 def test_ensemble_spec_validates_counts():
     with pytest.raises(InvariantError):
         EnsembleSpec(((PLUS, 0),))
+    # The closed form divides by the total count as a float: it must fit one.
+    for groups in (((PLUS, 10 ** 309),), ((PLUS, 10 ** 308), (PLUS, 10 ** 308))):
+        with pytest.raises(InvariantError, match="the total group count must be finite"):
+            average_operator_residual(SIGMA_Z, EnsembleSpec(groups))
+    largest = int(sys.float_info.max)
+    abar, residual = average_operator_residual(SIGMA_Z, EnsembleSpec(((PLUS, largest),)))
+    assert abs(abar) < 1e-15 and residual == pytest.approx(1 / math.sqrt(largest), rel=1e-15)
 
 
 def test_ensemble_spec_validates_dims():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantError, match="must share one copy dimension"):
         EnsembleSpec(((PLUS, 1), (basis_state(3, 0), 1)))

@@ -7,7 +7,6 @@ import pytest
 
 from tsvf_sim import (
     SIGMA_Z,
-    DimensionError,
     HermitianOperator,
     InvariantError,
     StateVector,
@@ -29,7 +28,7 @@ def test_basis_state_amps():
 
 
 def test_state_requires_positive_dim():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantError, match="non-empty 1-d vector"):
         StateVector(np.array([], dtype=complex))
 
 
@@ -74,7 +73,7 @@ def test_inner_conjugate_linear_in_first_argument():
 
 
 def test_inner_dimension_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantError, match="inner product dims differ: 2 vs 3"):
         inner(KET0, basis_state(3, 0))
 
 

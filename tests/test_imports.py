@@ -11,7 +11,7 @@ import pkgutil
 import pytest
 
 import tsvf_sim
-from tsvf_sim import experiments
+from tsvf_sim import errors, experiments
 from helpers import run_child
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tsvf_sim.__path__))
@@ -30,7 +30,15 @@ def test_every_export_resolves_in_a_fresh_interpreter():
         "missing = [n for n in tsvf_sim.__all__ if getattr(tsvf_sim, n, None) is None]\n"
         "print(len(tsvf_sim.__all__), len(set(tsvf_sim.__all__)), missing)\n"
     )
-    assert out.split(maxsplit=2) == ["36", "36", "[]\n"]
+    assert out.split(maxsplit=2) == ["30", "30", "[]\n"]
+
+
+def test_errors_defines_one_class_per_outcome():
+    # Rejected input (exit 2) and a run that post-selection leaves empty (exit 3).
+    classes = {name: value.__bases__ for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert classes == {"ConfigError": (ValueError,), "InvariantError": (errors.ConfigError,),
+                       "NoAcceptedTrials": (RuntimeError,)}
 
 
 def test_star_import_binds_exactly_all():

@@ -201,6 +201,12 @@ CALLS = {
 # Only the gamma1 collapse term overflows, to -inf; the log ratio is finite.
 @example(("robustness", (1.0, 0.0, 10 ** 308 + 5 * 10 ** 307, math.exp(-1), 10 ** 308,
                          math.exp(-1.9), math.exp(-1.79))))
+# Finite operator entries above errors.SCALE_MAX: the gap between two
+# eigenvalues overflows, eigenvalues 0 and 2e308 merge into one inf, and a
+# weak value overflows to inf.
+@example(("operator", (([1e308, -1e308], [0.0]), [1.0, 1.0])))
+@example(("operator", (([1e308, 1e308], [1e308]), [1.0, 1.0])))
+@example(("weak_value", (([0.0, 0.0], [1e300]), [1.0, 0.0], [1e-11, 1.0])))
 def test_library_calls_return_finite_output_or_raise_package_errors(call):
     name, args = call
     try:

@@ -9,10 +9,8 @@ import pytest
 
 from tsvf_sim import (
     SIGMA_Z,
-    DimensionError,
     HermitianOperator,
     InvariantError,
-    PostSelectionImpossible,
     ReadoutDensity,
     StateVector,
     TwoState,
@@ -59,7 +57,7 @@ def test_readout_density_rejects_nonpositive_sigma(sigma):
     pytest.param([[1.0]], [[1.0]], id="two-dimensional"),
 ])
 def test_readout_density_rejects_malformed_components(means, weights):
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantError, match="non-empty 1-d arrays of equal length"):
         ReadoutDensity(means=means, weights=weights, sigma=1.0)
 
 
@@ -139,9 +137,9 @@ def test_couple_terms_rebuild_psi(name):
 
 
 def test_couple_dimension_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantError, match="state dim 3 != operator dim 2"):
         readout_density(basis_state(3, 0), SIGMA_Z, g=1.0, sigma=1.0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(InvariantError, match="post-selection dim 3 != system dim 2"):
         readout_density(PLUS, SIGMA_Z, g=1.0, sigma=1.0, post=basis_state(3, 0))
 
 
@@ -340,7 +338,7 @@ def test_readout_density_drops_a_branch_at_or_below_negligible_weight(weight, co
 
 
 def test_readout_orthogonal_post_impossible():
-    with pytest.raises(PostSelectionImpossible):
+    with pytest.raises(NoAcceptedTrials, match="orthogonal to all branches"):
         readout_density(KET0, SIGMA_Z, g=1.0, sigma=0.5, post=KET1)
 
 

@@ -13,16 +13,12 @@ from hypothesis import strategies as st
 from tsvf_sim import branches
 from tsvf_sim import (
     SIGMA_Z,
-    DimensionError,
     EnsembleSpec,
     HermitianOperator,
     InvariantError,
-    NoConsistentHistory,
-    OrthogonalCollapseForbidden,
     ReadoutDensity,
     RobustnessModel,
     StateVector,
-    TooLargeForOracle,
     TwoState,
     average_operator_residual,
     average_spin_commutator,
@@ -64,83 +60,92 @@ KET3 = basis_state(3, 0)
 IDENTITY3 = HermitianOperator(np.eye(3))
 
 
-@pytest.mark.parametrize(("probe", "error"), [
+@pytest.mark.parametrize(("probe", "match"), [
     pytest.param(lambda: StateVector([math.nan, 0.0]).require_normalized("state"),
-                 InvariantError, id="nan-state"),
-    pytest.param(lambda: model(alpha=math.nan, beta=1.0), InvariantError, id="nan-alpha"),
-    pytest.param(lambda: model(env_size=8.5), InvariantError, id="fractional-env_size"),
+                 "state must be normalized", id="nan-state"),
+    pytest.param(lambda: model(alpha=math.nan, beta=1.0),
+                 "must equal 1 within 1e-12", id="nan-alpha"),
+    pytest.param(lambda: model(env_size=8.5), "env_size must be an int", id="fractional-env_size"),
     pytest.param(lambda: model(n_collapsed=1.5, gamma1=0.9, gamma2=0.9),
-                 InvariantError, id="fractional-n_collapsed"),
+                 "n_collapsed must be an int", id="fractional-n_collapsed"),
     pytest.param(lambda: log_robustness_ratio(model(alpha=1.0, beta=0.0, env_size=10 ** 400)),
-                 InvariantError, id="env_size-beyond-floats"),
-    pytest.param(lambda: core_decay(math.nan, 1.0, 1.0), InvariantError, id="nan-n0"),
-    pytest.param(lambda: core_decay(1.0, 1.0, math.nan), InvariantError, id="nan-t"),
-    pytest.param(lambda: core_decay(1.0, math.inf, 1.0), InvariantError, id="inf-time_constant"),
+                 "must fit in a float", id="env_size-beyond-floats"),
+    pytest.param(lambda: core_decay(math.nan, 1.0, 1.0),
+                 "initial record size must be finite", id="nan-n0"),
+    pytest.param(lambda: core_decay(1.0, 1.0, math.nan), "time must be finite", id="nan-t"),
+    pytest.param(lambda: core_decay(1.0, math.inf, 1.0),
+                 "decay time constant must be finite", id="inf-time_constant"),
     pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 0.0, math.nan),
-                 InvariantError, id="nan-target"),
+                 "ratio_target must be finite", id="nan-target"),
     pytest.param(lambda: HermitianOperator([[math.inf, 0.0], [0.0, 1.0]]),
-                 InvariantError, id="inf-entry"),
+                 "operator entries must be finite", id="inf-entry"),
     pytest.param(lambda: ReadoutDensity(means=[math.inf], weights=[1.0], sigma=1.0),
-                 InvariantError, id="inf-mean"),
+                 r"at most 1e\+150 sigma", id="inf-mean"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[math.inf], sigma=1.0),
-                 InvariantError, id="inf-weight"),
+                 "readout weights must be finite", id="inf-weight"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=math.inf),
-                 InvariantError, id="inf-sigma"),
+                 "pointer sigma must be finite", id="inf-sigma"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.nan, sigma=1.0),
-                 InvariantError, id="nan-g"),
+                 "coupling g must be finite", id="nan-g"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=math.inf, sigma=1.0),
-                 InvariantError, id="inf-g"),
-    pytest.param(lambda: _weak_estimate(math.nan), InvariantError, id="weak_estimate-nan-g"),
-    pytest.param(lambda: _weak_estimate(math.inf), InvariantError, id="weak_estimate-inf-g"),
+                 "coupling g must be finite", id="inf-g"),
+    pytest.param(lambda: _weak_estimate(math.nan),
+                 "coupling g must be finite", id="weak_estimate-nan-g"),
+    pytest.param(lambda: _weak_estimate(math.inf),
+                 "coupling g must be finite", id="weak_estimate-inf-g"),
     # Finite pointer scales whose squares or quotients would overflow.
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1e300, sigma=1.0, post=PLUS),
-                 InvariantError, id="huge-g-post"),
+                 r"at most 1e\+150 sigma", id="huge-g-post"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1e300, sigma=1.0),
-                 InvariantError, id="huge-g"),
+                 r"at most 1e\+150 sigma", id="huge-g"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1.0, sigma=1e-300, post=PLUS),
-                 InvariantError, id="tiny-sigma-post"),
+                 "pointer sigma must be finite", id="tiny-sigma-post"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=1.0, sigma=1e200, post=PLUS),
-                 InvariantError, id="huge-sigma-post"),
+                 "pointer sigma must be finite", id="huge-sigma-post"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1e300).pdf(0.0),
-                 InvariantError, id="huge-sigma-pdf"),
+                 "pointer sigma must be finite", id="huge-sigma-pdf"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0).pdf([0.0, math.nan]),
-                 InvariantError, id="nan-reading"),
+                 "readings q must be finite", id="nan-reading"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma=1.0).pdf(math.inf),
-                 InvariantError, id="inf-reading"),
+                 "readings q must be finite", id="inf-reading"),
     # One case for each validator that no other test reaches in process.
-    pytest.param(lambda: EnsembleSpec(()), InvariantError, id="empty-ensemble"),
+    pytest.param(lambda: EnsembleSpec(()), "at least one group", id="empty-ensemble"),
     pytest.param(lambda: commute_on_state(SIGMA_Z, IDENTITY3, PLUS),
-                 DimensionError, id="commute_on_state-dims"),
+                 "operator dims differ", id="commute_on_state-dims"),
     pytest.param(lambda: average_operator_residual(IDENTITY3, EnsembleSpec(((PLUS, 2),))),
-                 DimensionError, id="average_operator_residual-dims"),
+                 "operator dim 3 != ensemble copy dim 2", id="average_operator_residual-dims"),
     pytest.param(lambda: brute_force_average(IDENTITY3, EnsembleSpec(((PLUS, 2),))),
-                 DimensionError, id="brute_force_average-dims"),
-    pytest.param(lambda: HermitianOperator([[1.0, 0.0]]), DimensionError, id="non-square"),
-    pytest.param(lambda: SIGMA_Z.apply(KET3), DimensionError, id="apply-dims"),
-    pytest.param(lambda: TwoState(PLUS, KET3), DimensionError, id="two-state-dims"),
-    pytest.param(lambda: average_spin_commutator(0), InvariantError, id="zero-spins"),
+                 "operator dim 3 != ensemble copy dim 2", id="brute_force_average-dims"),
+    pytest.param(lambda: HermitianOperator([[1.0, 0.0]]), "square matrix", id="non-square"),
+    pytest.param(lambda: SIGMA_Z.apply(KET3), "operator dim 2 != state dim 3", id="apply-dims"),
+    pytest.param(lambda: TwoState(PLUS, KET3),
+                 "forward dim 2 != backward dim 3", id="two-state-dims"),
+    pytest.param(lambda: average_spin_commutator(0),
+                 "the spin count must be an int", id="zero-spins"),
     # Values that are not numbers at all.
-    pytest.param(lambda: core_decay("1", 1.0, 1.0), InvariantError, id="string-n0"),
+    pytest.param(lambda: core_decay("1", 1.0, 1.0),
+                 "initial record size must be finite", id="string-n0"),
     pytest.param(lambda: classical_threshold(0, 0.9, 1.0, 0.0, "1e6"),
-                 InvariantError, id="string-target"),
+                 "ratio_target must be finite", id="string-target"),
     pytest.param(lambda: ReadoutDensity(means=[0.0], weights=[1.0], sigma="1"),
-                 InvariantError, id="string-sigma"),
-    pytest.param(lambda: model(overlap="0.5"), InvariantError, id="string-overlap"),
-    pytest.param(lambda: model(alpha="x", beta=1.0), InvariantError, id="string-alpha"),
+                 "pointer sigma must be finite", id="string-sigma"),
+    pytest.param(lambda: model(overlap="0.5"), "overlap must be finite", id="string-overlap"),
+    pytest.param(lambda: model(alpha="x", beta=1.0),
+                 "alpha and beta must be numbers", id="string-alpha"),
     pytest.param(lambda: model(alpha=np.array([1.0, 0.0]), beta=0.0),
-                 InvariantError, id="array-alpha"),
+                 "alpha and beta must be numbers", id="array-alpha"),
     pytest.param(lambda: model(alpha=np.array([1.0]), beta=0.0),
-                 InvariantError, id="one-entry-array-alpha"),
+                 "alpha and beta must be numbers", id="one-entry-array-alpha"),
     pytest.param(lambda: EnsembleSpec(((PLUS, 2), (object(), 1))),
-                 InvariantError, id="non-state-group"),
+                 "must be a StateVector", id="non-state-group"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g=None, sigma=1.0),
-                 InvariantError, id="none-g"),
+                 "coupling g must be finite", id="none-g"),
     pytest.param(lambda: readout_density(PLUS, SIGMA_Z, g="0.1", sigma=1.0),
-                 InvariantError, id="string-g"),
+                 "coupling g must be finite", id="string-g"),
 ])
-def test_library_checks_reject_nan_and_non_integers(probe, error):
+def test_library_checks_reject_nan_and_non_integers(probe, match):
     # Warnings are errors in this suite, so a numpy RuntimeWarning fails too.
-    with pytest.raises(error):
+    with pytest.raises(InvariantError, match=match):
         probe()
 
 
@@ -150,7 +155,7 @@ def test_model_requires_core():
 
 
 def test_model_rejects_orthogonal_collapse():
-    with pytest.raises(OrthogonalCollapseForbidden):
+    with pytest.raises(InvariantError, match="gamma1 = 0 would make a collapse orthogonal"):
         model(n_collapsed=2, gamma1=0.0, gamma2=0.5)
 
 
@@ -174,9 +179,9 @@ def test_weighted_records_are_normalized():
 def test_oracle_guards_reject_huge_records_at_once():
     # Both oracles build their records through the one guard in branches._records.
     start = time.perf_counter()
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(InvariantError, match=r"full state dim 2\^1000000002 exceeds 2\^14"):
         select_by_final(model(env_size=10 ** 9), "I")
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(InvariantError, match=r"full state dim 2\^1000000002 exceeds 2\^14"):
         brute_force_ratio(model(env_size=10 ** 9, n_collapsed=2, gamma1=0.9, gamma2=0.9))
     assert time.perf_counter() - start < 1.0
 
@@ -311,12 +316,12 @@ def test_select_by_final_rejects_unknown_reading():
 
 
 def test_select_by_final_oracle_bound():
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(InvariantError, match=r"full state dim 2\^15 exceeds 2\^14"):
         select_by_final(model(env_size=13), "I")
 
 
 def test_select_by_final_empty_branch_is_inconsistent():
-    with pytest.raises(NoConsistentHistory):
+    with pytest.raises(InvariantError, match="no forward branch carries reading I;"):
         select_by_final(model(alpha=0.0, beta=1.0), "I")
 
 
@@ -488,7 +493,7 @@ def test_two_time_oracles_peak_below_a_quarter_mib_at_twelve_qubits():
 
 
 def test_brute_force_ratio_oracle_bound():
-    with pytest.raises(TooLargeForOracle):
+    with pytest.raises(InvariantError, match=r"full state dim 2\^15 exceeds 2\^14"):
         brute_force_ratio(model(env_size=13))
 
 
