@@ -30,7 +30,6 @@ from pathlib import Path
 from .errors import ConfigError
 from .experiments import (
     EXPERIMENTS,
-    RENDER_CHUNK,
     Experiment,
     ExperimentResult,
     ParamSpec,
@@ -39,6 +38,8 @@ from .experiments import (
 )
 
 SEED = ParamSpec("seed", "int", 0, "unsigned 64-bit RNG seed", 0, 2 ** 64 - 1)
+# Rows formatted at a time, so the writer holds one chunk's cells and text.
+RENDER_CHUNK = 1 << 11
 
 
 def _fmt(value) -> str:
@@ -76,23 +77,32 @@ def csv_chunks(exp: Experiment, seed: int, params: dict, result: ExperimentResul
     output path is deliberately not part of it: the same configuration written
     to two different paths stays byte-identical.
 
-    A chunk of rows is one flat list in which every cell is followed by a
-    comma, or by a newline at the end of its row. Each column's cells are put
-    in with one strided slice assignment, so no per-row tuple or string is
-    made, and the list is joined once.
+    Each block that `result.chunks()` yields must have one column per header
+    name, all of one length; any other block is a runner's defect, a plain
+    ValueError. A block is formatted RENDER_CHUNK rows at a time, as one flat
+    list in which every cell is followed by a comma, or by a newline at the
+    end of its row. Each column's cells are put in with one strided slice
+    assignment, so no per-row tuple or string is made; the list is joined once.
     """
     meta = [f"experiment={exp.name}", f"seed={seed}"]
     meta.extend(f"{p.name}={_fmt(params[p.name])}" for p in exp.params)
     yield "\n".join(["# meta " + " ".join(meta), "# summary " + _summary_text(result.summary),
                      ",".join(result.header), ""])
     width = 2 * len(result.header)
-    for columns in result.chunks(RENDER_CHUNK):
-        rows = len(columns[0])
-        cells = [","] * (width * rows)
-        cells[width - 1::width] = ["\n"] * rows
-        for j, column in enumerate(columns):
-            cells[2 * j::width] = _cells(column)
-        yield "".join(cells)
+    for block in result.chunks():
+        if not result.header or len(block) != len(result.header):
+            raise ValueError(f"a result needs one column per header name: "
+                             f"{len(result.header)} names, {len(block)} columns")
+        lengths = {len(column) for column in block}
+        if len(lengths) != 1:
+            raise ValueError(f"result columns differ in length: {sorted(lengths)}")
+        for start in range(0, len(block[0]), RENDER_CHUNK):
+            rows = min(RENDER_CHUNK, len(block[0]) - start)
+            cells = [","] * (width * rows)
+            cells[width - 1::width] = ["\n"] * rows
+            for j, column in enumerate(block):
+                cells[2 * j::width] = _cells(column[start:start + rows])
+            yield "".join(cells)
 
 
 def render_csv(exp: Experiment, seed: int, params: dict, result: ExperimentResult) -> str:

@@ -23,7 +23,6 @@ from .errors import (
     SIGMA_DOMAIN,
     SPIN_ORACLE_MAX,
     ConfigError,
-    InvariantError,
     fits_oracle,
 )
 from .twotime import (
@@ -65,22 +64,17 @@ def __getattr__(name: str):
 # OpenBLAS takes its thread count from the first of these that is set, read
 # once when numpy loads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# Rows a run may ask for. born and decay make and write their rows a chunk
+# Rows a run may ask for. born and decay make and write their rows a block
 # at a time, so their memory does not grow with rows; weakvalue holds one
 # float per accepted trial. So the cap bounds time, most of it formatting
 # floats with repr: at 10^7 rows a born run takes about 2.5 s (16 MiB peak
-# RSS), a decay run about 13 s (16 MiB), and a weakvalue run that accepts
+# RSS), a decay run about 13 s (17 MiB), and a weakvalue run that accepts
 # every trial about 8 s (0.19 GiB), on a 2-core Xeon with Python 3.11.7.
 MAX_ROWS = 10 ** 7
-# Rows of a result made, formatted and written at a time: the cells and text
-# of one chunk are all of the table a decay run holds, and a born run holds
-# one BORN_BLOCK of outcomes besides, so their memory stays fixed whatever
-# the row count.
-RENDER_CHUNK = 1 << 11
-# Bytes of random.Random.randbytes that born draws at a time, one per trial:
-# whole 32-bit words, so a block's bytes are the same however a run is split,
-# and a whole number of render chunks.
-BORN_BLOCK = 1 << 14
+# Rows that born and decay make at a time, so their memory stays fixed. born
+# draws one byte of random.Random.randbytes per trial: whole 32-bit words, so
+# a block's bytes are the same however a run is split.
+BLOCK = 1 << 14
 # Deep in the strong regime: branches 2000 sigma apart, and a reading g*a + sigma*z
 # still resolves sigma-scale detail to about 1e-13 sigma in a double.
 MAX_G_OVER_SIGMA = 1e3
@@ -121,40 +115,24 @@ class Experiment:
 class ExperimentResult:
     """One run's table under `header`, and its summary record.
 
-    `chunks(size)` yields the table top to bottom, at most `size` rows at a
-    time, as a tuple with one slice per column. Each call starts again at
-    the first row, so a large table is made a chunk at a time and never held
-    whole. Large slices are typed: `array('b')` for born's outcomes, a numpy
-    float64 array for weakvalue's readings, `array('d')` for the decay table,
-    which is built without numpy, and ranges for row indices. Small mixed
-    columns are lists, which keep Python ints of any size and None where
-    there is no number. The CSV renderer formats each slice as a whole, so
-    no per-row tuple exists, and writes a None cell or summary value empty.
+    `chunks()` yields the table top to bottom in the blocks of rows that the
+    runner makes, each a tuple with one slice per column. Each call starts
+    again at the first row, so a large table is never held whole. Large
+    slices are typed: `array('b')` for born's outcomes, a numpy float64 array
+    for weakvalue's readings, `array('d')` for decay's table, built without
+    numpy, and ranges for row indices. Small mixed columns are lists, which
+    keep Python ints of any size and None where there is no number.
     """
 
     header: tuple[str, ...]
-    chunks: Callable[[int], Iterator[tuple[Sequence, ...]]]
+    chunks: Callable[[], Iterator[tuple[Sequence, ...]]]
     summary: dict
 
     @classmethod
     def from_columns(cls, header: tuple[str, ...], columns: tuple[Sequence, ...],
                      summary: dict) -> "ExperimentResult":
-        """A table held whole: `columns[i]` holds every cell under `header[i]`."""
-        if not header or len(columns) != len(header):
-            raise InvariantError(
-                f"a result needs one column per header name: {len(header)} names, "
-                f"{len(columns)} columns"
-            )
-        lengths = {len(column) for column in columns}
-        if len(lengths) != 1:
-            raise InvariantError(f"result columns differ in length: {sorted(lengths)}")
-        length = lengths.pop()
-
-        def chunks(size: int):
-            for start in range(0, length, size):
-                yield tuple(column[start:start + size] for column in columns)
-
-        return cls(header, chunks, summary)
+        """A table held whole, one block: `columns[i]` holds every cell under `header[i]`."""
+        return cls(header, lambda: iter((columns,)), summary)
 
 
 def _require(condition: bool, message: str):
@@ -247,24 +225,21 @@ def _run_born(params: dict, seed: int) -> ExperimentResult:
     table = bytes(1 if byte < tie else 0 if byte == tie and fraction else 255
                   for byte in range(256))
 
-    # Every call draws the outcomes again from the seed, one BORN_BLOCK of
-    # bytes at a time, so the draws do not depend on the rows asked for.
+    # Every call draws the outcomes again from the seed, one BLOCK of bytes at
+    # a time, so the draws do not depend on the rows asked for.
     def blocks():
         rng = random.Random(seed)
-        for start in range(0, trials, BORN_BLOCK):
-            block = bytearray(rng.randbytes(BORN_BLOCK)[:trials - start].translate(table))
+        for start in range(0, trials, BLOCK):
+            block = bytearray(rng.randbytes(BLOCK)[:trials - start].translate(table))
             at = block.find(0)
             while at >= 0:
                 block[at] = 1 if rng.random() < fraction else 255
                 at = block.find(0, at + 1)
             yield start, block
 
-    def chunks(size: int):
+    def chunks():
         for start, block in blocks():
-            outcomes = array("b", block)
-            for offset in range(0, len(outcomes), size):
-                rows = outcomes[offset:offset + size]
-                yield range(start + offset, start + offset + len(rows)), rows
+            yield range(start, start + len(block)), array("b", block)
 
     # A counting pass for the summary, which the CSV writes before any row.
     plus = sum(block.count(1) for _, block in blocks())
@@ -417,14 +392,14 @@ def _run_decay(params: dict, seed: int) -> ExperimentResult:
     # 0.0 (which turns -0.0 into 0.0); the last point is t_max itself.
     step = t_max / (steps - 1)
 
-    def chunks(size: int):
-        for start in range(0, steps, size):
-            indices = range(start, min(start + size, steps - 1))
+    def chunks():
+        for start in range(0, steps, BLOCK):
+            indices = range(start, min(start + BLOCK, steps - 1))
             if step:
                 times = array("d", [i * step for i in indices])
             else:
                 times = array("d", [i / (steps - 1) * t_max + 0.0 for i in indices])
-            if start + size >= steps:
+            if start + BLOCK >= steps:
                 times.append(t_max)
             # core_decay's curve; its arguments were checked once, while parsing.
             yield times, _decay_curve(n0, tau, times)

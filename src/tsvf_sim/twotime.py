@@ -152,6 +152,7 @@ def ensemble_average(moments: Iterable[tuple[int, float, float]]) -> tuple[float
     for N identical copies the residual is delta/sqrt(N). Counts may be any
     size whose float stays finite.
     """
+    moments = tuple(moments)
     total = 0
     abar_sum = 0.0
     var_sum = 0.0
@@ -159,7 +160,17 @@ def ensemble_average(moments: Iterable[tuple[int, float, float]]) -> tuple[float
         total += count
         abar_sum += count * abar
         var_sum += count * delta ** 2
-    return abar_sum / total, math.sqrt(var_sum) / total
+    mean, residual = abar_sum / total, math.sqrt(var_sum) / total
+    if math.isfinite(abar_sum + var_sum):
+        return mean, residual
+    # A sum overflowed: redo it with each abar and delta scaled by 2^-e, so none does.
+    e = math.frexp(max(max(abs(abar), delta) for _, abar, delta in moments))[1]
+    scaled = [(n, math.ldexp(abar, -e), math.ldexp(delta, -e)) for n, abar, delta in moments]
+    if not math.isfinite(abar_sum):
+        mean = math.ldexp(sum(n * abar for n, abar, _ in scaled) / total, e)
+    if not math.isfinite(var_sum):
+        residual = math.ldexp(math.sqrt(sum(n * delta ** 2 for n, _, delta in scaled)) / total, e)
+    return mean, residual
 
 
 def classical_threshold(

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import tsvf_sim
-from tsvf_sim.experiments import BLAS_THREAD_VARS, RENDER_CHUNK
+from tsvf_sim.experiments import BLAS_THREAD_VARS
 from tsvf_sim.errors import InvariantError
 from tsvf_sim.hilbert import HermitianOperator, StateVector
 
@@ -87,8 +87,8 @@ def run_child(args: list[str], **blas_threads) -> subprocess.CompletedProcess:
 
 def result_columns(result) -> tuple[list, ...]:
     """Every cell of each column of a run's table, top to bottom, gathered
-    from the chunks the CSV renderer reads."""
-    slices = zip(*result.chunks(RENDER_CHUNK))
+    from the blocks the CSV writer reads."""
+    slices = zip(*result.chunks())
     return tuple(list(itertools.chain.from_iterable(column)) for column in slices)
 
 

@@ -119,6 +119,16 @@ MUTANTS = (
            'require_in("the total group count", sum(count for _, count in groups), NON_NEGATIVE)',
            "pass",
            "a total count beyond the float range makes the closed form raise OverflowError"),
+    Mutant("writer-no-column-count-check", "src/tsvf_sim/cli.py",
+           "if not result.header or len(block) != len(result.header):", "if False:",
+           "a block with a column missing would be written with empty cells"),
+    Mutant("writer-no-equal-length-check", "src/tsvf_sim/cli.py",
+           "if len(lengths) != 1:", "if False:",
+           "a block with columns of unequal length would fail with an obscure slice error, "
+           "or lose rows"),
+    Mutant("ensemble-average-no-overflow-fallback", "src/tsvf_sim/twotime.py",
+           "if math.isfinite(abar_sum + var_sum):", "if True:",
+           "a mean or residual whose plain sum overflows would read inf or nan"),
     Mutant("residual-sqrt-as-pow", "src/tsvf_sim/twotime.py",
            "math.sqrt(var_sum) / total", "var_sum ** 0.5 / total",
            "equivalent: var_sum sums non-negative terms from 0.0, so it is never "

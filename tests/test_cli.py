@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 
 from tsvf_sim.cli import main
 from tsvf_sim.errors import ConfigError, InvariantError
-from tsvf_sim.experiments import BLAS_THREAD_VARS, EXPERIMENTS, MAX_ENV_SIZE, resolve_params
+from tsvf_sim.experiments import (
+    BLAS_THREAD_VARS,
+    EXPERIMENTS,
+    MAX_ENV_SIZE,
+    ExperimentResult,
+    resolve_params,
+)
 from tsvf_sim.pointer import ReadoutDensity
 from tsvf_sim.twotime import RobustnessModel, classical_threshold, core_decay
 from helpers import child_env, child_peak_rss_mib, result_columns, run_child
@@ -434,8 +440,8 @@ def test_render_failure_exits_3_and_leaves_the_output_as_it_was(tmp_path, monkey
     def runner(params, seed):
         result = decay.runner(params, seed)
 
-        def chunks(size):
-            yield next(result.chunks(size))
+        def chunks():
+            yield next(result.chunks())
             raise RuntimeError("render failed")
 
         return dataclasses.replace(result, chunks=chunks)
@@ -446,6 +452,27 @@ def test_render_failure_exits_3_and_leaves_the_output_as_it_was(tmp_path, monkey
     assert capsys.readouterr().err == "tsvf-sim: runtime error: render failed\n"
     assert [p.name for p in tmp_path.iterdir()] == (["d.csv"] if existing else [])
     assert not existing or out.read_text() == "old bytes\n"
+
+
+@pytest.mark.parametrize("second, message", [
+    (([3.5],), "a result needs one column per header name: 2 names, 1 columns"),
+    # The longer column first.
+    ((range(3, 6), [3.5, 4.5]), "result columns differ in length: [2, 3]"),
+], ids=["column-count", "unequal-lengths"])
+def test_a_malformed_block_is_a_defect_that_exits_3_and_writes_nothing(tmp_path, monkeypatch,
+                                                                        capsys, second, message):
+    def runner(params, seed):
+        def chunks():
+            yield range(3), [0.5, 1.5, 2.5]
+            yield second
+
+        return ExperimentResult(("t", "remaining"), chunks, {"n0": 1.0})
+
+    monkeypatch.setitem(EXPERIMENTS, "decay", dataclasses.replace(EXPERIMENTS["decay"],
+                                                                  runner=runner))
+    assert run_cli("run", "--experiment", "decay", "--out", str(tmp_path / "d.csv")) == 3
+    assert capsys.readouterr().err == f"tsvf-sim: runtime error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_an_oserror_of_the_runner_is_a_runtime_error_not_a_failed_write(tmp_path, monkeypatch,

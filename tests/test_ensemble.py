@@ -4,6 +4,7 @@ import math
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tsvf_sim import spins
 from tsvf_sim import (
     SIGMA_Z,
     EnsembleSpec,
+    HermitianOperator,
     InvariantError,
     ReadoutDensity,
     RobustnessModel,
@@ -30,6 +32,7 @@ from tsvf_sim import (
     weak_estimate,
 )
 from tsvf_sim.cli import main as cli_main
+from tsvf_sim.twotime import ensemble_average
 from helpers import SIGMA_X, SIGMA_Y, basis_state, random_hermitian, random_state
 
 KET0 = basis_state(2, 0)
@@ -441,6 +444,38 @@ def test_ensemble_spec_validates_counts():
     largest = int(sys.float_info.max)
     abar, residual = average_operator_residual(SIGMA_Z, EnsembleSpec(((PLUS, largest),)))
     assert abs(abar) < 1e-15 and residual == pytest.approx(1 / math.sqrt(largest), rel=1e-15)
+
+
+def _exact_average(moments) -> tuple[float, float]:
+    """ensemble_average's mean and residual in exact rationals, each rounded once."""
+    total = sum(count for count, _, _ in moments)
+    mean = sum(count * Fraction(abar) for count, abar, _ in moments) / total
+    square = sum(count * Fraction(delta) ** 2 for count, _, delta in moments) / total ** 2
+    scale = 2 ** 2000  # the root keeps hundreds of bits for any square above 1e-600
+    root = Fraction(math.isqrt(square.numerator * scale ** 2 // square.denominator), scale)
+    return float(mean), float(root)
+
+
+def _plus_moments(diagonal, count) -> list:
+    """One group of `count` copies of |+>, with the moments of diag(diagonal) on it."""
+    dec = decompose(HermitianOperator(np.diag(diagonal)), PLUS)
+    return [(count, dec.abar, dec.delta)]
+
+
+@pytest.mark.parametrize("moments", [
+    # Residual about 3.2e145: sum N delta^2 = 1e309 overflows.
+    _plus_moments([1e150, -1e150], 10 ** 9),
+    # Mean 5e149 and residual 0.5: both sums overflow.
+    _plus_moments([1e150, 0.0], 10 ** 300),
+    # The two mean terms overflow to +inf and -inf, which sum to nan; the mean is 0.
+    [(10 ** 300, 1e150, 1.0), (10 ** 300, -1e150, 1.0)],
+], ids=["residual", "mean-and-residual", "opposite-terms"])
+def test_ensemble_average_is_exact_where_a_plain_sum_overflows(moments):
+    mean, residual = ensemble_average(moments)
+    exact_mean, exact_residual = _exact_average(moments)
+    assert abs(mean - exact_mean) <= 4 * math.ulp(exact_mean), (mean, exact_mean)
+    assert abs(residual - exact_residual) <= 4 * math.ulp(exact_residual), (residual,
+                                                                            exact_residual)
 
 
 def test_ensemble_spec_validates_dims():

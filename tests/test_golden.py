@@ -86,7 +86,8 @@ MATRIX_ARGV = [
     "run --experiment commutator --param brute_max=1 --param closed_Ns=1,2,3",
     # 2N overflows a float here; 1/(2N) = 5e-309 is a subnormal.
     "run --experiment commutator --param brute_max=2 --param closed_Ns=1e308",
-    # Around cli.RENDER_CHUNK = 2048 rows, and around 16384, its earlier value.
+    # Around experiments.BLOCK = 16384, the rows decay makes at a time; the
+    # steps around cli.RENDER_CHUNK = 2048, the rows formatted at a time, are below.
     *(f"run --experiment decay --param steps={steps}" for steps in ["16384", "16385", "32769"]),
     "run --experiment decay --param t_max=1e300",
     "run --experiment decay --param time_constant=1e-300",

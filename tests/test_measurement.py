@@ -1,6 +1,5 @@
 """Tests for projective measurement and post-selected weak values."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +20,7 @@ from tsvf_sim import (
     weak_estimate,
     weak_value,
 )
-from tsvf_sim.experiments import BORN_BLOCK, EXPERIMENTS, resolve_params
+from tsvf_sim.experiments import BLOCK, EXPERIMENTS, resolve_params
 from tsvf_sim.measurement import WeakEstimate
 from tsvf_sim.pointer import _inverse_cdf
 from helpers import SIGMA_X, basis_state, identity, random_hermitian, random_state, result_columns
@@ -83,13 +82,13 @@ def _born_result(alpha2: float, trials: int, seed: int):
 def _exact_born_reference(alpha2: float, trials: int, seed: int) -> list[int]:
     """born's outcomes, decided trial by trial in exact rationals.
 
-    Each block of BORN_BLOCK bytes is drawn as the runner draws it. Trial t
+    Each block of BLOCK bytes is drawn as the runner draws it. Trial t
     is +1 iff (byte_t + r_t) / 256 < alpha2, and r_t = rng.random() is drawn
     only where byte_t leaves that open.
     """
     rng, target, outcomes = random.Random(seed), 256 * Fraction(alpha2), []
-    for start in range(0, trials, BORN_BLOCK):
-        for byte in rng.randbytes(BORN_BLOCK)[:trials - start]:
+    for start in range(0, trials, BLOCK):
+        for byte in rng.randbytes(BLOCK)[:trials - start]:
             if byte + 1 <= target:
                 outcomes.append(1)
             elif byte >= target:
@@ -102,20 +101,10 @@ def _exact_born_reference(alpha2: float, trials: int, seed: int) -> list[int]:
 @pytest.mark.parametrize("alpha2", [0.0, 1.0, 1e-17, 5e-324, 0.5, 0.36, 3 / 256, 1 - 2 ** -53])
 def test_born_outcomes_equal_an_exact_per_trial_reference(alpha2):
     # Five rows past a block, so the run's draws cross a block boundary.
-    trials = BORN_BLOCK + 5
+    trials = BLOCK + 5
     index, outcomes = result_columns(_born_result(alpha2, trials, 40))
     assert index == list(range(trials))
     assert outcomes == _exact_born_reference(alpha2, trials, 40)
-
-
-def test_born_table_does_not_depend_on_the_chunk_size():
-    result = _born_result(0.36, 2 * BORN_BLOCK + 3, 41)
-    table = result_columns(result)
-    for size in (1, 7, BORN_BLOCK - 1, BORN_BLOCK, 10 ** 6):
-        chunks = list(result.chunks(size))
-        assert all(len(rows) <= size for _, rows in chunks)
-        assert tuple(list(itertools.chain.from_iterable(column))
-                     for column in zip(*chunks)) == table, size
 
 
 def test_born_weight_is_the_plus_weight_of_sigma_z_born_branches():

@@ -17,7 +17,7 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsvf_sim.cli import render_csv
+from tsvf_sim.cli import csv_chunks
 from tsvf_sim.errors import SIGMA_DOMAIN, ConfigError, NoAcceptedTrials
 from tsvf_sim.experiments import (
     EXPERIMENTS,
@@ -86,7 +86,7 @@ def test_params_fail_only_with_package_errors(run):
             warnings.simplefilter("error")
             params = resolve_params(exp, overrides)
             result = exp.runner(params, 0)
-            text = render_csv(exp, 0, params, result)
+            text = "".join(csv_chunks(exp, 0, params, result))
     except Exception as exc:
         assert isinstance(exc, (ConfigError, NoAcceptedTrials)), repr(exc)
         return
