@@ -6,7 +6,8 @@ observables over a product ensemble of N copies leaves an operator whose
 residual (non-determinism) on the product state shrinks as 1/sqrt(N).
 Operators with delta = 0 are deterministic for the state, and the set of
 deterministic operators is large: (d-1)^2 + 1 linearly independent ones in
-dimension d. The averaged spin components are in `spins`.
+dimension d. The averaged spin components are in `spins`. Every norm here is
+`math.hypot`, which squares no entry, so a norm near 1e-170 or 1e300 stays accurate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     require_count,
     require_in,
 )
-from .hilbert import HermitianOperator, StateVector, projector
+from .hilbert import HermitianOperator, StateVector, _norm, projector
 from .twotime import ensemble_average
 
 # Uncertainty below this counts as zero and no perpendicular component is reported.
@@ -71,7 +72,7 @@ def decompose(op: HermitianOperator, psi: StateVector) -> Decomposition:
     """Decompose the action of op on a normalized state."""
     abar = op.expectation(psi)
     residual = op.apply(psi) - abar * psi.amps
-    delta = float(np.linalg.norm(residual))
+    delta = _norm(residual)
     perp = StateVector(residual / delta) if delta > DELTA_FLOOR else None
     return Decomposition(abar=abar, delta=delta, perp=perp)
 
@@ -111,7 +112,7 @@ def commute_on_state(
         raise InvariantError(f"operator dims differ: {a.dim} vs {b.dim}")
     ab = a.entries @ b.apply(psi)
     ba = b.entries @ a.apply(psi)
-    return float(np.linalg.norm(ab - ba))
+    return _norm(ab - ba)
 
 
 def average_operator_residual(
@@ -156,5 +157,5 @@ def brute_force_average(
         averaged += (op.entries @ full.reshape(d ** i, d, -1)).reshape(-1)
     averaged /= n
     abar = float(np.real(np.vdot(full, averaged)))
-    residual = float(np.linalg.norm(averaged - abar * full))
+    residual = _norm(averaged - abar * full)
     return abar, residual

@@ -32,6 +32,11 @@ def _readonly(a, dtype=complex) -> np.ndarray:
     return out
 
 
+def _norm(vector) -> float:
+    """The package's one Euclidean norm: math.hypot squares no entry, so none overflows."""
+    return math.hypot(*np.abs(vector).tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state as a 1-d complex amplitude vector."""
@@ -49,8 +54,7 @@ class StateVector:
         return self.amps.shape[0]
 
     def norm(self) -> float:
-        # math.hypot, unlike np.linalg.norm, does not overflow squaring amplitudes above 1e154.
-        return math.hypot(*np.abs(self.amps).tolist())
+        return _norm(self.amps)
 
     def require_normalized(self, what: str) -> None:
         """Raise InvariantError unless the norm is 1 within ATOL_EXACT."""

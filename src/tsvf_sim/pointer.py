@@ -26,6 +26,7 @@ from .errors import (
     require_in,
 )
 from .hilbert import HermitianOperator, StateVector, _readonly
+from .twotime import _dot_over
 
 # One block of random draws holds at most this many values: for the sampler,
 # kernel values (proposals x mixture components). At 128 KiB per float array,
@@ -111,15 +112,8 @@ class ReadoutDensity:
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
-        """Exact first moment (no quadrature, no sampling noise); +-inf beyond the float range."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(self.weights @ self.means / self.success_prob)
-            if np.isfinite(mean):
-                return mean
-            # A partial sum overflowed: split off powers of two, so none does.
-            e = np.frexp(np.abs(self.weights).max())[1]
-            m, f = np.frexp(self.success_prob)
-            return float(np.ldexp(np.ldexp(self.weights, -e) @ self.means / m, e - f))
+        """Exact first moment rounded once (no quadrature or noise); +-inf past the float range."""
+        return _dot_over(self.weights.tolist(), self.means.tolist(), self.success_prob)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw `size` readings exactly, by rejection from the positive part of the mixture.

@@ -20,8 +20,8 @@ sum_g N_g abar_g / N and residual sqrt(sum_g N_g delta_g^2) / N, from each
 group's one-copy moments. `ensemble.average_operator_residual` and the
 `convergence` experiment both reduce through `ensemble_average`.
 
-Everything here is scalar float arithmetic with `math`, so this module does
-not import numpy; the dense branch states that check it live in `branches`.
+Everything here is scalar arithmetic on floats and Python ints, so this module
+does not import numpy; the dense branch states that check it live in `branches`.
 """
 
 from __future__ import annotations
@@ -143,34 +143,34 @@ def _decay_curve(n0: float, time_constant: float, times: Iterable[float]) -> arr
     return array("d", [n0 * math.exp(-t / time_constant) for t in times])
 
 
+def _dot_over(weights, values, divisor) -> float:
+    """sum_k w_k v_k / divisor (> 0) for ints and finite floats, rounded once; +-inf past floats.
+
+    Each number is an int over a power of two (`as_integer_ratio`), so the quotient is one
+    ratio of ints, which int / int rounds correctly: no partial sum overflows or cancels.
+    """
+    terms = [(w.as_integer_ratio(), v.as_integer_ratio()) for w, v in zip(weights, values)]
+    scale = max(b * d for (_, b), (_, d) in terms)
+    num = sum(a * c * (scale // (b * d)) for (a, b), (c, d) in terms)
+    p, q = divisor.as_integer_ratio()
+    try:
+        return num * q / (scale * p)
+    except OverflowError:  # the quotient is beyond the float range
+        return math.inf if num > 0 else -math.inf
+
+
 def ensemble_average(moments: Iterable[tuple[int, float, float]]) -> tuple[float, float]:
     """Mean and residual of the averaged operator (1/N) sum_i A_i on a product state.
 
-    `moments` holds (N_g, abar_g, delta_g) for each group of N_g identical
-    copies, with the one-copy mean and uncertainty of A. Returns
-    (sum_g N_g abar_g / N, sqrt(sum_g N_g delta_g^2) / N) with N = sum_g N_g;
-    for N identical copies the residual is delta/sqrt(N). Counts may be any
-    size whose float stays finite.
+    `moments` holds (N_g, abar_g, delta_g) for each group of N_g (an int) identical
+    copies, with the one-copy mean and uncertainty of A. Returns the exactly rounded
+    sum_g N_g abar_g / N and the residual hypot_g(sqrt(N_g) delta_g) / N, N = sum_g N_g;
+    for N identical copies that is delta/sqrt(N). Counts may be any size whose float stays finite.
     """
-    moments = tuple(moments)
-    total = 0
-    abar_sum = 0.0
-    var_sum = 0.0
-    for count, abar, delta in moments:
-        total += count
-        abar_sum += count * abar
-        var_sum += count * delta ** 2
-    mean, residual = abar_sum / total, math.sqrt(var_sum) / total
-    if math.isfinite(abar_sum + var_sum):
-        return mean, residual
-    # A sum overflowed: redo it with each abar and delta scaled by 2^-e, so none does.
-    e = math.frexp(max(max(abs(abar), delta) for _, abar, delta in moments))[1]
-    scaled = [(n, math.ldexp(abar, -e), math.ldexp(delta, -e)) for n, abar, delta in moments]
-    if not math.isfinite(abar_sum):
-        mean = math.ldexp(sum(n * abar for n, abar, _ in scaled) / total, e)
-    if not math.isfinite(var_sum):
-        residual = math.ldexp(math.sqrt(sum(n * delta ** 2 for n, _, delta in scaled)) / total, e)
-    return mean, residual
+    counts, abars, deltas = zip(*moments)
+    total = sum(counts)
+    residual = math.hypot(*(math.sqrt(n) * delta for n, delta in zip(counts, deltas))) / total
+    return _dot_over(counts, abars, total), residual
 
 
 def classical_threshold(

@@ -126,14 +126,19 @@ MUTANTS = (
            "if len(lengths) != 1:", "if False:",
            "a block with columns of unequal length would fail with an obscure slice error, "
            "or lose rows"),
-    Mutant("ensemble-average-no-overflow-fallback", "src/tsvf_sim/twotime.py",
-           "if math.isfinite(abar_sum + var_sum):", "if True:",
-           "a mean or residual whose plain sum overflows would read inf or nan"),
-    Mutant("residual-sqrt-as-pow", "src/tsvf_sim/twotime.py",
-           "math.sqrt(var_sum) / total", "var_sum ** 0.5 / total",
-           "equivalent: var_sum sums non-negative terms from 0.0, so it is never "
-           "negative or -0.0, where the two differ, and both round correctly elsewhere",
-           expect="survived"),
+    Mutant("norm-squares-entries", "src/tsvf_sim/hilbert.py",
+           "return math.hypot(*np.abs(vector).tolist())", "return float(np.linalg.norm(vector))",
+           "a norm near 1e-170 would underflow to 0.0, and one near 2e300 overflow with a "
+           "numpy warning"),
+    Mutant("dot-over-no-overflow-except", "src/tsvf_sim/twotime.py",
+           "    except OverflowError:  # the quotient is beyond the float range",
+           "    except ZeroDivisionError:  # the quotient is beyond the float range",
+           "a mean beyond the float range would raise a bare OverflowError, not read +-inf"),
+    Mutant("residual-sum-of-squares", "src/tsvf_sim/twotime.py",
+           "math.hypot(*(math.sqrt(n) * delta for n, delta in zip(counts, deltas))) / total",
+           "math.sqrt(sum(n * delta ** 2 for n, delta in zip(counts, deltas))) / total",
+           "delta ** 2 raises OverflowError above about 1.34e154 and underflows to 0.0 "
+           "below about 1e-162"),
 )
 
 

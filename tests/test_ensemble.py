@@ -469,13 +469,39 @@ def _plus_moments(diagonal, count) -> list:
     _plus_moments([1e150, 0.0], 10 ** 300),
     # The two mean terms overflow to +inf and -inf, which sum to nan; the mean is 0.
     [(10 ** 300, 1e150, 1.0), (10 ** 300, -1e150, 1.0)],
-], ids=["residual", "mean-and-residual", "opposite-terms"])
+    # delta ** 2 alone is beyond the float range.
+    [(1, 0.0, 1e155)],
+    # N delta^2 = 4e-340 underflows to 0.0; the residual is 5e-171.
+    [(4, 0.0, 1e-170)],
+    # Huge abars cancel to leave a tiny mean, 1e-30 / 3.
+    [(1, 1e300, 1.0), (1, -1e300, 1.0), (1, 1e-30, 1.0)],
+], ids=["residual", "mean-and-residual", "opposite-terms", "huge-delta", "tiny-delta",
+        "cancelling-abars"])
 def test_ensemble_average_is_exact_where_a_plain_sum_overflows(moments):
     mean, residual = ensemble_average(moments)
     exact_mean, exact_residual = _exact_average(moments)
     assert abs(mean - exact_mean) <= 4 * math.ulp(exact_mean), (mean, exact_mean)
     assert abs(residual - exact_residual) <= 4 * math.ulp(exact_residual), (residual,
                                                                             exact_residual)
+
+
+# Each norm of a vector with entries near 1e-170 or 1e150 squared (warnings are errors).
+def test_decompose_keeps_a_delta_whose_square_underflows():
+    assert decompose(HermitianOperator(np.diag([1e-170, -1e-170])), PLUS).delta == 1e-170
+
+
+def test_brute_force_average_keeps_a_residual_whose_square_underflows():
+    op = HermitianOperator(np.diag([1e-170, -1e-170]))
+    abar, residual = brute_force_average(op, EnsembleSpec(((PLUS, 4),)))
+    assert abar == 0.0
+    assert abs(residual - 5e-171) <= 4 * math.ulp(5e-171), residual
+
+
+def test_commute_on_state_keeps_a_norm_whose_square_overflows():
+    scale = 1e150  # errors.SCALE_MAX: [X, Z]|0> = 2|1> grows to 2e300
+    norm = commute_on_state(HermitianOperator(scale * SIGMA_X.entries),
+                            HermitianOperator(scale * SIGMA_Z.entries), KET0)
+    assert math.isclose(norm, 2e300, rel_tol=4 * 2.0 ** -52), norm
 
 
 def test_ensemble_spec_validates_dims():

@@ -21,6 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsvf_sim import errors
+from tsvf_sim.ensemble import (
+    EnsembleSpec,
+    average_operator_residual,
+    brute_force_average,
+    commute_on_state,
+    decompose,
+)
 from tsvf_sim.errors import SCALE_MAX, SIGMA_DOMAIN
 from tsvf_sim.hilbert import SIGMA_Z, HermitianOperator, StateVector
 from tsvf_sim.measurement import TwoState, weak_value
@@ -136,6 +143,14 @@ def _weak_value_calls(entries, forward, backward):
     return [ts.overlap, weak_value(ts, _operator(entries))]
 
 
+def _ensemble_calls(entries, other, amps, count):
+    op, psi = _operator(entries), _state(amps)
+    dec = decompose(op, psi)
+    spec = EnsembleSpec(((psi, count),))
+    return [dec.abar, dec.delta, commute_on_state(op, _operator(other), psi),
+            *average_operator_residual(op, spec), *brute_force_average(op, spec)]
+
+
 def _robustness_calls(alpha, beta, env_size, overlap, n_collapsed, gamma1, gamma2):
     model = RobustnessModel(alpha=alpha, beta=beta, env_size=env_size, overlap=overlap,
                             n_collapsed=n_collapsed, gamma1=gamma1, gamma2=gamma2)
@@ -172,6 +187,8 @@ CALLS = {
         st.none() | _amps(dim), floats, floats, floats, sizes))),
     "weak_value": (_weak_value_calls, sizes.flatmap(
         lambda dim: st.tuples(_entries(dim), _amps(dim), _amps(dim)))),
+    "ensemble": (_ensemble_calls, sizes.flatmap(
+        lambda dim: st.tuples(_entries(dim), _entries(dim), _amps(dim), sizes))),
     "robustness": (_robustness_calls, st.tuples(
         floats, floats, counts, floats, counts, floats, floats)),
     "decay": (_decay_calls, st.tuples(floats, floats, floats)),
@@ -207,6 +224,8 @@ CALLS = {
 @example(("operator", (([1e308, -1e308], [0.0]), [1.0, 1.0])))
 @example(("operator", (([1e308, 1e308], [1e308]), [1.0, 1.0])))
 @example(("weak_value", (([0.0, 0.0], [1e300]), [1.0, 0.0], [1e-11, 1.0])))
+# [X, Z]|0> = 2|1> at errors.SCALE_MAX: its norm 2e300 has a square beyond the float range.
+@example(("ensemble", (([0.0, 0.0], [SCALE_MAX]), ([SCALE_MAX, -SCALE_MAX], [0.0]), [1.0, 0.0], 1)))
 def test_library_calls_return_finite_output_or_raise_package_errors(call):
     name, args = call
     try:

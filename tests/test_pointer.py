@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,13 +199,41 @@ def test_pdf_is_finite_far_out_and_for_a_tiny_weight_sum():
     assert math.isclose(tiny, 1.0 / (math.sqrt(2.0 * math.pi) * 1e-150), rel_tol=1e-15)
 
 
-def test_mean_of_huge_weights_and_means_does_not_overflow():
-    assert ReadoutDensity(means=[1e150], weights=[1e300], sigma=1.0).mean() == 1e150
-    two = ReadoutDensity(means=[1e150, 5e149], weights=[1e300, 3e300], sigma=1.0)
-    assert math.isclose(two.mean(), 6.25e149, rel_tol=1e-15)
+def _exact_mean(density) -> float:
+    """sum w_k mu_k / success_prob in exact rationals, rounded once; +-inf past the float range."""
+    num = sum(Fraction(w) * Fraction(mu) for w, mu in zip(density.weights.tolist(),
+                                                      density.means.tolist()))
+    quotient = num / Fraction(density.success_prob)
+    try:
+        return float(quotient)
+    except OverflowError:
+        return math.inf if quotient > 0 else -math.inf
+
+
+def _signed_mixture(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 9))
+    weights = rng.normal(size=k) * 10.0 ** rng.integers(-5, 6, size=k)
+    weights[0] += 1.0 - weights.sum()  # so the sum is positive, near 1
+    return ReadoutDensity(means=rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, size=k),
+                          weights=weights, sigma=1e3)
+
+
+@pytest.mark.parametrize("density", [
+    ReadoutDensity(means=[1e150], weights=[1e300], sigma=1.0),
+    ReadoutDensity(means=[1e150, 5e149], weights=[1e300, 3e300], sigma=1.0),
     # Cancelling huge weights leave a tiny net weight that must not underflow.
-    assert ReadoutDensity(means=[0.0, 0.0, 1.0], weights=[1e300, -1e300, 1e-30],
-                          sigma=1.0).mean() == 1.0
+    ReadoutDensity(means=[0.0, 0.0, 1.0], weights=[1e300, -1e300, 1e-30], sigma=1.0),
+    # The same, with every mean huge: the net 1e-300 weight carries the whole mean, 1e150.
+    ReadoutDensity(means=[1e150, 1e150, 1e150], weights=[1e300, -1e300, 1e-300], sigma=1.0),
+    # The exact quotients 2e750 and -2e750 are beyond the float range.
+    ReadoutDensity(means=[1e150, -1e150, 0.0], weights=[1e300, -1e300, 1e-300], sigma=1.0),
+    ReadoutDensity(means=[-1e150, 1e150, 0.0], weights=[1e300, -1e300, 1e-300], sigma=1.0),
+    *(_signed_mixture(seed) for seed in range(8)),
+], ids=["huge", "two-huge", "cancelling", "cancelling-huge-means", "plus-inf", "minus-inf",
+        *(f"signed-{seed}" for seed in range(8))])
+def test_mean_is_the_exact_quotient_rounded_once(density):
+    assert density.mean() == _exact_mean(density)
 
 
 def test_readout_mean_matches_quadrature():
